@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 from .params import PARAM_NAMES, ModelParams
-from .scenario import SECONDS_PER_DAY, ScenarioConfig
+from .scenario import ScenarioConfig
 
 PRESET_PATTERN = re.compile(
     r"^(static|perfused)-(ic1|ic2)-(kg1|kg2)-(csat|cthr)$")
@@ -196,7 +196,3 @@ def preset(name):
         c_ext_mode=_C_EXT_ALIASES[cext],
     )
     return RunConfig(params=ModelParams(), scenario=scenario)
-
-
-def default_t_end_days():
-    return ScenarioConfig().t_end / SECONDS_PER_DAY

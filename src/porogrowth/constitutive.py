@@ -1,17 +1,11 @@
-"""Pointwise closures: permeability, diffusivity, stress, switches, kinetics.
+"""Pointwise closures: permeability, diffusivity, switches, kinetics.
 
 All functions are pure and accept scalars or numpy arrays alike.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import (
-    DegenerateDiffusivityError,
-    NonphysicalStateError,
-    SingularPermeabilityError,
-)
+from .errors import DegenerateDiffusivityError, SingularPermeabilityError
 from .params import EPS_PHI
 
 
@@ -49,51 +43,7 @@ def nutrient_diffusivity(phi_fl, params):
     return out if out.ndim else float(out)
 
 
-# --- stress and isotropy ---------------------------------------------
-
-@dataclass(frozen=True)
-class StressDecomposition:
-    """Scalars of the uniaxial stress state (full tensors never stored).
-
-    sigma_II = sigma_III by uniaxiality; the polarization direction is
-    the x axis. All stresses in dyne cm^-2, r dimensionless.
-    """
-
-    T_xx: float
-    sigma_I: float
-    sigma_II: float
-    tau_max: float
-    r: float
-
-
-def anisotropy_r(phi_s, u_x, g_n, phi_n):
-    """Isotropy indicator r = |phi_s u_x - g_n phi_n| = |tau_max| / mu."""
-    out = np.abs(
-        np.asarray(phi_s, dtype=float) * u_x - np.asarray(g_n, dtype=float) * phi_n)
-    return out if out.ndim else float(out)
-
-
-def total_stress(u_x, p, phi_s, phi_n, phi_v, phi_q, phi_ecm,
-                 g_n, g_v, g_q, g_ecm, params):
-    """Axial stress and its principal/isotropy decomposition.
-
-    T_xx = H_A phi_s u_x - p - H_A g_n phi_n - H_B sum(phi_eta g_eta)
-    over eta in {v, q, ecm}; sigma_I = T_xx; tau_max = (sigma_I -
-    sigma_II)/2 = mu (phi_s u_x - g_n phi_n).
-    """
-    h_a, h_b = params.H_A, params.H_B
-    growth_iso = h_b * (phi_v * g_v + phi_q * g_q + phi_ecm * g_ecm)
-    deviator = phi_s * u_x - g_n * phi_n
-    t_xx = h_a * deviator - p - growth_iso
-    sigma_ii = params.lam * deviator - p - growth_iso
-    return StressDecomposition(
-        T_xx=t_xx,
-        sigma_I=t_xx,
-        sigma_II=sigma_ii,
-        tau_max=params.mu * deviator,
-        r=np.abs(deviator),
-    )
-
+# --- switches ---------------------------------------------------------
 
 def switch_Hr(r, r_bar, inverted=False):
     """Anisotropy switch: 1 in the anisotropic regime r > r_bar, else 0.
@@ -115,72 +65,31 @@ def switch_Hc(c, threshold):
 
 # --- population kinetics ---------------------------------------------
 
-@dataclass(frozen=True)
-class KineticsMatrices:
-    """Production matrix P and diagonal consumption C, order (n,v,q,ecm)."""
-
-    P: np.ndarray
-    C: np.ndarray
-
-
-def _kinetics_entries(phi_ecm, phi_fl, c, h_r, h_c, k_g, params):
-    """The six nonzero P entries and the four C diagonals, vectorized."""
-    monod = c / (params.K_sat + c)
-    p11 = phi_fl * monod * k_g
-    p13 = params.beta * h_r
-    p23 = params.beta * (1 - h_r)
-    p31_scalar = 1.0 / params.tau_m
-    p32 = params.beta * h_r
-    p42 = (
-        c * params.E * params.k_GAG / params.V_cell
-        * np.maximum(0.0, 1.0 - phi_ecm / params.phi_ecm_max)
-    )
-    starve = params.k_qui * (1 - h_c)
-    c11 = p31_scalar + starve
-    c22 = params.beta * h_r + starve + params.k_apo
-    # the two complementary beta channels out of q sum to beta
-    c33 = params.beta + starve + params.k_apo
-    c44 = params.k_deg
-    return p11, p13, p23, p31_scalar, p32, p42, (c11, c22, c33, c44)
-
-
-def kinetics(phi, phi_fl, c, h_r, h_c, k_g, params):
-    """Full 4x4 production/consumption matrices at one point.
-
-    phi is the (n, v, q, ecm) fraction vector; h_r, h_c in {0, 1}.
-    """
-    phi = np.asarray(phi, dtype=float)
-    if np.any(phi < 0.0) or c < 0.0:
-        raise NonphysicalStateError("kinetics needs nonnegative phi and c")
-    if not 0.0 < phi_fl < 1.0:
-        raise NonphysicalStateError(f"phi_fl = {phi_fl} outside (0, 1)")
-    p11, p13, p23, p31, p32, p42, diag = _kinetics_entries(
-        phi[3], phi_fl, c, h_r, h_c, k_g, params)
-    P = np.zeros((4, 4))
-    P[0, 0] = p11
-    P[0, 2] = p13
-    P[1, 2] = p23
-    P[2, 0] = p31
-    P[2, 1] = p32
-    P[3, 1] = p42
-    return KineticsMatrices(P=P, C=np.diag(np.asarray(diag, dtype=float)))
-
-
 def kinetics_fields(phi, phi_fl, c, h_r, h_c, k_g, params):
     """Nodal reaction data for the species solves.
 
-    phi is the (4, N) stacked fraction array. Returns (sigma, source):
-    sigma[eta] is the consumption diagonal C_eta_eta and source[eta] the
-    production row (P phi)_eta, both (4, N).
+    phi is the (4, N) stacked fraction array, h_r and h_c the switches.
+    Returns (sigma, source): sigma[eta] is the consumption diagonal
+    C_eta_eta and source[eta] the production row (P phi)_eta of the
+    sparse production matrix P (entries P11, P13, P23, P31, P32, P42),
+    both (4, N).
     """
-    p11, p13, p23, p31, p32, p42, diag = _kinetics_entries(
-        phi[3], phi_fl, c, h_r, h_c, k_g, params)
+    monod = c / (params.K_sat + c)
+    beta_r = params.beta * h_r
+    starve = params.k_qui * (1 - h_c)
+    p42 = (
+        c * params.E * params.k_GAG / params.V_cell
+        * np.maximum(0.0, 1.0 - phi[3] / params.phi_ecm_max)
+    )
     source = np.stack([
-        p11 * phi[0] + p13 * phi[2],
-        p23 * phi[2],
-        p31 * phi[0] + p32 * phi[1],
+        phi_fl * monod * k_g * phi[0] + beta_r * phi[2],
+        params.beta * (1 - h_r) * phi[2],
+        1.0 / params.tau_m * phi[0] + beta_r * phi[1],
         p42 * phi[1],
     ])
+    # the two complementary beta channels out of q sum to beta
+    diag = (1.0 / params.tau_m + starve, beta_r + starve + params.k_apo,
+            params.beta + starve + params.k_apo, params.k_deg)
     n = phi.shape[1]
     sigma = np.stack([np.broadcast_to(d, (n,)).astype(float) for d in diag])
     return sigma, source
@@ -202,19 +111,13 @@ def oxygen_sink(phi_n, phi_v, phi_q, c, params):
 
 # --- growth distortions ----------------------------------------------
 
-def growth_distortion_step(g, phi, net_rate, dt, model="G0"):
-    """Advance the growth distortions by one time step.
+def growth_distortion_step(g, phi, net_rate, dt):
+    """Advance the growth distortions by one step of model G1.
 
-    Model G0 holds g at its current (configured) constants. Model G1 is
-    a volumetric-growth surrogate: dg/dt = net_rate / 3 wherever the
-    constituent is present (phi > EPS_PHI), forward Euler in time.
+    G1 is a volumetric-growth surrogate: dg/dt = net_rate / 3 wherever
+    the constituent is present (phi > EPS_PHI), forward Euler in time.
+    (Model G0 holds g at its configured constants and never calls this.)
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    g = np.asarray(g, dtype=float)
-    if model == "G0":
-        return g.copy()
-    if model == "G1":
-        active = np.asarray(phi, dtype=float) > EPS_PHI
-        return g + np.where(active, net_rate * dt / 3.0, 0.0)
-    raise ValueError(f"unknown growth model {model!r}")
+    return g + np.where(phi > EPS_PHI, net_rate * dt / 3.0, 0.0)

@@ -26,16 +26,12 @@ from .mesh import build_mesh
 from .params import EPS_PHI
 from .state import (
     MixtureState,
-    SPECIES,
     StepDiagnostics,
     Trajectory,
+    indicator_r,
     initial_state,
-    nodal_strain,
     sample_xi_field,
 )
-
-#: fields entering the convergence test, in reporting order
-CONVERGENCE_FIELDS = ("u", "p", "c", "phi_n", "phi_v", "phi_q", "phi_ecm")
 
 
 @dataclass
@@ -48,31 +44,6 @@ class FixedPointReport:
     wall_time: float = 0.0
 
 
-@dataclass
-class _Iterate:
-    """Mutable working copy of the fields updated by the sweeps."""
-
-    u: np.ndarray
-    p: np.ndarray
-    c: np.ndarray
-    phi: np.ndarray  # (4, N) stacked species fractions
-
-    @classmethod
-    def from_state(cls, state):
-        return cls(u=state.u.copy(), p=state.p.copy(), c=state.c.copy(),
-                   phi=state.phi_fields())
-
-    def field(self, name):
-        if name in ("u", "p", "c"):
-            return getattr(self, name)
-        return self.phi[SPECIES.index(name.removeprefix("phi_"))]
-
-
-def _relative_change(new, old):
-    scale = np.max(np.abs(old), initial=0.0) + 1e-30
-    return np.max(np.abs(new - old), initial=0.0) / scale
-
-
 #: extrapolation cap of the secant acceleration (safeguard)
 _GAMMA_MAX = 0.95
 
@@ -80,14 +51,17 @@ _GAMMA_MAX = 0.95
 class _Accelerator:
     """Depth-one Anderson (secant) acceleration of the sweep map.
 
-    The sweep output G(x) is combined with the previous one using the
-    scalar secant coefficient gamma = <f, f - f_prev> / |f - f_prev|^2,
-    f = G(x) - x, with all fields normalized to comparable magnitude.
-    The accelerated point must stay physical (nonnegative fractions,
-    fluid fraction above the solver floor); otherwise the plain sweep
-    output is kept. The fixed point itself is untouched -- only the
-    path towards it changes, which matters in the strongly compacted
-    regime where plain substitution contracts arbitrarily slowly.
+    Iterates are (7, N) arrays with rows u, p, c, phi_n, phi_v, phi_q,
+    phi_ecm. The sweep output G(x) is combined with the previous one
+    using the scalar secant coefficient gamma = <f, f - f_prev> /
+    |f - f_prev|^2, f = G(x) - x, each row scaled by the peak of its
+    field in the first sweep output (one shared scale for the four
+    species rows). The accelerated point must stay physical
+    (nonnegative fractions and oxygen, fluid fraction above the solver
+    floor); otherwise the plain sweep output is kept. The fixed point
+    itself is untouched -- only the path towards it changes, which
+    matters in the strongly compacted regime where plain substitution
+    contracts arbitrarily slowly.
     """
 
     def __init__(self):
@@ -95,78 +69,68 @@ class _Accelerator:
         self.f_prev = None
         self.g_prev = None
 
-    @staticmethod
-    def _flatten(iterate):
-        return np.concatenate([iterate.u, iterate.p, iterate.c,
-                               iterate.phi.ravel()])
-
-    def _unflatten(self, vec, like):
-        n = like.u.shape[0]
-        return _Iterate(
-            u=vec[:n].copy(), p=vec[n:2 * n].copy(), c=vec[2 * n:3 * n].copy(),
-            phi=vec[3 * n:].reshape(4, n).copy())
-
-    def push(self, iterate, swept):
-        """Return the next iterate given the sweep input and output."""
-        x = self._flatten(iterate)
-        g = self._flatten(swept)
+    def push(self, x, g):
+        """Return the next iterate given the sweep input x and output g."""
         if self.scale is None:
-            n = iterate.u.shape[0]
-            blocks = [g[:n], g[n:2 * n], g[2 * n:3 * n], g[3 * n:]]
-            self.scale = np.concatenate([
-                np.full(b.shape, np.max(np.abs(b)) + 1e-30) for b in blocks])
+            peak = np.max(np.abs(g), axis=1)
+            peak[3:] = np.max(peak[3:])
+            self.scale = (peak + 1e-30)[:, None]
         f = (g - x) / self.scale
         accelerated = None
         if self.f_prev is not None:
-            df = f - self.f_prev
+            df = (f - self.f_prev).ravel()
             denom = float(df @ df)
             if denom > 0.0:
-                gamma = float(f @ df) / denom
+                gamma = float(f.ravel() @ df) / denom
                 gamma = min(max(gamma, -_GAMMA_MAX), _GAMMA_MAX)
                 accelerated = g - gamma * (g - self.g_prev)
         self.f_prev = f
         self.g_prev = g
-        if accelerated is None:
-            return swept
-        candidate = self._unflatten(accelerated, swept)
-        if (np.min(candidate.phi) < 0.0
-                or np.min(1.0 - candidate.phi.sum(axis=0)) <= EPS_PHI
-                or np.min(candidate.c) < 0.0):
-            return swept
-        return candidate
+        if (accelerated is None
+                or np.min(accelerated[3:]) < 0.0
+                or np.min(1.0 - accelerated[3:].sum(axis=0)) <= EPS_PHI
+                or np.min(accelerated[2]) < 0.0):
+            return g
+        return accelerated
 
 
-def _sweep(mesh, iterate, state_n, dt, scenario, params):
-    """One fixed-point sweep; returns the next iterate."""
+def _kinetics(mesh, u, c, phi, g_n, scenario, params):
+    """(sigma, source) of the species, gated by the r and oxygen switches."""
+    phi_s = phi.sum(axis=0)
+    r = indicator_r(mesh, u, phi_s, phi[0], g_n)
+    h_r = switch_Hr(r, params.r_bar, inverted=scenario.h_r_inverted)
+    h_c = switch_Hc(c, scenario.c_threshold(params))
+    return kinetics_fields(
+        phi, 1.0 - phi_s, c, h_r, h_c, scenario.k_g(params), params)
+
+
+def _sweep(mesh, x, state_n, dt, scenario, params):
+    """One fixed-point sweep on the (7, N) iterate; returns the next one."""
     t_b, v_b = scenario.boundary_data(params)
-    phi_m = iterate.phi
+    phi_m = x[3:]
     g = state_n.g_fields()
+    new = np.empty_like(x)
 
     # step 1: poroelastic solve with lagged coefficients
     system = poroelastic.assemble(
         mesh, phi_m, g, state_n.u, dt, t_b, v_b, params,
         dirichlet_side=scenario.darcy_dirichlet_side)
-    u_new, p_new, v_new = poroelastic.solve(system)
+    new[0], new[1], v_new = poroelastic.solve(system)
 
     # step 2: oxygen with the fresh displacement and Darcy flux
     oxygen = adr.build_oxygen_problem(
-        mesh, phi_m, iterate.c, u_new, state_n.u, v_new, dt, scenario, params)
-    c_new = adr.solve_adr(oxygen, dt, state_n.c)
+        mesh, phi_m, x[2], new[0], state_n.u, v_new, dt, scenario, params)
+    new[2] = adr.solve_adr(oxygen, dt, state_n.c)
 
     # step 3: populations, gated by the freshest stress and oxygen
-    phi_s_m = phi_m.sum(axis=0)
-    r_nodes = np.abs(phi_s_m * nodal_strain(mesh, u_new) - g[0] * phi_m[0])
-    h_r = switch_Hr(r_nodes, params.r_bar, inverted=scenario.h_r_inverted)
-    h_c = switch_Hc(c_new, scenario.c_threshold(params))
-    sigma, source = kinetics_fields(
-        phi_m, 1.0 - phi_s_m, c_new, h_r, h_c, scenario.k_g(params), params)
-    phi_new = np.empty_like(phi_m)
+    sigma, source = _kinetics(
+        mesh, new[0], new[2], phi_m, g[0], scenario, params)
+    phi_prev = state_n.phi_fields()
     for eta in range(4):
         problem = adr.build_species_problem(
-            eta, mesh, sigma[eta], source[eta], u_new, state_n.u, dt, params)
-        phi_new[eta] = adr.solve_adr(problem, dt, state_n.phi_fields()[eta])
-
-    return _Iterate(u=u_new, p=p_new, c=c_new, phi=phi_new)
+            eta, mesh, sigma[eta], source[eta], new[0], state_n.u, dt, params)
+        new[3 + eta] = adr.solve_adr(problem, dt, phi_prev[eta])
+    return new
 
 
 def fixed_point_step(state_n, mesh, dt, scenario, params,
@@ -182,20 +146,21 @@ def fixed_point_step(state_n, mesh, dt, scenario, params,
     t0 = time.perf_counter()
     report = FixedPointReport()
 
-    iterate = _Iterate.from_state(state_n)
+    x = np.stack([state_n.u, state_n.p, state_n.c, *state_n.phi_fields()])
     accelerator = _Accelerator()
     for _ in range(max_iter):
-        new = _sweep(mesh, iterate, state_n, dt, scenario, params)
-        residual = max(
-            _relative_change(new.field(name), iterate.field(name))
-            for name in CONVERGENCE_FIELDS)
+        new = _sweep(mesh, x, state_n, dt, scenario, params)
+        # max over the fields of the relative infinity-norm change
+        residual = float(np.max(
+            np.max(np.abs(new - x), axis=1)
+            / (np.max(np.abs(x), axis=1) + 1e-30)))
         report.residuals.append(residual)
         report.iterations += 1
         if residual < tol:
-            iterate = new
+            x = new
             report.converged = True
             break
-        iterate = accelerator.push(iterate, new)
+        x = accelerator.push(x, new)
     report.wall_time = time.perf_counter() - t0
     if not report.converged:
         raise NonConvergenceError(
@@ -203,31 +168,18 @@ def fixed_point_step(state_n, mesh, dt, scenario, params,
             f"(last residual {report.residuals[-1]})", report)
 
     # growth distortions update once per accepted step
-    g_next = np.empty_like(state_n.g_fields())
-    g_now = state_n.g_fields()
-    if scenario.growth_model == "G0":
-        g_next[:] = g_now
-    else:
-        phi_fl = 1.0 - iterate.phi.sum(axis=0)
-        ux = nodal_strain(mesh, iterate.u)
-        r_nodes = np.abs((1.0 - phi_fl) * ux - g_now[0] * iterate.phi[0])
-        h_r = switch_Hr(r_nodes, params.r_bar, inverted=scenario.h_r_inverted)
-        h_c = switch_Hc(iterate.c, scenario.c_threshold(params))
-        sigma, source = kinetics_fields(
-            iterate.phi, phi_fl, iterate.c, h_r, h_c,
-            scenario.k_g(params), params)
-        net = source - sigma * iterate.phi
-        for eta in range(4):
-            safe_phi = np.where(iterate.phi[eta] > EPS_PHI, iterate.phi[eta], 1.0)
-            g_next[eta] = growth_distortion_step(
-                g_now[eta], iterate.phi[eta], net[eta] / safe_phi, dt, "G1")
+    g = state_n.g_fields()
+    if scenario.growth_model == "G1":
+        phi = x[3:]
+        sigma, source = _kinetics(mesh, x[0], x[2], phi, g[0], scenario, params)
+        safe_phi = np.where(phi > EPS_PHI, phi, 1.0)
+        g = growth_distortion_step(
+            g, phi, (source - sigma * phi) / safe_phi, dt)
 
     state = MixtureState(
-        u=iterate.u, p=iterate.p,
-        phi_n=iterate.phi[0], phi_v=iterate.phi[1],
-        phi_q=iterate.phi[2], phi_ecm=iterate.phi[3],
-        c=iterate.c,
-        g_n=g_next[0], g_v=g_next[1], g_q=g_next[2], g_ecm=g_next[3],
+        u=x[0], p=x[1], c=x[2],
+        phi_n=x[3], phi_v=x[4], phi_q=x[5], phi_ecm=x[6],
+        g_n=g[0], g_v=g[1], g_q=g[2], g_ecm=g[3],
     )
     return state, report
 

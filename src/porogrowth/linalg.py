@@ -37,32 +37,6 @@ class BandedMatrix:
         elif self.data.shape != (self.kl + self.ku + 1, self.n):
             raise ValueError("band storage has wrong shape")
 
-    def _check(self, i, j):
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise IndexError(f"index ({i}, {j}) out of range")
-        if not -self.ku <= i - j <= self.kl:
-            raise IndexError(f"entry ({i}, {j}) lies outside the band")
-
-    def set(self, i, j, value):
-        self._check(i, j)
-        self.data[self.ku + i - j, j] = value
-
-    def add(self, i, j, value):
-        self._check(i, j)
-        self.data[self.ku + i - j, j] += value
-
-    def get(self, i, j):
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise IndexError(f"index ({i}, {j}) out of range")
-        if not -self.ku <= i - j <= self.kl:
-            return 0.0
-        return self.data[self.ku + i - j, j]
-
-    def zero_row(self, i):
-        """Clear row i inside the band (essential BC row replacement)."""
-        for j in range(max(0, i - self.kl), min(self.n, i + self.ku + 1)):
-            self.data[self.ku + i - j, j] = 0.0
-
     def to_dense(self):
         a = np.zeros((self.n, self.n))
         for s in range(-self.ku, self.kl + 1):
@@ -76,10 +50,6 @@ class BandedMatrix:
             j = np.arange(max(0, -s), min(self.n, self.n - s))
             rows[j + s] += np.abs(self.data[self.ku + s, j])
         return float(np.max(rows))
-
-    def to_banded_rows(self):
-        """Alias for the raw band storage (rows = diagonals)."""
-        return self.data
 
     def matvec(self, x):
         y = np.zeros(self.n)

@@ -27,10 +27,6 @@ class Mesh1D:
     def n_elements(self):
         return self.node_count - 1
 
-    @property
-    def midpoints(self):
-        return 0.5 * (self.nodes[:-1] + self.nodes[1:])
-
     def lumped_masses(self):
         """Control-volume sizes: h at interior nodes, h/2 at the ends."""
         m = np.full(self.node_count, self.h)

@@ -34,7 +34,6 @@ class PoroelasticSystem:
     matrix: BandedMatrix = field(repr=False)
     rhs: np.ndarray = field(repr=False)
     permeability_e: np.ndarray = field(repr=False)  # per-element K
-    bc_record: dict = field(default_factory=dict)
 
 
 def _midpoint(values):
@@ -123,18 +122,15 @@ def assemble(mesh, phi_lagged, g_lagged, u_prev, dt, t_b, v_b, params,
     if forcing_p is not None:
         rhs[1::2] += weights * np.asarray(forcing_p, dtype=float)
 
-    # essential rows
-    matrix.zero_row(0)
-    matrix.set(0, 0, 1.0)
-    rhs[0] = 0.0
-    p_row = 1 if dirichlet_side == "left" else 2 * (n - 1) + 1
-    matrix.zero_row(p_row)
-    matrix.set(p_row, p_row, 1.0)
-    rhs[p_row] = 0.0
+    # essential rows: cleared inside the band, unit diagonal, zero rhs
+    for row in (0, 1 if dirichlet_side == "left" else 2 * n - 1):
+        cols = np.arange(max(0, row - ku), min(2 * n, row + ku + 1))
+        band[ku + row - cols, cols] = 0.0
+        band[ku, row] = 1.0
+        rhs[row] = 0.0
 
     return PoroelasticSystem(
-        mesh=mesh, matrix=matrix, rhs=rhs, permeability_e=k_e,
-        bc_record={"T_b": t_b, "V_b": v_b, "dirichlet_side": dirichlet_side})
+        mesh=mesh, matrix=matrix, rhs=rhs, permeability_e=k_e)
 
 
 def solve(system):

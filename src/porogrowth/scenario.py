@@ -1,6 +1,6 @@
 """Scenario definitions: boundary data, initial profiles, solver knobs."""
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .errors import ConfigError
 
@@ -54,6 +54,10 @@ class ScenarioConfig:
             raise ConfigError("explicit growth_rate must be nonnegative")
         if self.c_ext_mode not in ("saturation", "threshold"):
             raise ConfigError(f"unknown c_ext_mode {self.c_ext_mode!r}")
+        if self.length <= 0.0:
+            raise ConfigError(f"length must be positive, got {self.length}")
+        if self.node_count < 3:
+            raise ConfigError(f"need at least 3 nodes, got {self.node_count}")
         if self.dt <= 0.0:
             raise ConfigError("dt must be positive")
         if self.t_end < 0.0:
@@ -118,6 +122,3 @@ class ScenarioConfig:
     @property
     def n_steps(self):
         return int(round(self.t_end / self.dt))
-
-
-SCENARIO_FIELD_NAMES = tuple(f.name for f in fields(ScenarioConfig))

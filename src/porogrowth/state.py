@@ -7,9 +7,6 @@ import numpy as np
 from .errors import ClosureViolationError, InvalidInitialConditionError
 from .mesh import Mesh1D
 
-#: species order used everywhere: proliferating, synthesizing, quiescent, ECM
-SPECIES = ("n", "v", "q", "ecm")
-
 #: roundoff slack granted to the nonnegativity checks
 NEG_TOL = 1e-12
 
@@ -61,7 +58,8 @@ class MixtureState:
         return self.u.shape[0]
 
     def phi_fields(self):
-        """Species fractions stacked in the canonical (n, v, q, ecm) order."""
+        """Species fractions stacked in the canonical order: proliferating,
+        synthesizing, quiescent, ECM (n, v, q, ecm)."""
         return np.stack([self.phi_n, self.phi_v, self.phi_q, self.phi_ecm])
 
     def g_fields(self):
@@ -69,26 +67,6 @@ class MixtureState:
 
     def phi_fl_field(self):
         return 1.0 - (self.phi_n + self.phi_v + self.phi_q + self.phi_ecm)
-
-    def phi_s_field(self):
-        return 1.0 - self.phi_fl_field()
-
-
-def phi_fl(state, node):
-    """Fluid fraction 1 - sum(phi_eta) at one node.
-
-    Raises ClosureViolationError when the result leaves (0, 1): a pure
-    fluid point (phi_fl = 1) is rejected too, since the permeability
-    shape function is singular there.
-    """
-    value = 1.0 - (
-        state.phi_n[node] + state.phi_v[node]
-        + state.phi_q[node] + state.phi_ecm[node]
-    )
-    if value <= 0.0 or value >= 1.0:
-        raise ClosureViolationError(
-            f"phi_fl = {value} at node {node} outside (0, 1)")
-    return value
 
 
 def initial_state(mesh, params, scenario):
@@ -128,10 +106,15 @@ def nodal_strain(mesh, u):
     return ux
 
 
+def indicator_r(mesh, u, phi_s, phi_n, g_n):
+    """Nodal isotropy indicator r = |phi_s du/dx - g_n phi_n| = |tau_max| / mu."""
+    return np.abs(phi_s * nodal_strain(mesh, u) - g_n * phi_n)
+
+
 def anisotropy_field(state, mesh):
-    """Nodal isotropy indicator r = |phi_s du/dx - g_n phi_n|."""
-    ux = nodal_strain(mesh, state.u)
-    return np.abs(state.phi_s_field() * ux - state.g_n * state.phi_n)
+    """Nodal isotropy indicator r of one state (see indicator_r)."""
+    return indicator_r(mesh, state.u, state.phi_fields().sum(axis=0),
+                       state.phi_n, state.g_n)
 
 
 def sample_xi_field(state, params, mesh):

@@ -59,9 +59,9 @@ def random_banded_dominant(rng, n, kl, ku):
         for j in range(max(0, i - kl), min(n, i + ku + 1)):
             if j != i:
                 v = rng.uniform(-1.0, 1.0)
-                m.set(i, j, v)
+                m.data[ku + i - j, j] = v
                 row_sum += abs(v)
-        m.set(i, i, row_sum + rng.uniform(1.0, 2.0))
+        m.data[ku, i] = row_sum + rng.uniform(1.0, 2.0)
     return m
 
 

@@ -121,37 +121,64 @@ def test_criterion_6_perfused_pressure_linear_and_anisotropic(preset_runs):
 
 
 def test_criterion_7_kinetics_and_stress_identities():
+    from porogrowth.mesh import build_mesh
     from porogrowth.params import ModelParams
+    from porogrowth.state import indicator_r, nodal_strain
 
     params = ModelParams()
     rng = np.random.default_rng(2024)
-    for _ in range(10_000):
-        phi = rng.uniform(0.0, 0.05, size=4)
-        c = rng.uniform(0.0, 6.4e-6)
-        h_r = int(rng.integers(0, 2))
-        h_c = int(rng.integers(0, 2))
-        k = constitutive.kinetics(phi, 1.0 - phi.sum(), c, h_r, h_c,
-                                  params.k_g1, params)
-        starve = params.k_qui * (1 - h_c)
-        # beta channel balance: the two q outflows sum to beta and match
-        # the q consumption net of starvation and apoptosis
-        assert abs(k.P[0, 2] + k.P[1, 2] - params.beta) <= 1e-12 * params.beta
-        assert abs(k.C[2, 2] - (params.beta + starve + params.k_apo)) \
-            <= 1e-12 * params.beta
-        # tau_m balance: the n -> q transfer appears on both sides
-        assert abs(k.P[2, 0] - 1.0 / params.tau_m) <= 1e-12 / params.tau_m
-        assert abs(k.C[0, 0] - (1.0 / params.tau_m + starve)) \
-            <= 1e-12 * k.C[0, 0]
+    n = 10_000
+    phi = rng.uniform(0.0, 0.05, size=(4, n))
+    phi_fl = 1.0 - phi.sum(axis=0)
+    c = rng.uniform(0.0, 6.4e-6, size=n)
+    h_r = rng.integers(0, 2, size=n)
+    h_c = rng.integers(0, 2, size=n)
+    sigma, source = constitutive.kinetics_fields(
+        phi, phi_fl, c, h_r, h_c, params.k_g1, params)
+    starve = params.k_qui * (1 - h_c)
+    # P/C entries: with the proliferation term P11 phi_n removed, the
+    # production rows are P13 phi_q, P23 phi_q, P31 phi_n + P32 phi_v
+    # and P42 phi_v
+    p11 = phi_fl * (c / (params.K_sat + c)) * params.k_g1
+    p42 = (c * params.E * params.k_GAG / params.V_cell
+           * (1.0 - phi[3] / params.phi_ecm_max))
+    p13_phi_q = source[0] - p11 * phi[0]
+    tol = 1e-12 * (np.abs(source) + 1e-300)
+    assert np.all(np.abs(p13_phi_q - params.beta * h_r * phi[2]) <= tol[0])
+    assert np.all(np.abs(source[1] - params.beta * (1 - h_r) * phi[2]) <= tol[1])
+    assert np.all(np.abs(source[2] - (phi[0] / params.tau_m
+                                      + params.beta * h_r * phi[1])) <= tol[2])
+    assert np.all(np.abs(source[3] - p42 * phi[1]) <= tol[3])
+    # beta channel balance: the two q outflows sum to beta and match
+    # the q consumption net of starvation and apoptosis
+    assert np.all(np.abs(p13_phi_q + source[1] - params.beta * phi[2])
+                  <= 1e-12 * params.beta * phi[2] + tol[0])
+    assert np.all(np.abs(sigma[2] - (params.beta + starve + params.k_apo))
+                  <= 1e-12 * params.beta)
+    # tau_m balance: the n -> q transfer appears on both sides
+    assert np.all(np.abs(sigma[0] - (1.0 / params.tau_m + starve))
+                  <= 1e-12 * sigma[0])
+    assert np.all(np.abs(sigma[1] - (params.beta * h_r + starve + params.k_apo))
+                  <= 1e-12 * params.beta)
 
-        u_x = rng.uniform(-1e-3, 1e-3)
-        p = rng.uniform(-10.0, 10.0)
-        g = rng.uniform(-1e-3, 1e-3, size=4)
-        s = constitutive.total_stress(u_x, p, phi.sum(), *phi, *g, params)
-        assert abs(s.r * params.mu - abs(s.tau_max)) \
-            <= 1e-12 * (abs(s.tau_max) + 1e-30)
-        t_aniso = abs(s.sigma_I - s.sigma_II)
-        scale = abs(s.sigma_I) + abs(s.sigma_II) + 1e-30
-        assert abs(t_aniso - 2.0 * params.mu * s.r) <= 1e-12 * scale
+    # stress: T_xx, sigma_II and tau_max of the uniaxial mixture stress,
+    # against the production isotropy indicator r
+    mesh = build_mesh(1.0, n)
+    u = rng.uniform(-1e-3, 1e-3, size=n) * mesh.h
+    u_x = nodal_strain(mesh, u)
+    p = rng.uniform(-10.0, 10.0, size=n)
+    g = rng.uniform(-1e-3, 1e-3, size=(4, n))
+    deviator = phi.sum(axis=0) * u_x - g[0] * phi[0]
+    growth_iso = params.H_B * (phi[1] * g[1] + phi[2] * g[2] + phi[3] * g[3])
+    t_xx = params.H_A * deviator - p - growth_iso   # = sigma_I
+    sigma_ii = params.lam * deviator - p - growth_iso
+    tau_max = params.mu * deviator
+    r = indicator_r(mesh, u, phi.sum(axis=0), phi[0], g[0])
+    assert np.all(np.abs(r * params.mu - np.abs(tau_max))
+                  <= 1e-12 * (np.abs(tau_max) + 1e-30))
+    scale = np.abs(t_xx) + np.abs(sigma_ii) + 1e-30
+    assert np.all(np.abs(np.abs(t_xx - sigma_ii) - 2.0 * params.mu * r)
+                  <= 1e-12 * scale)
 
 
 def test_criterion_8_sweep_determinism(tmp_path):

@@ -43,6 +43,22 @@ def test_bad_config_file_is_config_error(tmp_path, capsys):
     assert code == cli.EXIT_CONFIG
 
 
+def test_too_few_nodes_is_config_error(tmp_path, capsys):
+    code = run_cli(["simulate", "--nodes", "2", "--t-end", "3600",
+                    "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_CONFIG
+    assert "at least 3 nodes" in capsys.readouterr().err
+
+
+def test_nonpositive_length_is_config_error(tmp_path, capsys):
+    cfg_path = tmp_path / "neg.cfg"
+    cfg_path.write_text("L = -1\nT_end = 3600\n")
+    code = run_cli(["simulate", "--config", str(cfg_path),
+                    "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_CONFIG
+    assert "length must be positive" in capsys.readouterr().err
+
+
 def test_missing_config_file_is_config_error(tmp_path):
     code = run_cli(["simulate", "--config", str(tmp_path / "absent.cfg"),
                     "--out", str(tmp_path / "o")])

@@ -78,6 +78,8 @@ def test_emit_flags():
     ("auto_dt_halving = maybe", "boolean"),
     ("dt = -5", "dt must be positive"),
     ("mu = -1", "mu must be positive"),
+    ("nodes = 2", "at least 3 nodes"),
+    ("L = 0", "length must be positive"),
 ])
 def test_bad_input_raises_config_error(text, fragment):
     with pytest.raises(ConfigError, match=fragment):

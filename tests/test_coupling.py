@@ -6,7 +6,7 @@ import pytest
 from porogrowth import adr, coupling
 from porogrowth.errors import NonConvergenceError
 from porogrowth.mesh import build_mesh
-from porogrowth.params import ModelParams
+from porogrowth.params import EPS_PHI, ModelParams
 from porogrowth.scenario import ScenarioConfig
 from porogrowth.state import initial_state
 
@@ -129,6 +129,74 @@ def test_growth_model_g1_accumulates_distortion():
     # G0 keeps it pinned at the initial constant
     g0_traj = coupling.run(short_scenario(t_end=3 * 3600.0), ModelParams())
     assert np.all(g0_traj.states[-1].g_n == 0.0)
+
+
+def test_growth_model_g0_holds_g_initial():
+    # G0 lives only in fixed_point_step: every g field of every snapshot
+    # stays exactly at the configured constant, also under perfusion
+    scenario = short_scenario(culture_mode="perfused", growth_model="G0",
+                              g_initial=1e-3, t_end=3 * 3600.0)
+    trajectory = coupling.run(scenario, ModelParams())
+    assert len(trajectory.states) == 4
+    for state in trajectory.states:
+        for name in ("g_n", "g_v", "g_q", "g_ecm"):
+            assert np.all(getattr(state, name) == 1e-3), name
+
+
+def accelerator_base():
+    """A physical (7, N) iterate: rows u, p, c, phi_n, phi_v, phi_q, phi_ecm.
+
+    u and p are negative, which is physical for them but not for the
+    rows the safeguard checks.
+    """
+    base = np.empty((7, 5))
+    base[0] = -1e-4
+    base[1] = -50.0
+    base[2] = 3e-6
+    base[3:] = [[0.05], [0.04], [0.03], [0.02]]
+    step = np.zeros((7, 5))
+    step[0], step[1], step[2], step[3:] = -1e-6, -1.0, -1e-8, -1e-3
+    return base, step
+
+
+def push_twice(base, step):
+    """Drive the accelerator with a sweep map whose residual halves.
+
+    The secant coefficient is then -1, capped at -0.95, so the second
+    push proposes g1 + 0.95 step. Returns (g1, second push result).
+    """
+    acc = coupling._Accelerator()
+    x1 = base + 2.0 * step
+    assert acc.push(base, x1) is x1  # no history yet: plain sweep output
+    # one scale per field row, shared by the four species rows
+    peak = np.max(np.abs(x1), axis=1) + 1e-30
+    assert np.array_equal(acc.scale[:3, 0], peak[:3])
+    assert np.all(acc.scale[3:, 0] == np.max(np.abs(x1[3:])) + 1e-30)
+    g1 = x1 + step
+    return g1, acc.push(x1, g1)
+
+
+def test_accelerator_returns_physical_extrapolation():
+    base, step = accelerator_base()
+    g1, out = push_twice(base, step)
+    assert out is not g1
+    assert np.allclose(out, g1 + 0.95 * step, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("row,base_value,step_value", [
+    (2, 3.5e-6, -1e-6),      # c turns negative
+    (3, 0.035, -1e-2),       # phi_n turns negative
+    (6, 0.035, -1e-2),       # phi_ecm turns negative
+    (slice(3, 7), 0.215, 1e-2),  # phi_fl = 1 - sum(phi) drops below EPS_PHI
+])
+def test_accelerator_rejects_unphysical_extrapolation(row, base_value, step_value):
+    base, step = accelerator_base()
+    base[row] = base_value
+    step[row] = step_value
+    g1, out = push_twice(base, step)
+    # the sweep output itself is physical; only the extrapolation is not
+    assert np.min(g1[2:]) >= 0.0 and np.min(1.0 - g1[3:].sum(axis=0)) > EPS_PHI
+    assert out is g1
 
 
 def test_sweep_matches_standalone_adr_operator(frozen_params):

@@ -15,9 +15,8 @@ def test_uniform_spacing():
     assert mesh.nodes[-1] == pytest.approx(0.01)
 
 
-def test_midpoints_and_mid_node():
+def test_mid_node():
     mesh = build_mesh(2.0, 5)
-    assert np.allclose(mesh.midpoints, [0.25, 0.75, 1.25, 1.75])
     assert mesh.mid_node() == 2
     # even node count: a nearest node to L/2 is still within h/2 of it
     mesh = build_mesh(1.0, 4)

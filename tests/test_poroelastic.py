@@ -150,11 +150,18 @@ def test_rejects_vanishing_fluid_fraction():
                              3600.0, 0.0, 0.0, PARAMS)
 
 
-def test_bandwidth_and_bc_record():
+def test_bandwidth_and_essential_rows():
     mesh = build_mesh(0.01, 11)
-    system = assemble_uniform(mesh, t_b=1.0, v_b=2.0)
-    assert system.matrix.n == 22
-    assert system.matrix.kl == 3 and system.matrix.ku == 3
-    assert system.bc_record["T_b"] == 1.0
-    assert system.bc_record["V_b"] == 2.0
-    assert system.bc_record["dirichlet_side"] == "left"
+    for side, p_row in (("left", 1), ("right", 21)):
+        system = assemble_uniform(mesh, t_b=1.0, v_b=2.0, dirichlet_side=side)
+        assert system.matrix.n == 22
+        assert system.matrix.kl == 3 and system.matrix.ku == 3
+        dense = system.matrix.to_dense()
+        # u(0) = 0 and the p = 0 end are unit rows with zero data; the
+        # columns of the replaced rows survive
+        for row in (0, p_row):
+            expected = np.zeros(22)
+            expected[row] = 1.0
+            assert np.array_equal(dense[row], expected)
+            assert system.rhs[row] == 0.0
+            assert np.count_nonzero(dense[:, row]) > 1

@@ -10,7 +10,6 @@ from porogrowth.state import (
     anisotropy_field,
     initial_state,
     nodal_strain,
-    phi_fl,
     sample_xi_field,
 )
 
@@ -30,9 +29,8 @@ def make_state(n=11, amp=0.01, **overrides):
 
 def test_phi_fl_closure():
     state = make_state(amp=0.01)
-    assert phi_fl(state, 0) == pytest.approx(0.96)
     assert np.allclose(state.phi_fl_field(), 0.96)
-    assert np.allclose(state.phi_s_field(), 0.04)
+    assert np.allclose(state.phi_fields().sum(axis=0), 0.04)
 
 
 def test_phi_fields_order():
