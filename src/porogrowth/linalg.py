@@ -37,6 +37,11 @@ class BandedMatrix:
         elif self.data.shape != (self.kl + self.ku + 1, self.n):
             raise ValueError("band storage has wrong shape")
 
+    def zero_row(self, i):
+        """Clear row i inside the band (essential BC row replacement)."""
+        j = np.arange(max(0, i - self.kl), min(self.n, i + self.ku + 1))
+        self.data[self.ku + i - j, j] = 0.0
+
     def to_dense(self):
         a = np.zeros((self.n, self.n))
         for s in range(-self.ku, self.kl + 1):

@@ -124,8 +124,7 @@ def assemble(mesh, phi_lagged, g_lagged, u_prev, dt, t_b, v_b, params,
 
     # essential rows: cleared inside the band, unit diagonal, zero rhs
     for row in (0, 1 if dirichlet_side == "left" else 2 * n - 1):
-        cols = np.arange(max(0, row - ku), min(2 * n, row + ku + 1))
-        band[ku + row - cols, cols] = 0.0
+        matrix.zero_row(row)
         band[ku, row] = 1.0
         rhs[row] = 0.0
 

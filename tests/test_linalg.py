@@ -25,6 +25,20 @@ def test_band_storage_round_trip():
     assert dense[0, 3] == 0.0  # outside the band reads as zero
 
 
+def test_zero_row():
+    m = BandedMatrix(n=4, kl=1, ku=1)
+    for i in range(4):
+        for j in range(max(0, i - 1), min(4, i + 2)):
+            m.data[m.ku + i - j, j] = 1.0 + i + j
+    m.zero_row(2)
+    dense = m.to_dense()
+    assert np.all(dense[2] == 0.0)
+    assert dense[1, 2] != 0.0  # the column survives
+    m.zero_row(0)  # a row clipped by the band's edge
+    assert np.all(m.to_dense()[0] == 0.0)
+    assert np.count_nonzero(m.to_dense()) == 10 - 3 - 2
+
+
 def test_matvec_and_norm_match_dense():
     rng = np.random.default_rng(0)
     m = random_banded_dominant(rng, 30, 3, 2)

@@ -150,7 +150,7 @@ def test_rejects_vanishing_fluid_fraction():
                              3600.0, 0.0, 0.0, PARAMS)
 
 
-def test_bandwidth_and_essential_rows():
+def test_bandwidth_and_bc_record():
     mesh = build_mesh(0.01, 11)
     for side, p_row in (("left", 1), ("right", 21)):
         system = assemble_uniform(mesh, t_b=1.0, v_b=2.0, dirichlet_side=side)
