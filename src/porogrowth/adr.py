@@ -1,4 +1,10 @@
-"""Scalar 1D advection-diffusion-reaction solver with exponential fitting.
+"""1D advection-diffusion-reaction solver with exponential fitting.
+
+A problem holds one transported field, or k fields stacked as (k, N)
+rows that share the diffusivity, the velocity and the boundary
+conditions and differ only in reaction, source and previous field (the
+four species of the mixture). Stacked rows are assembled in one pass
+and solved as one block-diagonal system.
 
 The edge flux between nodes i and i+1 is the Scharfetter-Gummel form
 
@@ -50,32 +56,35 @@ class ZeroDiffusiveFluxBC:
 
 @dataclass(frozen=True)
 class AdrProblem:
-    """One linear transport problem on the mesh.
+    """One linear transport problem on the mesh, or k stacked ones.
 
     diffusion and velocity live on elements, reaction and source on
-    nodes. Exactly one boundary condition per end.
+    nodes: both (N,), or both (k, N) for k problems sharing the element
+    data. Exactly one boundary condition per end, shared by the rows.
     """
 
     mesh: object
     diffusion: np.ndarray = field(repr=False)   # (N-1,), must be > 0
     velocity: np.ndarray = field(repr=False)    # (N-1,)
-    reaction: np.ndarray = field(repr=False)    # (N,), sigma >= 0
-    source: np.ndarray = field(repr=False)      # (N,)
+    reaction: np.ndarray = field(repr=False)    # (N,) or (k, N), sigma >= 0
+    source: np.ndarray = field(repr=False)      # same shape as reaction
     bc_left: object = ZeroDiffusiveFluxBC()
     bc_right: object = ZeroDiffusiveFluxBC()
 
     def __post_init__(self):
         ne, n = self.mesh.n_elements, self.mesh.node_count
-        for name, arr, size in (
-            ("diffusion", self.diffusion, ne),
-            ("velocity", self.velocity, ne),
-            ("reaction", self.reaction, n),
-            ("source", self.source, n),
+        reaction = np.asarray(self.reaction)
+        rows = reaction.shape[:1] if reaction.ndim == 2 and len(reaction) else ()
+        for name, shape in (
+            ("diffusion", (ne,)),
+            ("velocity", (ne,)),
+            ("reaction", rows + (n,)),
+            ("source", rows + (n,)),
         ):
-            arr = np.asarray(arr, dtype=float)
-            if arr.shape != (size,):
+            arr = np.asarray(getattr(self, name), dtype=float)
+            if arr.shape != shape:
                 raise InvalidProblemError(
-                    f"{name} has shape {arr.shape}, want ({size},)")
+                    f"{name} has shape {arr.shape}, want {shape}")
             object.__setattr__(self, name, arr)
         if np.any(self.diffusion <= 0.0):
             raise InvalidProblemError("diffusion must be positive on every element")
@@ -99,17 +108,22 @@ def edge_coefficients(nodal_diffusion, nodal_velocity):
 def assemble_adr(problem, dt, previous_field, mass_lumping=True):
     """Tridiagonal system of one backward-Euler step.
 
-    dt = None selects steady mode (no mass term). Returns
-    (lower, diag, upper, rhs). mass_lumping=False switches the time and
-    reaction terms to the consistent linear-element mass matrix; this is
-    intended for convergence studies only, as it forfeits the M-matrix
-    property.
+    dt = None selects steady mode (no mass term). previous_field has
+    the shape of problem.reaction. Returns (lower, diag, upper, rhs),
+    each with the leading axis of a stacked problem; the edge weights
+    are computed once for all rows. mass_lumping=False switches the time
+    and reaction terms to the consistent linear-element mass matrix;
+    this is intended for convergence studies only, as it forfeits the
+    M-matrix property.
     """
     mesh = problem.mesh
     n, h = mesh.node_count, mesh.h
     prev = np.asarray(previous_field, dtype=float)
-    if prev.shape != (n,):
-        raise InvalidProblemError(f"previous field has shape {prev.shape}")
+    if prev.shape != problem.reaction.shape:
+        raise InvalidProblemError(
+            f"previous field has shape {prev.shape}, "
+            f"want {problem.reaction.shape}")
+    rows = prev.shape[:-1]
 
     d_e = problem.diffusion
     v_e = problem.velocity
@@ -118,15 +132,15 @@ def assemble_adr(problem, dt, previous_field, mass_lumping=True):
     b_plus = g * bernoulli(t_e)    # multiplies w_{i+1} in the edge flux
     b_minus = g * bernoulli(-t_e)  # multiplies w_i
 
-    lower = np.zeros(n - 1)
-    diag = np.zeros(n)
-    upper = np.zeros(n - 1)
-    rhs = np.zeros(n)
+    lower = np.zeros(rows + (n - 1,))
+    diag = np.zeros(rows + (n,))
+    upper = np.zeros(rows + (n - 1,))
+    rhs = np.zeros(rows + (n,))
 
     # flux divergence: row i gains J_{i,i+1} - J_{i-1,i}
-    diag[:-1] += b_minus
+    diag[..., :-1] += b_minus
     upper[:] = -b_plus
-    diag[1:] += b_plus
+    diag[..., 1:] += b_plus
     lower[:] = -b_minus
 
     inv_dt = 0.0 if dt is None else 1.0 / dt
@@ -138,34 +152,38 @@ def assemble_adr(problem, dt, previous_field, mass_lumping=True):
         # consistent mass: element block (h/6) [[2,1],[1,2]] applied to
         # the 1/dt, reaction and source terms
         sig = problem.reaction
-        wl = (inv_dt + sig[:-1]) * h / 6.0
-        wr = (inv_dt + sig[1:]) * h / 6.0
-        diag[:-1] += 2.0 * wl
-        diag[1:] += 2.0 * wr
+        wl = (inv_dt + sig[..., :-1]) * h / 6.0
+        wr = (inv_dt + sig[..., 1:]) * h / 6.0
+        diag[..., :-1] += 2.0 * wl
+        diag[..., 1:] += 2.0 * wr
         upper += wl
         lower += wr
         # previous field and source on the rhs (consistent load)
         fl = inv_dt * prev + problem.source
-        rhs[:-1] += h / 6.0 * (2.0 * fl[:-1] + fl[1:])
-        rhs[1:] += h / 6.0 * (fl[:-1] + 2.0 * fl[1:])
+        rhs[..., :-1] += h / 6.0 * (2.0 * fl[..., :-1] + fl[..., 1:])
+        rhs[..., 1:] += h / 6.0 * (fl[..., :-1] + 2.0 * fl[..., 1:])
 
     # boundary terms
     if isinstance(problem.bc_left, ZeroDiffusiveFluxBC):
-        diag[0] -= v_e[0]          # advective flux w v n with n = -1
+        diag[..., 0] -= v_e[0]          # advective flux w v n with n = -1
     else:
-        diag[0], upper[0] = 1.0, 0.0
-        rhs[0] = problem.bc_left.value
+        diag[..., 0], upper[..., 0] = 1.0, 0.0
+        rhs[..., 0] = problem.bc_left.value
     if isinstance(problem.bc_right, ZeroDiffusiveFluxBC):
-        diag[-1] += v_e[-1]        # advective flux w v n with n = +1
+        diag[..., -1] += v_e[-1]        # advective flux w v n with n = +1
     else:
-        diag[-1], lower[-1] = 1.0, 0.0
-        rhs[-1] = problem.bc_right.value
+        diag[..., -1], lower[..., -1] = 1.0, 0.0
+        rhs[..., -1] = problem.bc_right.value
 
     return lower, diag, upper, rhs
 
 
 def solve_adr(problem, dt, previous_field, mass_lumping=True):
-    """Assemble and solve one step; returns the nodal field."""
+    """Assemble and solve one step; returns the nodal field(s).
+
+    The rows of a stacked problem are solved together as one
+    block-diagonal system.
+    """
     lower, diag, upper, rhs = assemble_adr(problem, dt, previous_field, mass_lumping)
     return solve_banded(tridiagonal_as_banded(lower, diag, upper), rhs)
 
@@ -210,13 +228,13 @@ def build_oxygen_problem(mesh, phi_lagged, c_lagged, u_new, u_prev,
     )
 
 
-def build_species_problem(eta, mesh, sigma_row, source_row, u_new, u_prev,
-                          dt, params):
-    """Population-balance problem for one species of the (n,v,q,ecm) set.
+def build_species_problem(mesh, sigma, source, u_new, u_prev, dt, params):
+    """Stacked population-balance problem of the (n, v, q, ecm) species.
 
-    sigma_row / source_row are the nodal consumption diagonal and
-    production row already evaluated from lagged fractions and the fresh
-    oxygen/stress fields. Advection is the solid velocity; both ends are
+    sigma / source are the (4, N) nodal consumption diagonals and
+    production rows already evaluated from lagged fractions and the
+    fresh oxygen/stress fields. All species share the diffusivity D_eta
+    and the solid velocity as advection; both ends are
     zero-diffusive-flux (phases leave only by advection).
     """
     v_s = (u_new - u_prev) / dt
@@ -226,8 +244,8 @@ def build_species_problem(eta, mesh, sigma_row, source_row, u_new, u_prev,
         mesh=mesh,
         diffusion=d_e,
         velocity=v_e,
-        reaction=sigma_row,
-        source=source_row,
+        reaction=sigma,
+        source=source,
         bc_left=ZeroDiffusiveFluxBC(),
         bc_right=ZeroDiffusiveFluxBC(),
     )

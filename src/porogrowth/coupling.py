@@ -2,11 +2,12 @@
 
 Each accepted step performs, per sweep m: (1) the poroelastic solve with
 lagged fractions and growth terms, (2) the oxygen solve with the fresh
-displacement and Darcy flux, (3) the four population solves with the
-fresh oxygen and stress-derived switches but lagged sources. Convergence
-is the max over all fields of the relative infinity-norm change between
-sweeps. Growth distortions update once per accepted step, after
-convergence, never inside the sweep.
+displacement and Darcy flux, (3) one stacked species solve of the four
+population balances with the fresh oxygen and stress-derived switches
+but lagged sources. Convergence is the max over all fields of the
+relative infinity-norm change between sweeps. Growth distortions
+update once per accepted step, after convergence, never inside the
+sweep.
 """
 
 import time
@@ -105,7 +106,8 @@ def _kinetics(mesh, u, c, phi, g_n, scenario, params):
 
 
 def _sweep(mesh, x, state_n, dt, scenario, params):
-    """One fixed-point sweep on the (7, N) iterate; returns the next one."""
+    """One fixed-point sweep on the (7, N) iterate: the poroelastic, the
+    oxygen and one stacked species solve; returns the next iterate."""
     t_b, v_b = scenario.boundary_data(params)
     phi_m = x[3:]
     g = state_n.g_fields()
@@ -125,11 +127,9 @@ def _sweep(mesh, x, state_n, dt, scenario, params):
     # step 3: populations, gated by the freshest stress and oxygen
     sigma, source = _kinetics(
         mesh, new[0], new[2], phi_m, g[0], scenario, params)
-    phi_prev = state_n.phi_fields()
-    for eta in range(4):
-        problem = adr.build_species_problem(
-            eta, mesh, sigma[eta], source[eta], new[0], state_n.u, dt, params)
-        new[3 + eta] = adr.solve_adr(problem, dt, phi_prev[eta])
+    species = adr.build_species_problem(
+        mesh, sigma, source, new[0], state_n.u, dt, params)
+    new[3:] = adr.solve_adr(species, dt, state_n.phi_fields())
     return new
 
 

@@ -13,6 +13,8 @@ PIVOT_FLOOR = 1e-30
 #: residual contract of every solve: |Ax-b|_inf <= RESIDUAL_REL * scale
 RESIDUAL_REL = 1e-10
 
+_TINY = np.finfo(float).tiny
+
 
 @dataclass
 class BandedMatrix:
@@ -49,24 +51,27 @@ class BandedMatrix:
             a[j + s, j] = self.data[self.ku + s, j]
         return a
 
-    def norm_inf(self):
+    def row_norms(self):
+        """Absolute row sums sum_j |A[i, j]|, one per row."""
         rows = np.zeros(self.n)
         for s in range(-self.ku, self.kl + 1):
-            j = np.arange(max(0, -s), min(self.n, self.n - s))
-            rows[j + s] += np.abs(self.data[self.ku + s, j])
-        return float(np.max(rows))
+            j0, j1 = max(0, -s), min(self.n, self.n - s)
+            rows[j0 + s:j1 + s] += np.abs(self.data[self.ku + s, j0:j1])
+        return rows
 
     def matvec(self, x):
         y = np.zeros(self.n)
         for s in range(-self.ku, self.kl + 1):
-            j = np.arange(max(0, -s), min(self.n, self.n - s))
-            y[j + s] += self.data[self.ku + s, j] * x[j]
+            j0, j1 = max(0, -s), min(self.n, self.n - s)
+            y[j0 + s:j1 + s] += self.data[self.ku + s, j0:j1] * x[j0:j1]
         return y
 
 
 def _residual_check(a_norm, residual, x, b):
-    scale = a_norm * np.max(np.abs(x), initial=0.0) + np.max(np.abs(b), initial=0.0)
-    if residual > RESIDUAL_REL * max(scale, np.finfo(float).tiny):
+    """Raise unless residual <= 1e-10 (a_norm |x| + |b|). For k blocks,
+    x and b hold one row and a_norm and residual one entry per block."""
+    scale = a_norm * np.abs(x).max(axis=-1) + np.abs(b).max(axis=-1)
+    if (residual > RESIDUAL_REL * np.maximum(scale, _TINY)).any():
         raise SingularSystemError(
             f"solve residual {residual} exceeds contract for scale {scale}")
 
@@ -74,26 +79,33 @@ def _residual_check(a_norm, residual, x, b):
 def solve_banded(matrix, b):
     """Solve A x = b by banded LU with partial pivoting.
 
-    Raises SingularSystemError on (numerically) singular systems or when
-    the residual contract |Ax - b|_inf <= 1e-10 (|A| |x| + |b|) fails.
+    An rhs of shape (k, m) with k m = n declares A block diagonal with
+    k blocks of size m; one LAPACK call solves all of them and row i of
+    the (k, m) result solves block i. Raises SingularSystemError on
+    (numerically) singular systems, on an all-zero block, or when the
+    residual contract |Ax - b|_inf <= 1e-10 (|A| |x| + |b|) fails in
+    any block, each block with its own |A|, |x| and |b| (a bound never
+    above the one of the whole system).
     """
     b = np.asarray(b, dtype=float)
-    if b.shape != (matrix.n,):
-        raise ValueError(f"rhs has shape {b.shape}, want ({matrix.n},)")
-    a_norm = matrix.norm_inf()
-    if a_norm == 0.0:
-        raise SingularSystemError("zero matrix")
+    if b.ndim not in (1, 2) or b.size != matrix.n:
+        raise ValueError(f"rhs has shape {b.shape}, want ({matrix.n},) "
+                         "or (k, m) with k m = n")
+    blocks = (-1, b.shape[-1])
+    a_norm = matrix.row_norms().reshape(blocks).max(axis=1)
+    if (a_norm == 0.0).any():
+        raise SingularSystemError("zero matrix block")
     try:
         x = scipy.linalg.solve_banded(
-            (matrix.kl, matrix.ku), matrix.data, b,
+            (matrix.kl, matrix.ku), matrix.data, b.ravel(),
             overwrite_ab=False, overwrite_b=False, check_finite=False)
     except (scipy.linalg.LinAlgError, ValueError) as exc:
         raise SingularSystemError(str(exc)) from exc
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise SingularSystemError("non-finite solution from banded solve")
-    residual = float(np.max(np.abs(matrix.matvec(x) - b), initial=0.0))
-    _residual_check(a_norm, residual, x, b)
-    return x
+    residual = np.abs(matrix.matvec(x) - b.ravel()).reshape(blocks).max(axis=1)
+    _residual_check(a_norm, residual, x.reshape(blocks), b.reshape(blocks))
+    return x.reshape(b.shape)
 
 
 def solve_tridiagonal(lower, diag, upper, b):
@@ -142,10 +154,17 @@ def solve_tridiagonal(lower, diag, upper, b):
 
 
 def tridiagonal_as_banded(lower, diag, upper):
-    """Pack tridiagonal arrays into a BandedMatrix (kl = ku = 1)."""
-    n = len(diag)
-    m = BandedMatrix(n=n, kl=1, ku=1)
-    m.data[0, 1:] = upper
-    m.data[1, :] = diag
-    m.data[2, :-1] = lower
-    return m
+    """Pack tridiagonal arrays into a BandedMatrix (kl = ku = 1).
+
+    Stacked (k, m) diagonals with (k, m - 1) off-diagonals give the
+    block-diagonal matrix of the k systems, of size k m, with zeros at
+    the block seams.
+    """
+    diag = np.asarray(diag, dtype=float)
+    m = diag.shape[-1]
+    matrix = BandedMatrix(n=diag.size, kl=1, ku=1)
+    band = matrix.data.reshape(3, -1, m)
+    band[0, :, 1:] = np.reshape(upper, (-1, m - 1))
+    band[1] = diag.reshape(-1, m)
+    band[2, :, :-1] = np.reshape(lower, (-1, m - 1))
+    return matrix

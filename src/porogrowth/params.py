@@ -66,6 +66,12 @@ class ModelParams:
     K_ref: float = 1.67e-5   # cm^3 s g^-1
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # an infinite maturation time switches that channel off
+            if not (math.isfinite(value)
+                    or (f.name == "tau_m" and value == math.inf)):
+                raise ConfigError(f"parameter {f.name} must be finite, got {value}")
         nonneg = (
             "c_0", "c_sat", "c_thr", "c_apo", "D_c_s", "D_c_fl", "R_n",
             "R_v", "R_q", "K_half", "beta", "k_apo", "k_qui", "k_deg",

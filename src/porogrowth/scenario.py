@@ -1,6 +1,7 @@
 """Scenario definitions: boundary data, initial profiles, solver knobs."""
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 
@@ -43,6 +44,10 @@ class ScenarioConfig:
     auto_dt_halving: bool = False       # bisect dt on nonconvergence
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.culture_mode not in ("static", "perfused"):
             raise ConfigError(f"unknown culture_mode {self.culture_mode!r}")
         if self.ic_profile not in IC_AMPLITUDES:

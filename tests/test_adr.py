@@ -215,15 +215,76 @@ def test_build_oxygen_problem_rejects_vanishing_fluid():
 def test_build_species_problem():
     n = 11
     mesh = build_mesh(0.01, n)
-    sigma = np.full(n, PARAMS.k_deg)
-    source = np.zeros(n)
+    rng = np.random.default_rng(12)
+    sigma = np.full((4, n), PARAMS.k_deg)
+    source = rng.uniform(0.0, 1e-7, size=(4, n))
     u_new = 1e-5 * mesh.nodes / mesh.length
-    problem = adr.build_species_problem(3, mesh, sigma, source, u_new,
+    problem = adr.build_species_problem(mesh, sigma, source, u_new,
                                         np.zeros(n), 3600.0, PARAMS)
     assert isinstance(problem.bc_left, adr.ZeroDiffusiveFluxBC)
     assert isinstance(problem.bc_right, adr.ZeroDiffusiveFluxBC)
     assert np.allclose(problem.diffusion, PARAMS.D_eta)
-    # advection is the solid velocity (u_new - u_prev) / dt at edges
+    # one advection, the solid velocity (u_new - u_prev) / dt at edges,
+    # shared by the four stacked species rows
     v_s = (u_new - 0.0) / 3600.0
+    assert problem.velocity.shape == (n - 1,)
     assert np.allclose(problem.velocity, 0.5 * (v_s[:-1] + v_s[1:]), rtol=1e-14)
     assert np.array_equal(problem.reaction, sigma)
+    assert np.array_equal(problem.source, source)
+    # mis-shaped stacked rows are rejected
+    for bad_sigma, bad_source in (
+            (np.zeros((4, n + 1)), np.zeros((4, n + 1))),
+            (sigma, source[:3]),
+            (sigma[0], source),
+            (np.zeros((0, n)), np.zeros((0, n))),
+            (sigma[None], source[None])):
+        with pytest.raises(InvalidProblemError):
+            adr.build_species_problem(mesh, bad_sigma, bad_source, u_new,
+                                      np.zeros(n), 3600.0, PARAMS)
+    with pytest.raises(InvalidProblemError):
+        adr.solve_adr(problem, 3600.0, np.zeros(n))  # previous field unstacked
+
+
+# --- stacked rows -----------------------------------------------------------
+
+#: cell Peclet magnitudes |t| below, above and on both sides of the
+#: Bernoulli series crossover at |t| = 1e-2
+PECLET_RANGES = {"series": (1e-5, 9e-3), "direct": (1.1e-2, 40.0),
+                 "mixed": (1e-4, 1.0)}
+
+BC_PAIRS = {
+    "flux-flux": (adr.ZeroDiffusiveFluxBC(), adr.ZeroDiffusiveFluxBC()),
+    "flux-dirichlet": (adr.ZeroDiffusiveFluxBC(), adr.DirichletBC(0.3)),
+    "dirichlet-dirichlet": (adr.DirichletBC(0.1), adr.DirichletBC(0.0)),
+}
+
+
+@pytest.mark.parametrize("peclet", sorted(PECLET_RANGES))
+@pytest.mark.parametrize("bcs", sorted(BC_PAIRS))
+@pytest.mark.parametrize("mass_lumping", (True, False))
+def test_stacked_solve_equals_scalar_solves_bitwise(peclet, bcs, mass_lumping):
+    rng = np.random.default_rng(sorted(PECLET_RANGES).index(peclet))
+    n, k = 41, 4
+    mesh = build_mesh(0.01, n)
+    diffusion = 10.0 ** rng.uniform(-10.0, -8.0, size=n - 1)
+    lo, hi = PECLET_RANGES[peclet]
+    t = 10.0 ** rng.uniform(np.log10(lo), np.log10(hi), size=n - 1)
+    t *= rng.choice((-1.0, 1.0), size=n - 1)
+    velocity = t * diffusion / mesh.h
+    reaction = rng.uniform(0.0, 1e-5, size=(k, n))
+    source = rng.uniform(0.0, 1e-6, size=(k, n))
+    previous = rng.uniform(0.0, 0.2, size=(k, n))
+    bc_left, bc_right = BC_PAIRS[bcs]
+
+    def problem(sigma, f):
+        return adr.AdrProblem(mesh=mesh, diffusion=diffusion,
+                              velocity=velocity, reaction=sigma, source=f,
+                              bc_left=bc_left, bc_right=bc_right)
+
+    stacked = adr.solve_adr(problem(reaction, source), 600.0, previous,
+                            mass_lumping=mass_lumping)
+    assert stacked.shape == (k, n)
+    for eta in range(k):
+        scalar = adr.solve_adr(problem(reaction[eta], source[eta]), 600.0,
+                               previous[eta], mass_lumping=mass_lumping)
+        assert stacked[eta].tobytes() == scalar.tobytes()

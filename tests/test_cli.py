@@ -59,6 +59,29 @@ def test_nonpositive_length_is_config_error(tmp_path, capsys):
     assert "length must be positive" in capsys.readouterr().err
 
 
+def test_infinite_t_end_is_config_error(tmp_path, capsys):
+    code = run_cli(["simulate", "--t-end", "inf", "--nodes", "5",
+                    "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_CONFIG
+    assert "t_end must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line,fragment", [
+    ("T_end = inf", "t_end must be finite"),
+    ("tol = nan", "tol must be finite"),
+    ("mu = nan", "mu must be finite"),
+])
+def test_non_finite_config_value_is_config_error(tmp_path, capsys, line,
+                                                 fragment):
+    cfg_path = tmp_path / "nonfinite.cfg"
+    cfg_path.write_text(f"nodes = 5\nT_end = 3600\n{line}\n")
+    code = run_cli(["simulate", "--config", str(cfg_path),
+                    "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_CONFIG
+    assert fragment in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "o")
+
+
 def test_missing_config_file_is_config_error(tmp_path):
     code = run_cli(["simulate", "--config", str(tmp_path / "absent.cfg"),
                     "--out", str(tmp_path / "o")])

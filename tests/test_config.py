@@ -80,6 +80,11 @@ def test_emit_flags():
     ("mu = -1", "mu must be positive"),
     ("nodes = 2", "at least 3 nodes"),
     ("L = 0", "length must be positive"),
+    ("L = nan", "length must be finite"),
+    ("g_initial = nan", "g_initial must be finite"),
+    ("k_g = nan", "growth_rate must be finite"),
+    ("dt = inf", "dt must be finite"),
+    ("K_half = -inf", "K_half must be finite"),
 ])
 def test_bad_input_raises_config_error(text, fragment):
     with pytest.raises(ConfigError, match=fragment):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from porogrowth.errors import SingularSystemError
 from porogrowth.linalg import (
+    RESIDUAL_REL,
     BandedMatrix,
     solve_banded,
     solve_tridiagonal,
@@ -41,11 +43,12 @@ def test_zero_row():
 
 def test_matvec_and_norm_match_dense():
     rng = np.random.default_rng(0)
-    m = random_banded_dominant(rng, 30, 3, 2)
-    dense = m.to_dense()
-    x = rng.uniform(-1, 1, size=30)
-    assert np.allclose(m.matvec(x), dense @ x, rtol=1e-14)
-    assert m.norm_inf() == pytest.approx(np.max(np.abs(dense).sum(axis=1)))
+    for kl, ku in ((3, 2), (0, 4), (5, 1)):
+        m = random_banded_dominant(rng, 30, kl, ku)
+        dense = m.to_dense()
+        x = rng.uniform(-1, 1, size=30)
+        assert np.allclose(m.matvec(x), dense @ x, rtol=1e-14)
+        assert np.allclose(m.row_norms(), np.abs(dense).sum(axis=1), rtol=1e-14)
 
 
 def test_solve_banded_against_dense_oracle():
@@ -56,6 +59,71 @@ def test_solve_banded_against_dense_oracle():
         x = solve_banded(m, b)
         x_ref = dense_gaussian_elimination(m.to_dense(), b)
         assert np.max(np.abs(x - x_ref)) < 1e-10
+
+
+def random_tridiagonal_blocks(rng, k, m):
+    lower = rng.uniform(-1, 1, size=(k, m - 1))
+    upper = rng.uniform(-1, 1, size=(k, m - 1))
+    diag = 4.0 + rng.uniform(0, 1, size=(k, m))
+    return lower, diag, upper
+
+
+def test_stacked_rhs_solves_each_block():
+    rng = np.random.default_rng(4)
+    k, m = 3, 12
+    lower, diag, upper = random_tridiagonal_blocks(rng, k, m)
+    packed = tridiagonal_as_banded(lower, diag, upper)
+    dense = packed.to_dense()
+    for i in range(k - 1):  # the blocks do not couple
+        seam = (i + 1) * m
+        assert dense[seam - 1, seam] == 0.0 and dense[seam, seam - 1] == 0.0
+    b = rng.uniform(-1, 1, size=(k, m))
+    x = solve_banded(packed, b)
+    assert x.shape == (k, m)
+    for i in range(k):
+        block = tridiagonal_as_banded(lower[i], diag[i], upper[i])
+        assert np.array_equal(x[i], solve_banded(block, b[i]))
+
+
+def test_residual_contract_is_checked_per_block(monkeypatch):
+    # block 0 is scaled by 1e6; an error in block 1 far below the global
+    # scale but far above block 1's own scale must still be caught
+    rng = np.random.default_rng(6)
+    k, m = 2, 20
+    lower, diag, upper = random_tridiagonal_blocks(rng, k, m)
+    b = rng.uniform(-1, 1, size=(k, m))
+    for arr in (lower, diag, upper, b):
+        arr[0] *= 1e6
+    packed = tridiagonal_as_banded(lower, diag, upper)
+    x = solve_banded(packed, b)
+    error = 1e-6
+    row_norms = packed.row_norms().reshape(k, m)
+    block_bound = RESIDUAL_REL * (
+        np.max(row_norms[1]) * np.max(np.abs(x[1])) + np.max(np.abs(b[1])))
+    global_bound = RESIDUAL_REL * (
+        np.max(row_norms) * np.max(np.abs(x)) + np.max(np.abs(b)))
+    assert block_bound < error < global_bound
+
+    real = scipy.linalg.solve_banded
+
+    def perturbed(*args, **kwargs):
+        out = real(*args, **kwargs)
+        out[m + m // 2] += error
+        return out
+
+    monkeypatch.setattr(scipy.linalg, "solve_banded", perturbed)
+    with pytest.raises(SingularSystemError):
+        solve_banded(packed, b)
+
+
+def test_zero_block_raises():
+    rng = np.random.default_rng(7)
+    lower, diag, upper = random_tridiagonal_blocks(rng, 3, 8)
+    for arr in (lower, diag, upper):
+        arr[1] = 0.0
+    with pytest.raises(SingularSystemError):
+        solve_banded(tridiagonal_as_banded(lower, diag, upper),
+                     np.ones((3, 8)))
 
 
 def test_thomas_matches_banded():
@@ -96,6 +164,10 @@ def test_rhs_shape_checked():
     m = random_banded_dominant(np.random.default_rng(2), 10, 1, 1)
     with pytest.raises(ValueError):
         solve_banded(m, np.ones(9))
+    with pytest.raises(ValueError):
+        solve_banded(m, np.ones((3, 3)))
+    with pytest.raises(ValueError):
+        solve_banded(m, np.ones((2, 5, 1)))
     with pytest.raises(ValueError):
         solve_tridiagonal(np.ones(3), np.ones(5), np.ones(4), np.ones(5))
 

@@ -47,6 +47,11 @@ def test_inconsistent_cell_volume_rejected():
     ("K_eq", 1.5),
     ("phi_ecm_max", 1.0),
     ("tau_m", -1.0),
+    ("mu", math.nan),
+    ("D_eta", math.inf),
+    ("lam", -math.inf),
+    ("tau_m", math.nan),
+    ("tau_m", -math.inf),
 ])
 def test_invalid_parameters_rejected(field, value):
     with pytest.raises(ConfigError):
