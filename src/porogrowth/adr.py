@@ -33,14 +33,13 @@ def bernoulli(t):
     cancellation near zero.
     """
     t = np.asarray(t, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        out = np.divide(t, np.expm1(t), out=np.empty_like(t))
     small = np.abs(t) < 1e-2
-    ts = np.where(small, t, 0.0)
+    ts = t[small]
     # (exp(t)-1)/t = 1 + t/2 + t^2/6 + t^3/24 + t^4/120 + t^5/720 + O(t^6)
-    series = 1.0 + ts / 2.0 + ts**2 / 6.0 + ts**3 / 24.0 + ts**4 / 120.0 + ts**5 / 720.0
-    tb = np.where(small, 1.0, t)
-    with np.errstate(over="ignore"):
-        direct = np.where(small, 1.0, tb / np.expm1(tb))
-    out = np.where(small, 1.0 / series, direct)
+    out[small] = 1.0 / (
+        1.0 + ts / 2.0 + ts**2 / 6.0 + ts**3 / 24.0 + ts**4 / 120.0 + ts**5 / 720.0)
     return out if out.ndim else float(out)
 
 
@@ -128,9 +127,8 @@ def assemble_adr(problem, dt, previous_field, mass_lumping=True):
     d_e = problem.diffusion
     v_e = problem.velocity
     t_e = v_e * h / d_e
-    g = d_e / h
-    b_plus = g * bernoulli(t_e)    # multiplies w_{i+1} in the edge flux
-    b_minus = g * bernoulli(-t_e)  # multiplies w_i
+    # b_plus multiplies w_{i+1} in the edge flux, b_minus multiplies w_i
+    b_plus, b_minus = d_e / h * bernoulli(np.stack([t_e, -t_e]))
 
     lower = np.zeros(rows + (n - 1,))
     diag = np.zeros(rows + (n,))

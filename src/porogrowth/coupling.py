@@ -10,6 +10,7 @@ update once per accepted step, after convergence, never inside the
 sweep.
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -22,7 +23,7 @@ from .constitutive import (
     switch_Hc,
     switch_Hr,
 )
-from .errors import NonConvergenceError, PorogrowthError
+from .errors import NonConvergenceError, NonphysicalStateError, PorogrowthError
 from .mesh import build_mesh
 from .params import EPS_PHI
 from .state import (
@@ -105,31 +106,35 @@ def _kinetics(mesh, u, c, phi, g_n, scenario, params):
         phi, 1.0 - phi_s, c, h_r, h_c, scenario.k_g(params), params)
 
 
-def _sweep(mesh, x, state_n, dt, scenario, params):
+def _sweep(mesh, x, previous, g, boundary, dt, scenario, params):
     """One fixed-point sweep on the (7, N) iterate: the poroelastic, the
-    oxygen and one stacked species solve; returns the next iterate."""
-    t_b, v_b = scenario.boundary_data(params)
+    oxygen and one stacked species solve; returns the next iterate.
+
+    previous is the (7, N) state at the last time level, g its (4, N)
+    growth distortions and boundary its (traction, Darcy flux) data.
+    """
+    t_b, v_b = boundary
     phi_m = x[3:]
-    g = state_n.g_fields()
+    u_prev = previous[0]
     new = np.empty_like(x)
 
     # step 1: poroelastic solve with lagged coefficients
     system = poroelastic.assemble(
-        mesh, phi_m, g, state_n.u, dt, t_b, v_b, params,
+        mesh, phi_m, g, u_prev, dt, t_b, v_b, params,
         dirichlet_side=scenario.darcy_dirichlet_side)
     new[0], new[1], v_new = poroelastic.solve(system)
 
     # step 2: oxygen with the fresh displacement and Darcy flux
     oxygen = adr.build_oxygen_problem(
-        mesh, phi_m, x[2], new[0], state_n.u, v_new, dt, scenario, params)
-    new[2] = adr.solve_adr(oxygen, dt, state_n.c)
+        mesh, phi_m, x[2], new[0], u_prev, v_new, dt, scenario, params)
+    new[2] = adr.solve_adr(oxygen, dt, previous[2])
 
     # step 3: populations, gated by the freshest stress and oxygen
     sigma, source = _kinetics(
         mesh, new[0], new[2], phi_m, g[0], scenario, params)
     species = adr.build_species_problem(
-        mesh, sigma, source, new[0], state_n.u, dt, params)
-    new[3:] = adr.solve_adr(species, dt, state_n.phi_fields())
+        mesh, sigma, source, new[0], u_prev, dt, params)
+    new[3:] = adr.solve_adr(species, dt, previous[3:])
     return new
 
 
@@ -138,24 +143,35 @@ def fixed_point_step(state_n, mesh, dt, scenario, params,
     """Advance one time step; returns (state, FixedPointReport).
 
     Raises NonConvergenceError (carrying the report) when max_iter
-    sweeps do not meet tol, and NonphysicalStateError if an intermediate
-    state violates the closure.
+    sweeps do not meet tol, and NonphysicalStateError at once when a
+    sweep gives a non-finite residual or an intermediate state violates
+    the closure.
     """
     tol = scenario.tol if tol is None else tol
     max_iter = scenario.max_iter if max_iter is None else max_iter
     t0 = time.perf_counter()
     report = FixedPointReport()
 
-    x = np.stack([state_n.u, state_n.p, state_n.c, *state_n.phi_fields()])
+    # per-step invariants of the sweep
+    previous = np.stack(
+        [state_n.u, state_n.p, state_n.c, *state_n.phi_fields()])
+    g = state_n.g_fields()
+    boundary = scenario.boundary_data(params)
+
+    x = previous
     accelerator = _Accelerator()
     for _ in range(max_iter):
-        new = _sweep(mesh, x, state_n, dt, scenario, params)
+        new = _sweep(mesh, x, previous, g, boundary, dt, scenario, params)
         # max over the fields of the relative infinity-norm change
         residual = float(np.max(
             np.max(np.abs(new - x), axis=1)
             / (np.max(np.abs(x), axis=1) + 1e-30)))
         report.residuals.append(residual)
         report.iterations += 1
+        if not math.isfinite(residual):
+            raise NonphysicalStateError(
+                f"non-finite fixed-point residual {residual} "
+                f"in sweep {report.iterations}")
         if residual < tol:
             x = new
             report.converged = True
@@ -168,7 +184,6 @@ def fixed_point_step(state_n, mesh, dt, scenario, params,
             f"(last residual {report.residuals[-1]})", report)
 
     # growth distortions update once per accepted step
-    g = state_n.g_fields()
     if scenario.growth_model == "G1":
         phi = x[3:]
         sigma, source = _kinetics(mesh, x[0], x[2], phi, g[0], scenario, params)

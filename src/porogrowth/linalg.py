@@ -15,6 +15,9 @@ RESIDUAL_REL = 1e-10
 
 _TINY = np.finfo(float).tiny
 
+#: the LAPACK drivers behind solve_banded, fetched once
+_gtsv, _gbsv = scipy.linalg.get_lapack_funcs(("gtsv", "gbsv"), dtype=np.float64)
+
 
 @dataclass
 class BandedMatrix:
@@ -79,6 +82,11 @@ def _residual_check(a_norm, residual, x, b):
 def solve_banded(matrix, b):
     """Solve A x = b by banded LU with partial pivoting.
 
+    LAPACK gtsv solves the tridiagonal case (kl = ku = 1), gbsv every
+    other band; these are the routines scipy.linalg.solve_banded calls,
+    called here without its per-call wrapper. Neither touches
+    matrix.data or b, which the residual contract reads afterwards.
+
     An rhs of shape (k, m) with k m = n declares A block diagonal with
     k blocks of size m; one LAPACK call solves all of them and row i of
     the (k, m) result solves block i. Raises SingularSystemError on
@@ -95,12 +103,16 @@ def solve_banded(matrix, b):
     a_norm = matrix.row_norms().reshape(blocks).max(axis=1)
     if (a_norm == 0.0).any():
         raise SingularSystemError("zero matrix block")
-    try:
-        x = scipy.linalg.solve_banded(
-            (matrix.kl, matrix.ku), matrix.data, b.ravel(),
-            overwrite_ab=False, overwrite_b=False, check_finite=False)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise SingularSystemError(str(exc)) from exc
+    kl, ku, band = matrix.kl, matrix.ku, matrix.data
+    if kl == ku == 1:
+        *_, x, info = _gtsv(band[2, :-1], band[1], band[0, 1:], b.ravel())
+    else:
+        # gbsv needs kl extra rows above the band for the LU fill-in
+        lu = np.zeros((2 * kl + ku + 1, matrix.n))
+        lu[kl:] = band
+        *_, x, info = _gbsv(kl, ku, lu, b.ravel(), overwrite_ab=True)
+    if info != 0:
+        raise SingularSystemError(f"LAPACK banded solve failed, info = {info}")
     if not np.isfinite(x).all():
         raise SingularSystemError("non-finite solution from banded solve")
     residual = np.abs(matrix.matvec(x) - b.ravel()).reshape(blocks).max(axis=1)

@@ -6,6 +6,8 @@ repeated runs of the same configuration are byte-identical.
 
 import os
 
+import numpy as np
+
 from .errors import PorogrowthError
 from .scenario import SECONDS_PER_DAY
 
@@ -14,10 +16,9 @@ FIELD_NAMES = ("p", "c", "xi", "u")
 TIMESERIES_HEADER = "t_days,phi_n,phi_v,phi_q,phi_ecm,phi_fl,c,p,xi"
 
 
-def _fmt(value):
-    if isinstance(value, (int,)):
-        return str(value)
-    return repr(float(value))
+def _floats(values):
+    """repr of each value as a Python float, one string per value."""
+    return map(repr, np.asarray(values, dtype=float).tolist())
 
 
 def _write(path, lines):
@@ -36,14 +37,12 @@ def emit_outputs(trajectory, config, out_dir):
     written = []
 
     if config.emit_timeseries:
-        lines = [TIMESERIES_HEADER]
         series = trajectory.mid_series
-        for i, t in enumerate(trajectory.series_times):
-            row = [_fmt(t / SECONDS_PER_DAY)]
-            for key in ("phi_n", "phi_v", "phi_q", "phi_ecm", "phi_fl", "c", "p"):
-                row.append(_fmt(series[key][i]))
-            row.append(str(series["xi"][i]))
-            lines.append(",".join(row))
+        columns = [_floats(np.divide(trajectory.series_times, SECONDS_PER_DAY))]
+        columns += [_floats(series[key]) for key in
+                    ("phi_n", "phi_v", "phi_q", "phi_ecm", "phi_fl", "c", "p")]
+        columns.append(map(str, series["xi"]))
+        lines = [TIMESERIES_HEADER, *map(",".join, zip(*columns))]
         path = os.path.join(out_dir, "timeseries.csv")
         _write(path, lines)
         written.append(path)
@@ -53,16 +52,18 @@ def emit_outputs(trajectory, config, out_dir):
                  if config.emit_fields or n == "xi"]
         if not config.emit_xi_map:
             names = [n for n in names if n != "xi"]
+        x_cm = list(_floats(trajectory.mesh.nodes))
+        step_of = {t: i for i, t in enumerate(trajectory.series_times)}
         for name in names:
             lines = ["t_days,x_cm,value"]
             for t, state in zip(trajectory.times, trajectory.states):
-                values = _field_values(trajectory, name, t, state)
-                t_days = _fmt(t / SECONDS_PER_DAY)
-                for x, value in zip(trajectory.mesh.nodes, values):
-                    if name == "xi":
-                        lines.append(f"{t_days},{_fmt(x)},{int(value)}")
-                    else:
-                        lines.append(f"{t_days},{_fmt(x)},{_fmt(value)}")
+                t_days = repr(float(t / SECONDS_PER_DAY))
+                if name == "xi":
+                    xi = trajectory.xi_series[step_of[t]]
+                    values = map(str, np.asarray(xi, dtype=int).tolist())
+                else:
+                    values = _floats(getattr(state, name))
+                lines.extend(f"{t_days},{x},{v}" for x, v in zip(x_cm, values))
             path = os.path.join(out_dir, f"field_{name}.csv")
             _write(path, lines)
             written.append(path)
@@ -71,17 +72,10 @@ def emit_outputs(trajectory, config, out_dir):
         lines = ["step,t_days,fp_iters,fp_residual"]
         for d in trajectory.diagnostics:
             lines.append(
-                f"{d.step},{_fmt(d.time / SECONDS_PER_DAY)},"
-                f"{d.iterations},{_fmt(d.residual)}")
+                f"{d.step},{float(d.time / SECONDS_PER_DAY)!r},"
+                f"{d.iterations},{float(d.residual)!r}")
         path = os.path.join(out_dir, "diagnostics.csv")
         _write(path, lines)
         written.append(path)
 
     return written
-
-
-def _field_values(trajectory, name, t, state):
-    if name == "xi":
-        step = trajectory.series_times.index(t)
-        return trajectory.xi_series[step]
-    return getattr(state, name)

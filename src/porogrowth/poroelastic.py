@@ -72,41 +72,41 @@ def assemble(mesh, phi_lagged, g_lagged, u_prev, dt, t_b, v_b, params,
 
     matrix = BandedMatrix(n=2 * n, kl=3, ku=3)
     rhs = np.zeros(2 * n)
-    band = matrix.data
-    ku = matrix.ku
-
-    def add_entries(rows, cols, values):
-        np.add.at(band, (ku + rows - cols, cols), values)
-
-    e = np.arange(n - 1)
-    iu, ip = 2 * e, 2 * e + 1          # left-node dof indices
-    ju, jp = iu + 2, ip + 2            # right-node dof indices
-    ones = np.ones(n - 1)
+    # dof 2i is u_i and dof 2i+1 is p_i, so A[r, c] sits at
+    # band[3 + r - c, c // 2, c % 2]; element e couples nodes e and e+1,
+    # i.e. the slices [:-1] (left node) and [1:] (right node). Each entry
+    # sums at most two element contributions.
+    band = matrix.data.reshape(7, n, 2)
+    r = rhs.reshape(n, 2)
+    a_h = a_e / h
+    k_h = k_e / h
+    half_dt = 0.5 * inv_dt
 
     # momentum rows: int a u' w' - int p w'
-    add_entries(iu, iu, a_e / h)
-    add_entries(iu, ju, -a_e / h)
-    add_entries(ju, ju, a_e / h)
-    add_entries(ju, iu, -a_e / h)
-    add_entries(iu, ip, 0.5 * ones)
-    add_entries(iu, jp, 0.5 * ones)
-    add_entries(ju, ip, -0.5 * ones)
-    add_entries(ju, jp, -0.5 * ones)
+    band[3, :-1, 0] += a_h         # (u_e, u_e)
+    band[1, 1:, 0] -= a_h          # (u_e, u_e+1)
+    band[3, 1:, 0] += a_h          # (u_e+1, u_e+1)
+    band[5, :-1, 0] -= a_h         # (u_e+1, u_e)
+    band[2, :-1, 1] += 0.5         # (u_e, p_e)
+    band[0, 1:, 1] += 0.5          # (u_e, p_e+1)
+    band[4, :-1, 1] -= 0.5         # (u_e+1, p_e)
+    band[2, 1:, 1] -= 0.5          # (u_e+1, p_e+1)
     # growth prestress on the rhs: + int G w'
-    np.add.at(rhs, iu, -g_e)
-    np.add.at(rhs, ju, g_e)
+    r[:-1, 0] -= g_e
+    r[1:, 0] += g_e
 
     # continuity rows: int K p' q' + (1/dt) int u' q
-    add_entries(ip, ip, k_e / h)
-    add_entries(ip, jp, -k_e / h)
-    add_entries(jp, jp, k_e / h)
-    add_entries(jp, ip, -k_e / h)
-    for row in (ip, jp):
-        add_entries(row, iu, -0.5 * inv_dt * ones)
-        add_entries(row, ju, 0.5 * inv_dt * ones)
-    du_prev = 0.5 * inv_dt * np.diff(u_prev)
-    np.add.at(rhs, ip, du_prev)
-    np.add.at(rhs, jp, du_prev)
+    band[3, :-1, 1] += k_h         # (p_e, p_e)
+    band[1, 1:, 1] -= k_h          # (p_e, p_e+1)
+    band[3, 1:, 1] += k_h          # (p_e+1, p_e+1)
+    band[5, :-1, 1] -= k_h         # (p_e+1, p_e)
+    band[4, :-1, 0] -= half_dt     # (p_e, u_e)
+    band[2, 1:, 0] += half_dt      # (p_e, u_e+1)
+    band[6, :-1, 0] -= half_dt     # (p_e+1, u_e)
+    band[4, 1:, 0] += half_dt      # (p_e+1, u_e+1)
+    du_prev = half_dt * np.diff(u_prev)
+    r[:-1, 1] += du_prev
+    r[1:, 1] += du_prev
 
     # natural boundary data
     rhs[2 * (n - 1)] += t_b
@@ -116,16 +116,15 @@ def assemble(mesh, phi_lagged, g_lagged, u_prev, dt, t_b, v_b, params,
         rhs[1] -= v_b
 
     # optional manufactured forcings (trapezoid load)
-    weights = mesh.lumped_masses()
     if forcing_u is not None:
-        rhs[0::2] -= weights * np.asarray(forcing_u, dtype=float)
+        rhs[0::2] -= mesh.lumped_masses() * np.asarray(forcing_u, dtype=float)
     if forcing_p is not None:
-        rhs[1::2] += weights * np.asarray(forcing_p, dtype=float)
+        rhs[1::2] += mesh.lumped_masses() * np.asarray(forcing_p, dtype=float)
 
     # essential rows: cleared inside the band, unit diagonal, zero rhs
     for row in (0, 1 if dirichlet_side == "left" else 2 * n - 1):
         matrix.zero_row(row)
-        band[ku, row] = 1.0
+        matrix.data[matrix.ku, row] = 1.0
         rhs[row] = 0.0
 
     return PoroelasticSystem(

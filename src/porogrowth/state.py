@@ -43,6 +43,8 @@ class MixtureState:
             a = getattr(self, f.name)
             if a.shape != (n,):
                 raise ValueError(f"field {f.name} has shape {a.shape}, want ({n},)")
+            if not np.isfinite(a).all():
+                raise ClosureViolationError(f"field {f.name} is not finite")
             object.__setattr__(self, f.name, _frozen(a))
         for name in ("phi_n", "phi_v", "phi_q", "phi_ecm", "c"):
             if np.min(getattr(self, name)) < -NEG_TOL:

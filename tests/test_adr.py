@@ -36,6 +36,39 @@ def test_bernoulli_series_matches_direct_at_crossover():
         assert adr.bernoulli(t) == pytest.approx(direct, rel=1e-13)
 
 
+def two_branch_bernoulli(t):
+    """Reference: both branches on every entry, selected with np.where."""
+    t = np.asarray(t, dtype=float)
+    small = np.abs(t) < 1e-2
+    ts = np.where(small, t, 0.0)
+    series = (1.0 + ts / 2.0 + ts**2 / 6.0 + ts**3 / 24.0 + ts**4 / 120.0
+              + ts**5 / 720.0)
+    tb = np.where(small, 1.0, t)
+    with np.errstate(over="ignore"):
+        direct = np.where(small, 1.0, tb / np.expm1(tb))
+    return np.where(small, 1.0 / series, direct)
+
+
+def test_bernoulli_bitwise_equals_two_branch_formula():
+    edges = []
+    for c in (1e-2, -1e-2):
+        below, above = np.nextafter(c, 0.0), np.nextafter(c, 2 * c)
+        edges += [below, c, above]
+    t = np.concatenate([
+        [0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300], edges,
+        np.linspace(-0.05, 0.05, 1001), np.geomspace(1e-9, 700.0, 500),
+        -np.geomspace(1e-9, 700.0, 500)])
+    got = adr.bernoulli(t)
+    assert got.view(np.uint64).tolist() == two_branch_bernoulli(t).view(np.uint64).tolist()
+    # stacked rows, as assemble_adr passes (t, -t)
+    assert np.array_equal(adr.bernoulli(np.stack([t, -t])),
+                          np.stack([got, adr.bernoulli(-t)]))
+    for scalar in (0.0, 1e-2, np.nextafter(1e-2, 0.0), -5e-3, 3.0, -800.0):
+        value = adr.bernoulli(scalar)
+        assert type(value) is float
+        assert value == float(two_branch_bernoulli(scalar))
+
+
 @given(t=st.floats(min_value=-50.0, max_value=50.0))
 @settings(max_examples=200, deadline=None)
 def test_bernoulli_positive_and_decreasing(t):

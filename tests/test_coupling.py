@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from porogrowth import adr, coupling
-from porogrowth.errors import NonConvergenceError
+from porogrowth.errors import NonConvergenceError, NonphysicalStateError
 from porogrowth.mesh import build_mesh
 from porogrowth.params import EPS_PHI, ModelParams
 from porogrowth.scenario import ScenarioConfig
@@ -229,3 +229,20 @@ def test_diagnostics_recorded_per_step():
         assert d.time == pytest.approx(i * 3600.0)
         assert 1 <= d.iterations <= scenario.max_iter
         assert d.residual < scenario.tol
+
+
+def test_non_finite_residual_fails_fast(monkeypatch):
+    # a NaN residual is never below tol: without the check the step would
+    # burn max_iter sweeps and then every dt bisection
+    calls = []
+
+    def nan_sweep(mesh, x, *args):
+        calls.append(1)
+        return np.full_like(x, np.nan)
+
+    monkeypatch.setattr(coupling, "_sweep", nan_sweep)
+    scenario = short_scenario(auto_dt_halving=True)
+    with pytest.raises(NonphysicalStateError) as info:
+        coupling.run(scenario, ModelParams())
+    assert not isinstance(info.value, NonConvergenceError)
+    assert len(calls) == 1

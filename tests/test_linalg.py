@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from porogrowth import linalg
 from porogrowth.errors import SingularSystemError
 from porogrowth.linalg import (
     RESIDUAL_REL,
@@ -104,14 +105,14 @@ def test_residual_contract_is_checked_per_block(monkeypatch):
         np.max(row_norms) * np.max(np.abs(x)) + np.max(np.abs(b)))
     assert block_bound < error < global_bound
 
-    real = scipy.linalg.solve_banded
+    real = linalg._gtsv
 
     def perturbed(*args, **kwargs):
-        out = real(*args, **kwargs)
-        out[m + m // 2] += error
-        return out
+        *factors, x, info = real(*args, **kwargs)
+        x[m + m // 2] += error
+        return (*factors, x, info)
 
-    monkeypatch.setattr(scipy.linalg, "solve_banded", perturbed)
+    monkeypatch.setattr(linalg, "_gtsv", perturbed)
     with pytest.raises(SingularSystemError):
         solve_banded(packed, b)
 
@@ -151,6 +152,34 @@ def test_singular_matrix_raises():
         solve_banded(m, np.ones(3))
     with pytest.raises(SingularSystemError):
         solve_tridiagonal(np.zeros(2), np.zeros(3), np.zeros(2), np.ones(3))
+
+
+@pytest.mark.parametrize("kl, ku", [(1, 1), (2, 2), (3, 3), (2, 1)])
+def test_lapack_solve_leaves_inputs_and_matches_scipy(kl, ku):
+    # kl = ku = 1 goes to gtsv, the rest to gbsv; the residual contract
+    # reads matrix.data and b after the call, so both must survive it
+    rng = np.random.default_rng(10 + kl + ku)
+    m = random_banded_dominant(rng, 40, kl, ku)
+    b = rng.uniform(-1, 1, size=40)
+    data, rhs = m.data.copy(), b.copy()
+    x = solve_banded(m, b)
+    assert np.array_equal(m.data, data)
+    assert np.array_equal(b, rhs)
+    assert np.array_equal(x, scipy.linalg.solve_banded((kl, ku), data, rhs))
+
+
+def test_singular_nonzero_matrix_raises_on_both_lapack_paths():
+    # rows 0 and 1 are equal, so elimination leaves an exact zero pivot
+    dense = np.eye(5)
+    dense[0, 1] = dense[1, 0] = 1.0
+    for kl, ku in ((1, 1), (2, 2)):
+        m = BandedMatrix(n=5, kl=kl, ku=ku)
+        for s in range(-ku, kl + 1):
+            j = np.arange(max(0, -s), min(5, 5 - s))
+            m.data[ku + s, j] = dense[j + s, j]
+        assert np.array_equal(m.to_dense(), dense)
+        with pytest.raises(SingularSystemError):
+            solve_banded(m, np.ones(5))
 
 
 def test_thomas_pivot_underflow():

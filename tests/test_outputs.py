@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import os
 
 import numpy as np
@@ -77,8 +79,6 @@ def test_diagnostics_layout(short_run, tmp_path):
 
 
 def test_emit_flags_suppress_files(short_run, tmp_path):
-    import dataclasses
-
     cfg, trajectory = short_run
     quiet = dataclasses.replace(cfg, emit_fields=False, emit_diagnostics=False)
     written = outputs.emit_outputs(trajectory, quiet, str(tmp_path))
@@ -94,3 +94,77 @@ def test_byte_identical_reruns(short_run, tmp_path):
     outputs.emit_outputs(trajectory, cfg, str(out2))
     for name in os.listdir(out1):
         assert read(out1 / name) == read(out2 / name)
+
+
+def reference_csvs(trajectory, cfg):
+    """Expected file texts, every float through repr(float(v)) one by one."""
+    def fmt(v):
+        return repr(float(v))
+
+    files = {}
+    if cfg.emit_timeseries:
+        lines = [outputs.TIMESERIES_HEADER]
+        for i, t in enumerate(trajectory.series_times):
+            row = [fmt(t / SECONDS_PER_DAY)]
+            row += [fmt(trajectory.mid_series[key][i]) for key in
+                    ("phi_n", "phi_v", "phi_q", "phi_ecm", "phi_fl", "c", "p")]
+            row.append(str(trajectory.mid_series["xi"][i]))
+            lines.append(",".join(row))
+        files["timeseries.csv"] = lines
+    for name in ("p", "c", "xi", "u"):
+        if not (cfg.emit_xi_map if name == "xi" else cfg.emit_fields):
+            continue
+        lines = ["t_days,x_cm,value"]
+        for t, state in zip(trajectory.times, trajectory.states):
+            if name == "xi":
+                step = trajectory.series_times.index(t)
+                values = [str(int(v)) for v in trajectory.xi_series[step]]
+            else:
+                values = [fmt(v) for v in getattr(state, name)]
+            for x, value in zip(trajectory.mesh.nodes, values):
+                lines.append(f"{fmt(t / SECONDS_PER_DAY)},{fmt(x)},{value}")
+        files[f"field_{name}.csv"] = lines
+    if cfg.emit_diagnostics:
+        lines = ["step,t_days,fp_iters,fp_residual"]
+        for d in trajectory.diagnostics:
+            lines.append(f"{d.step},{fmt(d.time / SECONDS_PER_DAY)},"
+                         f"{d.iterations},{fmt(d.residual)}")
+        files["diagnostics.csv"] = lines
+    return {name: "\n".join(lines) + "\n" for name, lines in files.items()}
+
+
+@pytest.fixture(scope="module")
+def strided_run():
+    # snapshots at steps 0, 2, 4 and the final step 5; the xi maps are
+    # replaced by one distinct map per step, so a block taken from the
+    # wrong step shows
+    cfg = config.RunConfig(scenario=ScenarioConfig(
+        t_end=5 * 3600.0, dt=3600.0, node_count=21, output_stride=2,
+        culture_mode="perfused"))
+    trajectory = coupling.run(cfg.scenario, cfg.params)
+    nodes = np.arange(trajectory.mesh.node_count)
+    xi_series = [np.where(nodes >= 3 * step, 1, 0)
+                 for step in range(len(trajectory.series_times))]
+    return cfg, dataclasses.replace(trajectory, xi_series=xi_series)
+
+
+@pytest.mark.parametrize("flags", itertools.product((False, True), repeat=4))
+def test_every_emit_combination_matches_reference(strided_run, tmp_path, flags):
+    cfg, trajectory = strided_run
+    assert [round(t / 3600.0) for t in trajectory.times] == [0, 2, 4, 5]
+    cfg = dataclasses.replace(cfg, **dict(zip(
+        ("emit_timeseries", "emit_fields", "emit_xi_map", "emit_diagnostics"),
+        flags)))
+    written = outputs.emit_outputs(trajectory, cfg, str(tmp_path))
+    expected = reference_csvs(trajectory, cfg)
+    assert sorted(os.path.basename(p) for p in written) == sorted(expected)
+    for name, text in expected.items():
+        assert read(tmp_path / name) == text
+    if cfg.emit_xi_map:
+        # each field_xi block is the xi map of its snapshot's step
+        n = trajectory.mesh.node_count
+        rows = read(tmp_path / "field_xi.csv").splitlines()[1:]
+        for k, t in enumerate(trajectory.times):
+            block = [int(r.split(",")[2]) for r in rows[k * n:(k + 1) * n]]
+            step = round(t / cfg.scenario.dt)
+            assert block == trajectory.xi_series[step].tolist()

@@ -165,3 +165,70 @@ def test_bandwidth_and_bc_record():
             assert np.array_equal(dense[row], expected)
             assert system.rhs[row] == 0.0
             assert np.count_nonzero(dense[:, row]) > 1
+
+
+def elementwise_reference(mesh, phi, g, u_prev, dt, t_b, v_b, side,
+                          forcing_u, forcing_p):
+    """Dense system assembled one element at a time, entry by entry."""
+    n, h = mesh.node_count, mesh.h
+    phi_fl = 1.0 - phi.sum(axis=0)
+    phi_s = 1.0 - phi_fl
+    a_e = PARAMS.H_A * (0.5 * (phi_s[:-1] + phi_s[1:]))
+    k_e = permeability(0.5 * (phi_fl[:-1] + phi_fl[1:]), PARAMS)
+    growth = (PARAMS.H_A * g[0] * phi[0]
+              + PARAMS.H_B * (g[1] * phi[1] + g[2] * phi[2] + g[3] * phi[3]))
+    g_e = 0.5 * (growth[:-1] + growth[1:])
+    inv_dt = 0.0 if dt is None else 1.0 / dt
+    a = np.zeros((2 * n, 2 * n))
+    rhs = np.zeros(2 * n)
+    for e in range(n - 1):
+        iu, ip, ju, jp = 2 * e, 2 * e + 1, 2 * e + 2, 2 * e + 3
+        local = {
+            (iu, iu): a_e[e] / h, (iu, ju): -a_e[e] / h,
+            (ju, ju): a_e[e] / h, (ju, iu): -a_e[e] / h,
+            (iu, ip): 0.5, (iu, jp): 0.5, (ju, ip): -0.5, (ju, jp): -0.5,
+            (ip, ip): k_e[e] / h, (ip, jp): -k_e[e] / h,
+            (jp, jp): k_e[e] / h, (jp, ip): -k_e[e] / h,
+            (ip, iu): -0.5 * inv_dt, (ip, ju): 0.5 * inv_dt,
+            (jp, iu): -0.5 * inv_dt, (jp, ju): 0.5 * inv_dt,
+        }
+        for (row, col), value in local.items():
+            a[row, col] += value
+        rhs[iu] -= g_e[e]
+        rhs[ju] += g_e[e]
+        du = 0.5 * inv_dt * (u_prev[e + 1] - u_prev[e])
+        rhs[ip] += du
+        rhs[jp] += du
+    rhs[2 * n - 2] += t_b
+    rhs[2 * n - 1 if side == "left" else 1] -= v_b
+    if forcing_u is not None:
+        rhs[0::2] -= mesh.lumped_masses() * forcing_u
+    if forcing_p is not None:
+        rhs[1::2] += mesh.lumped_masses() * forcing_p
+    for row in (0, 1 if side == "left" else 2 * n - 1):
+        a[row] = 0.0
+        a[row, row] = 1.0
+        rhs[row] = 0.0
+    return a, rhs
+
+
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("dt", [3600.0, None])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_assemble_equals_elementwise_reference(side, dt, forced):
+    # random data make every band entry and rhs entry distinct
+    n = 13
+    mesh = build_mesh(0.01, n)
+    rng = np.random.default_rng(3)
+    phi = rng.uniform(0.005, 0.05, size=(4, n))
+    g = rng.uniform(-1e-3, 1e-3, size=(4, n))
+    u_prev = rng.uniform(-1e-4, 1e-4, size=n)
+    forcing_u = rng.uniform(-1.0, 1.0, size=n) if forced else None
+    forcing_p = rng.uniform(-1.0, 1.0, size=n) if forced else None
+    system = poroelastic.assemble(
+        mesh, phi, g, u_prev, dt, PARAMS.T_b, PARAMS.V_b, PARAMS,
+        forcing_u=forcing_u, forcing_p=forcing_p, dirichlet_side=side)
+    a, rhs = elementwise_reference(mesh, phi, g, u_prev, dt, PARAMS.T_b,
+                                   PARAMS.V_b, side, forcing_u, forcing_p)
+    assert np.array_equal(system.matrix.to_dense(), a)
+    assert np.array_equal(system.rhs, rhs)

@@ -46,6 +46,17 @@ def test_negative_fraction_rejected():
         make_state(phi_n=np.full(11, -1e-6))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_field_rejected(bad):
+    # NaN compares False with every bound, so each field needs its own check
+    for name in ("u", "p", "phi_n", "phi_v", "phi_q", "phi_ecm", "c",
+                 "g_n", "g_v", "g_q", "g_ecm"):
+        values = np.full(11, 0.01)
+        values[4] = bad
+        with pytest.raises(ClosureViolationError, match=name):
+            make_state(**{name: values})
+
+
 def test_tiny_negative_roundoff_tolerated():
     state = make_state(phi_n=np.full(11, -1e-13))
     assert state.phi_n[0] == -1e-13
