@@ -33,7 +33,7 @@ def bernoulli(t):
     cancellation near zero.
     """
     t = np.asarray(t, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         out = np.divide(t, np.expm1(t), out=np.empty_like(t))
     small = np.abs(t) < 1e-2
     ts = t[small]
