@@ -22,7 +22,8 @@ import numpy as np
 
 from .constitutive import nutrient_diffusivity, oxygen_sink
 from .errors import InvalidProblemError, NonphysicalStateError
-from .linalg import solve_banded, tridiagonal_as_banded
+from .linalg import BandedMatrix, solve_banded
+from .mesh import element_means, nodal_means
 from .params import EPS_PHI
 
 
@@ -85,7 +86,7 @@ class AdrProblem:
                 raise InvalidProblemError(
                     f"{name} has shape {arr.shape}, want {shape}")
             object.__setattr__(self, name, arr)
-        if np.any(self.diffusion <= 0.0):
+        if not np.all(self.diffusion > 0.0):  # also rejects NaN
             raise InvalidProblemError("diffusion must be positive on every element")
         for bc in (self.bc_left, self.bc_right):
             if not isinstance(bc, (DirichletBC, ZeroDiffusiveFluxBC)):
@@ -100,20 +101,21 @@ def edge_coefficients(nodal_diffusion, nodal_velocity):
     d = np.asarray(nodal_diffusion, dtype=float)
     v = np.asarray(nodal_velocity, dtype=float)
     d_e = 2.0 * d[:-1] * d[1:] / (d[:-1] + d[1:])
-    v_e = 0.5 * (v[:-1] + v[1:])
-    return d_e, v_e
+    return d_e, element_means(v)
 
 
 def assemble_adr(problem, dt, previous_field, mass_lumping=True):
     """Tridiagonal system of one backward-Euler step.
 
     dt = None selects steady mode (no mass term). previous_field has
-    the shape of problem.reaction. Returns (lower, diag, upper, rhs),
-    each with the leading axis of a stacked problem; the edge weights
-    are computed once for all rows. mass_lumping=False switches the time
-    and reaction terms to the consistent linear-element mass matrix;
-    this is intended for convergence studies only, as it forfeits the
-    M-matrix property.
+    the shape of problem.reaction. Returns (matrix, rhs): the diagonals
+    are assembled in place in the LAPACK band storage of a BandedMatrix
+    (kl = ku = 1), block diagonal over the rows of a stacked problem with
+    zeros at the block seams; rhs has the shape of previous_field. The
+    edge weights are computed once for all rows. mass_lumping=False
+    switches the time and reaction terms to the consistent linear-element
+    mass matrix; this is intended for convergence studies only, as it
+    forfeits the M-matrix property.
     """
     mesh = problem.mesh
     n, h = mesh.node_count, mesh.h
@@ -130,9 +132,10 @@ def assemble_adr(problem, dt, previous_field, mass_lumping=True):
     # b_plus multiplies w_{i+1} in the edge flux, b_minus multiplies w_i
     b_plus, b_minus = d_e / h * bernoulli(np.stack([t_e, -t_e]))
 
-    lower = np.zeros(rows + (n - 1,))
-    diag = np.zeros(rows + (n,))
-    upper = np.zeros(rows + (n - 1,))
+    matrix = BandedMatrix(n=prev.size, kl=1, ku=1)
+    # views of the (3, k, N) band; entries never written are the seams
+    band = matrix.data.reshape((3,) + rows + (n,))
+    upper, diag, lower = band[0, ..., 1:], band[1], band[2, ..., :-1]
     rhs = np.zeros(rows + (n,))
 
     # flux divergence: row i gains J_{i,i+1} - J_{i-1,i}
@@ -173,7 +176,7 @@ def assemble_adr(problem, dt, previous_field, mass_lumping=True):
         diag[..., -1], lower[..., -1] = 1.0, 0.0
         rhs[..., -1] = problem.bc_right.value
 
-    return lower, diag, upper, rhs
+    return matrix, rhs
 
 
 def solve_adr(problem, dt, previous_field, mass_lumping=True):
@@ -182,20 +185,10 @@ def solve_adr(problem, dt, previous_field, mass_lumping=True):
     The rows of a stacked problem are solved together as one
     block-diagonal system.
     """
-    lower, diag, upper, rhs = assemble_adr(problem, dt, previous_field, mass_lumping)
-    return solve_banded(tridiagonal_as_banded(lower, diag, upper), rhs)
+    return solve_banded(*assemble_adr(problem, dt, previous_field, mass_lumping))
 
 
 # --- problem builders used by the coupling loop ----------------------
-
-def interpolate_flux_to_nodes(mesh, element_flux):
-    """Element-midpoint Darcy flux averaged onto nodes."""
-    v = np.empty(mesh.node_count)
-    v[0] = element_flux[0]
-    v[-1] = element_flux[-1]
-    v[1:-1] = 0.5 * (element_flux[:-1] + element_flux[1:])
-    return v
-
 
 def build_oxygen_problem(mesh, phi_lagged, c_lagged, u_new, u_prev,
                          v_darcy_new, dt, scenario, params):
@@ -209,7 +202,7 @@ def build_oxygen_problem(mesh, phi_lagged, c_lagged, u_new, u_prev,
     if np.min(phi_fl) <= EPS_PHI:
         raise NonphysicalStateError(
             f"lagged fluid fraction below {EPS_PHI}: min = {np.min(phi_fl)}")
-    v_nodes = interpolate_flux_to_nodes(mesh, v_darcy_new)
+    v_nodes = nodal_means(v_darcy_new)
     v_fl = v_nodes / phi_fl + (u_new - u_prev) / dt
     d_nodes = nutrient_diffusivity(phi_fl, params)
     d_e, v_e = edge_coefficients(d_nodes, v_fl)

@@ -138,8 +138,7 @@ def _sweep(mesh, x, previous, g, boundary, dt, scenario, params):
     return new
 
 
-def fixed_point_step(state_n, mesh, dt, scenario, params,
-                     tol=None, max_iter=None):
+def fixed_point_step(state_n, mesh, dt, scenario, params):
     """Advance one time step; returns (state, FixedPointReport).
 
     Raises NonConvergenceError (carrying the report) when max_iter
@@ -147,8 +146,6 @@ def fixed_point_step(state_n, mesh, dt, scenario, params,
     sweep gives a non-finite residual or an intermediate state violates
     the closure.
     """
-    tol = scenario.tol if tol is None else tol
-    max_iter = scenario.max_iter if max_iter is None else max_iter
     t0 = time.perf_counter()
     report = FixedPointReport()
 
@@ -160,7 +157,7 @@ def fixed_point_step(state_n, mesh, dt, scenario, params,
 
     x = previous
     accelerator = _Accelerator()
-    for _ in range(max_iter):
+    for _ in range(scenario.max_iter):
         new = _sweep(mesh, x, previous, g, boundary, dt, scenario, params)
         # max over the fields of the relative infinity-norm change
         residual = float(np.max(
@@ -172,7 +169,7 @@ def fixed_point_step(state_n, mesh, dt, scenario, params,
             raise NonphysicalStateError(
                 f"non-finite fixed-point residual {residual} "
                 f"in sweep {report.iterations}")
-        if residual < tol:
+        if residual < scenario.tol:
             x = new
             report.converged = True
             break
@@ -180,7 +177,7 @@ def fixed_point_step(state_n, mesh, dt, scenario, params,
     report.wall_time = time.perf_counter() - t0
     if not report.converged:
         raise NonConvergenceError(
-            f"fixed point did not converge in {max_iter} sweeps "
+            f"fixed point did not converge in {scenario.max_iter} sweeps "
             f"(last residual {report.residuals[-1]})", report)
 
     # growth distortions update once per accepted step

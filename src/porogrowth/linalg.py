@@ -54,20 +54,17 @@ class BandedMatrix:
             a[j + s, j] = self.data[self.ku + s, j]
         return a
 
-    def row_norms(self):
-        """Absolute row sums sum_j |A[i, j]|, one per row."""
+    def row_sums(self, values):
+        """Sum a band-shaped array along the rows of A, one sum per row.
+
+        values[ku + i - j, j] belongs to row i, as in data; row_sums of
+        |data| gives the absolute row sums, of data * x the product A x.
+        """
         rows = np.zeros(self.n)
         for s in range(-self.ku, self.kl + 1):
             j0, j1 = max(0, -s), min(self.n, self.n - s)
-            rows[j0 + s:j1 + s] += np.abs(self.data[self.ku + s, j0:j1])
+            rows[j0 + s:j1 + s] += values[self.ku + s, j0:j1]
         return rows
-
-    def matvec(self, x):
-        y = np.zeros(self.n)
-        for s in range(-self.ku, self.kl + 1):
-            j0, j1 = max(0, -s), min(self.n, self.n - s)
-            y[j0 + s:j1 + s] += self.data[self.ku + s, j0:j1] * x[j0:j1]
-        return y
 
 
 def _residual_check(a_norm, residual, x, b):
@@ -100,10 +97,10 @@ def solve_banded(matrix, b):
         raise ValueError(f"rhs has shape {b.shape}, want ({matrix.n},) "
                          "or (k, m) with k m = n")
     blocks = (-1, b.shape[-1])
-    a_norm = matrix.row_norms().reshape(blocks).max(axis=1)
+    kl, ku, band = matrix.kl, matrix.ku, matrix.data
+    a_norm = matrix.row_sums(np.abs(band)).reshape(blocks).max(axis=1)
     if (a_norm == 0.0).any():
         raise SingularSystemError("zero matrix block")
-    kl, ku, band = matrix.kl, matrix.ku, matrix.data
     if kl == ku == 1:
         *_, x, info = _gtsv(band[2, :-1], band[1], band[0, 1:], b.ravel())
     else:
@@ -115,7 +112,7 @@ def solve_banded(matrix, b):
         raise SingularSystemError(f"LAPACK banded solve failed, info = {info}")
     if not np.isfinite(x).all():
         raise SingularSystemError("non-finite solution from banded solve")
-    residual = np.abs(matrix.matvec(x) - b.ravel()).reshape(blocks).max(axis=1)
+    residual = np.abs(matrix.row_sums(band * x) - b.ravel()).reshape(blocks).max(axis=1)
     _residual_check(a_norm, residual, x.reshape(blocks), b.reshape(blocks))
     return x.reshape(b.shape)
 
@@ -164,19 +161,3 @@ def solve_tridiagonal(lower, diag, upper, b):
     _residual_check(a_norm, residual, x, b)
     return x
 
-
-def tridiagonal_as_banded(lower, diag, upper):
-    """Pack tridiagonal arrays into a BandedMatrix (kl = ku = 1).
-
-    Stacked (k, m) diagonals with (k, m - 1) off-diagonals give the
-    block-diagonal matrix of the k systems, of size k m, with zeros at
-    the block seams.
-    """
-    diag = np.asarray(diag, dtype=float)
-    m = diag.shape[-1]
-    matrix = BandedMatrix(n=diag.size, kl=1, ku=1)
-    band = matrix.data.reshape(3, -1, m)
-    band[0, :, 1:] = np.reshape(upper, (-1, m - 1))
-    band[1] = diag.reshape(-1, m)
-    band[2, :, :-1] = np.reshape(lower, (-1, m - 1))
-    return matrix

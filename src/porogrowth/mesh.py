@@ -38,6 +38,17 @@ class Mesh1D:
         return int(np.argmin(np.abs(self.nodes - 0.5 * self.length)))
 
 
+def element_means(v):
+    """Nodal values averaged onto elements (the element midpoints)."""
+    return 0.5 * (v[:-1] + v[1:])
+
+
+def nodal_means(e):
+    """Element values averaged onto nodes: the mean of the two adjacent
+    elements inside, the one-sided value at the ends."""
+    return np.concatenate((e[:1], element_means(e), e[-1:]))
+
+
 def build_mesh(length, node_count):
     """Build a uniform mesh with h = L/(N-1).
 

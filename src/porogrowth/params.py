@@ -73,14 +73,16 @@ class ModelParams:
                     or (f.name == "tau_m" and value == math.inf)):
                 raise ConfigError(f"parameter {f.name} must be finite, got {value}")
         nonneg = (
-            "c_0", "c_sat", "c_thr", "c_apo", "D_c_s", "D_c_fl", "R_n",
-            "R_v", "R_q", "K_half", "beta", "k_apo", "k_qui", "k_deg",
-            "k_g0", "k_g1", "k_g2", "k_GAG", "K_sat", "D_eta", "tau_m",
-            "K_ref", "mu_fl",
+            "c_0", "c_sat", "c_thr", "c_apo", "D_c_s", "R_n", "R_v",
+            "R_q", "K_half", "beta", "k_apo", "k_qui", "k_deg", "k_g0",
+            "k_g1", "k_g2", "k_GAG", "K_sat", "tau_m", "K_ref", "mu_fl",
         )
         for name in nonneg:
             if getattr(self, name) < 0.0:
                 raise ConfigError(f"parameter {name} must be nonnegative")
+        for name in ("D_c_fl", "D_eta"):
+            if getattr(self, name) <= 0.0:
+                raise ConfigError(f"diffusivity {name} must be positive")
         if self.mu <= 0.0:
             raise ConfigError("shear modulus mu must be positive")
         if self.lam + 2.0 * self.mu <= 0.0:

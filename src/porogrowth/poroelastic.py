@@ -23,6 +23,7 @@ import numpy as np
 from .constitutive import permeability
 from .errors import NonphysicalStateError
 from .linalg import BandedMatrix, solve_banded
+from .mesh import element_means
 from .params import EPS_PHI
 
 
@@ -34,10 +35,6 @@ class PoroelasticSystem:
     matrix: BandedMatrix = field(repr=False)
     rhs: np.ndarray = field(repr=False)
     permeability_e: np.ndarray = field(repr=False)  # per-element K
-
-
-def _midpoint(values):
-    return 0.5 * (values[:-1] + values[1:])
 
 
 def assemble(mesh, phi_lagged, g_lagged, u_prev, dt, t_b, v_b, params,
@@ -58,8 +55,8 @@ def assemble(mesh, phi_lagged, g_lagged, u_prev, dt, t_b, v_b, params,
             f"lagged fluid fraction out of range: [{np.min(phi_fl)}, {np.max(phi_fl)}]")
     phi_s = 1.0 - phi_fl
 
-    a_e = params.H_A * _midpoint(phi_s)
-    k_e = permeability(_midpoint(phi_fl), params)
+    a_e = params.H_A * element_means(phi_s)
+    k_e = permeability(element_means(phi_fl), params)
     growth = (
         params.H_A * g_lagged[0] * phi_lagged[0]
         + params.H_B * (
@@ -67,7 +64,7 @@ def assemble(mesh, phi_lagged, g_lagged, u_prev, dt, t_b, v_b, params,
             + g_lagged[2] * phi_lagged[2]
             + g_lagged[3] * phi_lagged[3])
     )
-    g_e = _midpoint(growth)
+    g_e = element_means(growth)
     inv_dt = 0.0 if dt is None else 1.0 / dt
 
     matrix = BandedMatrix(n=2 * n, kl=3, ku=3)

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ClosureViolationError, InvalidInitialConditionError
-from .mesh import Mesh1D
+from .mesh import Mesh1D, nodal_means
 
 #: roundoff slack granted to the nonnegativity checks
 NEG_TOL = 1e-12
@@ -55,10 +55,6 @@ class MixtureState:
             raise ClosureViolationError(
                 f"fluid fraction out of (0, 1): range [{np.min(fl)}, {np.max(fl)}]")
 
-    @property
-    def node_count(self):
-        return self.u.shape[0]
-
     def phi_fields(self):
         """Species fractions stacked in the canonical order: proliferating,
         synthesizing, quiescent, ECM (n, v, q, ecm)."""
@@ -100,12 +96,7 @@ def initial_state(mesh, params, scenario):
 
 def nodal_strain(mesh, u):
     """du/dx at nodes: adjacent-element average inside, one-sided at ends."""
-    grad = np.diff(u) / mesh.h
-    ux = np.empty(mesh.node_count)
-    ux[0] = grad[0]
-    ux[-1] = grad[-1]
-    ux[1:-1] = 0.5 * (grad[:-1] + grad[1:])
-    return ux
+    return nodal_means(np.diff(u) / mesh.h)
 
 
 def indicator_r(mesh, u, phi_s, phi_n, g_n):

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from porogrowth import adr
 from porogrowth.errors import InvalidProblemError, NonphysicalStateError
-from porogrowth.mesh import build_mesh
+from porogrowth.mesh import build_mesh, element_means, nodal_means
 from porogrowth.params import ModelParams
 from porogrowth.scenario import ScenarioConfig
 
@@ -95,7 +96,8 @@ def uniform_problem(n=21, d=1e-5, v=0.0, sigma=0.0, source=0.0,
 
 def test_zero_velocity_reduces_to_centered_diffusion():
     problem = uniform_problem(n=11, d=2e-5)
-    lower, diag, upper, rhs = adr.assemble_adr(problem, None, np.zeros(11))
+    matrix, rhs = adr.assemble_adr(problem, None, np.zeros(11))
+    upper, diag, lower = matrix.data[0, 1:], matrix.data[1], matrix.data[2, :-1]
     g = 2e-5 / problem.mesh.h
     assert np.allclose(upper, -g, rtol=1e-14)
     assert np.allclose(lower, -g, rtol=1e-14)
@@ -175,7 +177,8 @@ def test_dirichlet_rows_replaced():
     n = 11
     problem = uniform_problem(n=n, bc_left=adr.DirichletBC(0.25),
                               bc_right=adr.DirichletBC(0.75))
-    lower, diag, upper, rhs = adr.assemble_adr(problem, 10.0, np.zeros(n))
+    matrix, rhs = adr.assemble_adr(problem, 10.0, np.zeros(n))
+    upper, diag, lower = matrix.data[0, 1:], matrix.data[1], matrix.data[2, :-1]
     assert diag[0] == 1.0 and upper[0] == 0.0 and rhs[0] == 0.25
     assert diag[-1] == 1.0 and lower[-1] == 0.0 and rhs[-1] == 0.75
 
@@ -196,6 +199,10 @@ def test_problem_validation():
                        velocity=np.zeros(ne), reaction=np.zeros(n),
                        source=np.zeros(n))
     with pytest.raises(InvalidProblemError):
+        adr.AdrProblem(mesh=mesh, diffusion=np.full(ne, np.nan),  # NaN too
+                       velocity=np.zeros(ne), reaction=np.zeros(n),
+                       source=np.zeros(n))
+    with pytest.raises(InvalidProblemError):
         adr.AdrProblem(mesh=mesh, diffusion=np.ones(ne + 1),
                        velocity=np.zeros(ne), reaction=np.zeros(n),
                        source=np.zeros(n))
@@ -208,9 +215,19 @@ def test_problem_validation():
 # --- coupled-problem builders ---------------------------------------------
 
 def test_interpolate_flux_to_nodes():
+    # the oxygen builder averages the element Darcy flux onto nodes
+    flux = np.array([1.0, 3.0, 5.0])
+    v = nodal_means(flux)
+    assert np.array_equal(v, [1.0, 2.0, 4.0, 5.0])
+    assert np.array_equal(element_means(v), [1.5, 3.0, 4.5])
     mesh = build_mesh(1.0, 4)
-    v = adr.interpolate_flux_to_nodes(mesh, np.array([1.0, 3.0, 5.0]))
-    assert np.allclose(v, [1.0, 2.0, 4.0, 5.0])
+    phi, v_darcy = np.full((4, 4), 0.01), flux * 1e-4
+    problem = adr.build_oxygen_problem(
+        mesh, phi, np.full(4, PARAMS.c_0), np.zeros(4), np.zeros(4),
+        v_darcy, 3600.0, ScenarioConfig(), PARAMS)
+    phi_fl = 1.0 - phi.sum(axis=0)
+    assert np.array_equal(problem.velocity,
+                          element_means(nodal_means(v_darcy) / phi_fl))
 
 
 def test_build_oxygen_problem():
@@ -321,3 +338,39 @@ def test_stacked_solve_equals_scalar_solves_bitwise(peclet, bcs, mass_lumping):
         scalar = adr.solve_adr(problem(reaction[eta], source[eta]), 600.0,
                                previous[eta], mass_lumping=mass_lumping)
         assert stacked[eta].tobytes() == scalar.tobytes()
+
+
+@pytest.mark.parametrize("bcs", sorted(BC_PAIRS))
+@pytest.mark.parametrize("mass_lumping", (True, False))
+def test_stacked_band_is_block_diagonal_of_scalar_bands(bcs, mass_lumping):
+    # a stacked assembly writes each row's tridiagonal straight into its
+    # block of the band; the entries coupling adjacent blocks stay zero
+    rng = np.random.default_rng(3)
+    n, k = 9, 4
+    mesh = build_mesh(0.01, n)
+    diffusion = rng.uniform(1e-6, 1e-5, size=n - 1)
+    velocity = rng.uniform(-4e-3, 4e-3, size=n - 1)
+    bc_left, bc_right = BC_PAIRS[bcs]
+
+    def problem(sigma, f):
+        return adr.AdrProblem(mesh=mesh, diffusion=diffusion,
+                              velocity=velocity, reaction=sigma, source=f,
+                              bc_left=bc_left, bc_right=bc_right)
+
+    reaction = rng.uniform(0.0, 1e-4, size=(k, n))
+    source = rng.uniform(0.0, 1e-6, size=(k, n))
+    previous = rng.uniform(0.0, 0.2, size=(k, n))
+    matrix, rhs = adr.assemble_adr(problem(reaction, source), 600.0, previous,
+                                   mass_lumping=mass_lumping)
+    assert (matrix.n, matrix.kl, matrix.ku) == (k * n, 1, 1)
+    assert rhs.shape == (k, n)
+    blocks = []
+    for eta in range(k):
+        scalar, scalar_rhs = adr.assemble_adr(
+            problem(reaction[eta], source[eta]), 600.0, previous[eta],
+            mass_lumping=mass_lumping)
+        blocks.append(scalar.to_dense())
+        assert np.array_equal(rhs[eta], scalar_rhs)
+    assert np.array_equal(matrix.to_dense(), scipy.linalg.block_diag(*blocks))
+    for seam in range(n, k * n, n):  # A[seam - 1, seam] and A[seam, seam - 1]
+        assert matrix.data[0, seam] == 0.0 and matrix.data[2, seam - 1] == 0.0

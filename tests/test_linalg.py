@@ -9,7 +9,6 @@ from porogrowth.linalg import (
     BandedMatrix,
     solve_banded,
     solve_tridiagonal,
-    tridiagonal_as_banded,
 )
 from porogrowth.verify import dense_gaussian_elimination, random_banded_dominant
 
@@ -48,8 +47,9 @@ def test_matvec_and_norm_match_dense():
         m = random_banded_dominant(rng, 30, kl, ku)
         dense = m.to_dense()
         x = rng.uniform(-1, 1, size=30)
-        assert np.allclose(m.matvec(x), dense @ x, rtol=1e-14)
-        assert np.allclose(m.row_norms(), np.abs(dense).sum(axis=1), rtol=1e-14)
+        assert np.allclose(m.row_sums(m.data * x), dense @ x, rtol=1e-14)
+        assert np.allclose(m.row_sums(np.abs(m.data)), np.abs(dense).sum(axis=1),
+                           rtol=1e-14)
 
 
 def test_solve_banded_against_dense_oracle():
@@ -63,17 +63,20 @@ def test_solve_banded_against_dense_oracle():
 
 
 def random_tridiagonal_blocks(rng, k, m):
-    lower = rng.uniform(-1, 1, size=(k, m - 1))
-    upper = rng.uniform(-1, 1, size=(k, m - 1))
-    diag = 4.0 + rng.uniform(0, 1, size=(k, m))
-    return lower, diag, upper
+    """Block-diagonal BandedMatrix of k random tridiagonal m x m blocks,
+    written into .data viewed as (3, k, m); the seams stay zero."""
+    packed = BandedMatrix(n=k * m, kl=1, ku=1)
+    band = packed.data.reshape(3, k, m)
+    band[2, :, :-1] = rng.uniform(-1, 1, size=(k, m - 1))   # lower
+    band[0, :, 1:] = rng.uniform(-1, 1, size=(k, m - 1))    # upper
+    band[1] = 4.0 + rng.uniform(0, 1, size=(k, m))          # diagonal
+    return packed
 
 
 def test_stacked_rhs_solves_each_block():
     rng = np.random.default_rng(4)
     k, m = 3, 12
-    lower, diag, upper = random_tridiagonal_blocks(rng, k, m)
-    packed = tridiagonal_as_banded(lower, diag, upper)
+    packed = random_tridiagonal_blocks(rng, k, m)
     dense = packed.to_dense()
     for i in range(k - 1):  # the blocks do not couple
         seam = (i + 1) * m
@@ -81,9 +84,9 @@ def test_stacked_rhs_solves_each_block():
     b = rng.uniform(-1, 1, size=(k, m))
     x = solve_banded(packed, b)
     assert x.shape == (k, m)
-    for i in range(k):
-        block = tridiagonal_as_banded(lower[i], diag[i], upper[i])
-        assert np.array_equal(x[i], solve_banded(block, b[i]))
+    for i, data in enumerate(packed.data.reshape(3, k, m).transpose(1, 0, 2)):
+        single = BandedMatrix(n=m, kl=1, ku=1, data=data.copy())
+        assert np.array_equal(x[i], solve_banded(single, b[i]))
 
 
 def test_residual_contract_is_checked_per_block(monkeypatch):
@@ -91,14 +94,13 @@ def test_residual_contract_is_checked_per_block(monkeypatch):
     # scale but far above block 1's own scale must still be caught
     rng = np.random.default_rng(6)
     k, m = 2, 20
-    lower, diag, upper = random_tridiagonal_blocks(rng, k, m)
+    packed = random_tridiagonal_blocks(rng, k, m)
     b = rng.uniform(-1, 1, size=(k, m))
-    for arr in (lower, diag, upper, b):
-        arr[0] *= 1e6
-    packed = tridiagonal_as_banded(lower, diag, upper)
+    packed.data.reshape(3, k, m)[:, 0] *= 1e6
+    b[0] *= 1e6
     x = solve_banded(packed, b)
     error = 1e-6
-    row_norms = packed.row_norms().reshape(k, m)
+    row_norms = packed.row_sums(np.abs(packed.data)).reshape(k, m)
     block_bound = RESIDUAL_REL * (
         np.max(row_norms[1]) * np.max(np.abs(x[1])) + np.max(np.abs(b[1])))
     global_bound = RESIDUAL_REL * (
@@ -119,12 +121,10 @@ def test_residual_contract_is_checked_per_block(monkeypatch):
 
 def test_zero_block_raises():
     rng = np.random.default_rng(7)
-    lower, diag, upper = random_tridiagonal_blocks(rng, 3, 8)
-    for arr in (lower, diag, upper):
-        arr[1] = 0.0
+    packed = random_tridiagonal_blocks(rng, 3, 8)
+    packed.data.reshape(3, 3, 8)[:, 1] = 0.0
     with pytest.raises(SingularSystemError):
-        solve_banded(tridiagonal_as_banded(lower, diag, upper),
-                     np.ones((3, 8)))
+        solve_banded(packed, np.ones((3, 8)))
 
 
 def test_thomas_matches_banded():
@@ -135,7 +135,11 @@ def test_thomas_matches_banded():
     diag = 4.0 + rng.uniform(0, 1, size=n)
     b = rng.uniform(-1, 1, size=n)
     x1 = solve_tridiagonal(lower, diag, upper, b)
-    x2 = solve_banded(tridiagonal_as_banded(lower, diag, upper), b)
+    banded = BandedMatrix(n=n, kl=1, ku=1)
+    banded.data[0, 1:] = upper
+    banded.data[1] = diag
+    banded.data[2, :-1] = lower
+    x2 = solve_banded(banded, b)
     assert np.allclose(x1, x2, atol=1e-12)
 
 

@@ -52,6 +52,8 @@ def test_inconsistent_cell_volume_rejected():
     ("lam", -math.inf),
     ("tau_m", math.nan),
     ("tau_m", -math.inf),
+    ("D_c_fl", 0.0),
+    ("D_eta", 0.0),
 ])
 def test_invalid_parameters_rejected(field, value):
     with pytest.raises(ConfigError):
