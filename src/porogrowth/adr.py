@@ -38,9 +38,14 @@ def bernoulli(t):
         out = np.divide(t, np.expm1(t), out=np.empty_like(t))
     small = np.abs(t) < 1e-2
     ts = t[small]
+    # products, not ts**k: powers above 2 go through the slow np.power
+    t2 = ts * ts
+    t3 = t2 * ts
+    t4 = t2 * t2
+    t5 = t4 * ts
     # (exp(t)-1)/t = 1 + t/2 + t^2/6 + t^3/24 + t^4/120 + t^5/720 + O(t^6)
     out[small] = 1.0 / (
-        1.0 + ts / 2.0 + ts**2 / 6.0 + ts**3 / 24.0 + ts**4 / 120.0 + ts**5 / 720.0)
+        1.0 + ts / 2.0 + t2 / 6.0 + t3 / 24.0 + t4 / 120.0 + t5 / 720.0)
     return out if out.ndim else float(out)
 
 
@@ -146,7 +151,7 @@ def assemble_adr(problem, dt, previous_field, mass_lumping=True):
 
     inv_dt = 0.0 if dt is None else 1.0 / dt
     if mass_lumping:
-        m = mesh.lumped_masses()
+        m = mesh.lumped_masses
         diag += m * (inv_dt + problem.reaction)
         rhs += m * (inv_dt * prev + problem.source)
     else:

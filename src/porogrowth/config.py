@@ -145,6 +145,10 @@ def parse_config(text):
                 key, raw, line_no)
         elif key in _EMIT_KEYS:
             emit_overrides[key] = _parse_bool(raw, key, line_no)
+        elif key == "mu_fl":
+            raise ConfigError(
+                f"line {line_no}: unknown key 'mu_fl': the fluid viscosity "
+                "enters only through the permeability; set K_ref instead")
         else:
             raise ConfigError(f"line {line_no}: unknown key {key!r}")
     try:

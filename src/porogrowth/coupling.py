@@ -12,6 +12,7 @@ sweep.
 
 import math
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +49,35 @@ class FixedPointReport:
 
 #: extrapolation cap of the secant acceleration (safeguard)
 _GAMMA_MAX = 0.95
+
+
+def _physical(x):
+    """Whether a (7, N) iterate may enter a sweep: nonnegative fractions
+    and oxygen, fluid fraction above the solver floor EPS_PHI."""
+    return not (np.min(x[3:]) < 0.0
+                or np.min(1.0 - x[3:].sum(axis=0)) <= EPS_PHI
+                or np.min(x[2]) < 0.0)
+
+
+def _levels(state):
+    """The (7, N) iterate of a time level: rows u, p, c, phi_n, phi_v,
+    phi_q, phi_ecm."""
+    return np.stack([state.u, state.p, state.c, *state.phi_fields()])
+
+
+def _predict(levels):
+    """Start iterate of the next step from the last accepted levels,
+    newest first: x_n alone, the linear 2 x_n - x_{n-1}, or the
+    quadratic 3 x_n - 3 x_{n-1} + x_{n-2}. An unphysical prediction
+    falls back to x_n.
+    """
+    if len(levels) == 1:
+        return levels[0]
+    if len(levels) == 2:
+        guess = 2.0 * levels[0] - levels[1]
+    else:
+        guess = 3.0 * levels[0] - 3.0 * levels[1] + levels[2]
+    return guess if _physical(guess) else levels[0]
 
 
 class _Accelerator:
@@ -88,10 +118,7 @@ class _Accelerator:
                 accelerated = g - gamma * (g - self.g_prev)
         self.f_prev = f
         self.g_prev = g
-        if (accelerated is None
-                or np.min(accelerated[3:]) < 0.0
-                or np.min(1.0 - accelerated[3:].sum(axis=0)) <= EPS_PHI
-                or np.min(accelerated[2]) < 0.0):
+        if accelerated is None or not _physical(accelerated):
             return g
         return accelerated
 
@@ -138,8 +165,11 @@ def _sweep(mesh, x, previous, g, boundary, dt, scenario, params):
     return new
 
 
-def fixed_point_step(state_n, mesh, dt, scenario, params):
+def fixed_point_step(state_n, mesh, dt, scenario, params, start=None):
     """Advance one time step; returns (state, FixedPointReport).
+
+    The sweeps start from the (7, N) iterate start, or from state_n when
+    it is None; only the path to the fixed point depends on it.
 
     Raises NonConvergenceError (carrying the report) when max_iter
     sweeps do not meet tol, and NonphysicalStateError at once when a
@@ -150,12 +180,11 @@ def fixed_point_step(state_n, mesh, dt, scenario, params):
     report = FixedPointReport()
 
     # per-step invariants of the sweep
-    previous = np.stack(
-        [state_n.u, state_n.p, state_n.c, *state_n.phi_fields()])
+    previous = _levels(state_n)
     g = state_n.g_fields()
     boundary = scenario.boundary_data(params)
 
-    x = previous
+    x = previous if start is None else start
     accelerator = _Accelerator()
     for _ in range(scenario.max_iter):
         new = _sweep(mesh, x, previous, g, boundary, dt, scenario, params)
@@ -196,10 +225,14 @@ def fixed_point_step(state_n, mesh, dt, scenario, params):
     return state, report
 
 
-def _advance(state, mesh, dt, scenario, params):
-    """One nominal step, optionally bisecting dt on nonconvergence."""
+def _advance(state, mesh, dt, scenario, params, start):
+    """One nominal step from the start iterate, optionally bisecting dt
+    on nonconvergence. Each sub-step of a bisection starts from its own
+    previous level: the history of the nominal steps does not match its
+    spacing.
+    """
     try:
-        return fixed_point_step(state, mesh, dt, scenario, params)
+        return fixed_point_step(state, mesh, dt, scenario, params, start=start)
     except NonConvergenceError:
         if not scenario.auto_dt_halving:
             raise
@@ -239,8 +272,9 @@ def run(scenario, params):
 
     Snapshots are kept every output_stride steps (plus the first and
     last); the mid-node series and xi map are recorded at every step.
-    A step failure aborts with the partial trajectory attached to the
-    raised error.
+    Each step's fixed point starts from a polynomial extrapolation of
+    the last three levels (see _predict). A step failure aborts with the
+    partial trajectory attached to the raised error.
     """
     mesh = build_mesh(scenario.length, scenario.node_count)
     state = initial_state(mesh, params, scenario)
@@ -251,14 +285,17 @@ def run(scenario, params):
                      "c", "p", "xi")},
         xi_series=[], diagnostics=[])
     _record(trajectory, state, mesh, params)
+    levels = deque([_levels(state)], maxlen=3)   # newest first
 
     t = 0.0
     for step in range(1, scenario.n_steps + 1):
         try:
-            state, report = _advance(state, mesh, scenario.dt, scenario, params)
+            state, report = _advance(state, mesh, scenario.dt, scenario,
+                                     params, _predict(levels))
         except PorogrowthError as exc:
             exc.partial_trajectory = trajectory
             raise
+        levels.appendleft(_levels(state))
         t = step * scenario.dt
         trajectory.series_times.append(t)
         trajectory.diagnostics.append(StepDiagnostics(

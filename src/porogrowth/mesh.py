@@ -18,6 +18,8 @@ class Mesh1D:
     length: float
     node_count: int
     nodes: np.ndarray = field(repr=False)
+    #: control-volume sizes: h at interior nodes, h/2 at the ends
+    lumped_masses: np.ndarray = field(repr=False)
 
     @property
     def h(self):
@@ -26,12 +28,6 @@ class Mesh1D:
     @property
     def n_elements(self):
         return self.node_count - 1
-
-    def lumped_masses(self):
-        """Control-volume sizes: h at interior nodes, h/2 at the ends."""
-        m = np.full(self.node_count, self.h)
-        m[0] = m[-1] = 0.5 * self.h
-        return m
 
     def mid_node(self):
         """Index of the node nearest x = L/2."""
@@ -59,5 +55,10 @@ def build_mesh(length, node_count):
     if node_count < 3:
         raise InvalidDomainError(f"need at least 3 nodes, got {node_count}")
     nodes = np.linspace(0.0, length, node_count)
-    nodes.flags.writeable = False
-    return Mesh1D(length=float(length), node_count=int(node_count), nodes=nodes)
+    h = float(length) / (node_count - 1)
+    masses = np.full(node_count, h)
+    masses[0] = masses[-1] = 0.5 * h
+    for a in (nodes, masses):
+        a.flags.writeable = False
+    return Mesh1D(length=float(length), node_count=int(node_count),
+                  nodes=nodes, lumped_masses=masses)

@@ -38,7 +38,6 @@ class ModelParams:
     # perfusion boundary data (applied only in perfused scenarios)
     V_b: float = 50.0e-4     # cm s^-1
     T_b: float = 1.0         # dyne cm^-2 (= 100 mPa)
-    mu_fl: float = 1.002e-2  # g cm^-1 s^-1
     # oxygen consumption (g cm^-3 s^-1)
     R_n: float = 3.9e-8
     R_v: float = 3.9e-8
@@ -75,14 +74,16 @@ class ModelParams:
         nonneg = (
             "c_0", "c_sat", "c_thr", "c_apo", "D_c_s", "R_n", "R_v",
             "R_q", "K_half", "beta", "k_apo", "k_qui", "k_deg", "k_g0",
-            "k_g1", "k_g2", "k_GAG", "K_sat", "tau_m", "K_ref", "mu_fl",
+            "k_g1", "k_g2", "k_GAG", "K_sat", "tau_m",
         )
         for name in nonneg:
             if getattr(self, name) < 0.0:
                 raise ConfigError(f"parameter {name} must be nonnegative")
-        for name in ("D_c_fl", "D_eta"):
+        # K_ref = 0 drops the Darcy term from the continuity rows; the
+        # equal-order (u, p) pair then gives a node-to-node oscillating p
+        for name in ("D_c_fl", "D_eta", "K_ref"):
             if getattr(self, name) <= 0.0:
-                raise ConfigError(f"diffusivity {name} must be positive")
+                raise ConfigError(f"parameter {name} must be positive")
         if self.mu <= 0.0:
             raise ConfigError("shear modulus mu must be positive")
         if self.lam + 2.0 * self.mu <= 0.0:

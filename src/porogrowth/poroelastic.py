@@ -114,9 +114,9 @@ def assemble(mesh, phi_lagged, g_lagged, u_prev, dt, t_b, v_b, params,
 
     # optional manufactured forcings (trapezoid load)
     if forcing_u is not None:
-        rhs[0::2] -= mesh.lumped_masses() * np.asarray(forcing_u, dtype=float)
+        rhs[0::2] -= mesh.lumped_masses * np.asarray(forcing_u, dtype=float)
     if forcing_p is not None:
-        rhs[1::2] += mesh.lumped_masses() * np.asarray(forcing_p, dtype=float)
+        rhs[1::2] += mesh.lumped_masses * np.asarray(forcing_p, dtype=float)
 
     # essential rows: cleared inside the band, unit diagonal, zero rhs
     for row in (0, 1 if dirichlet_side == "left" else 2 * n - 1):

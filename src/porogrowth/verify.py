@@ -170,7 +170,7 @@ def suite_sg_exact():
 
 
 def _l2_norm(mesh, values):
-    return float(np.sqrt(np.sum(mesh.lumped_masses() * values**2)))
+    return float(np.sqrt(np.sum(mesh.lumped_masses * values**2)))
 
 
 def _fit_order(h_list, e_list):

@@ -43,7 +43,7 @@ def rel_l2_fit_residual(mesh, values, degree):
     """Relative L2 misfit of the best degree-`degree` polynomial."""
     coeffs = np.polyfit(mesh.nodes, values, degree)
     fit = np.polyval(coeffs, mesh.nodes)
-    m = mesh.lumped_masses()
+    m = mesh.lumped_masses
     norm = np.sqrt(m @ values**2)
     if norm == 0.0:
         return 0.0
@@ -77,7 +77,7 @@ def test_criterion_3_frozen_kinetics_conservation():
     import dataclasses
     scenario = dataclasses.replace(cfg.scenario, growth_rate=0.0)
     trajectory = coupling.run(scenario, params)
-    m = trajectory.mesh.lumped_masses()
+    m = trajectory.mesh.lumped_masses
     for prev, state in zip(trajectory.states, trajectory.states[1:]):
         for field in ("phi_n", "phi_v", "phi_q", "phi_ecm"):
             total_prev = m @ getattr(prev, field)

@@ -123,7 +123,7 @@ def test_lumped_mass_conservation():
     mesh = build_mesh(0.01, n)
     problem = uniform_problem(n=n, d=1e-5, v=0.0)
     w0 = rng.uniform(0.0, 1.0, size=n)
-    m = mesh.lumped_masses()
+    m = mesh.lumped_masses
     total0 = m @ w0
     w = w0
     for _ in range(5):

@@ -82,16 +82,29 @@ def test_non_finite_config_value_is_config_error(tmp_path, capsys, line,
     assert not os.path.exists(tmp_path / "o")
 
 
-@pytest.mark.parametrize("line", ["D_c_fl = 0", "D_eta = 0"])
+@pytest.mark.parametrize("line", ["D_c_fl = 0", "D_eta = 0", "K_ref = 0"])
 def test_zero_diffusivity_is_config_error(tmp_path, capsys, line):
     # D_c_fl = 0 divided by zero in k_partition; D_eta = 0 gave NaN edge
-    # diffusivities that failed later as a numerical error
+    # diffusivities that failed later as a numerical error; the zero
+    # permeability K_ref = 0 ran to exit 0 with an oscillating pressure
     cfg_path = tmp_path / "zero.cfg"
     cfg_path.write_text(f"nodes = 5\nT_end = 3600\n{line}\n")
     code = run_cli(["simulate", "--config", str(cfg_path),
                     "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_CONFIG
     assert f"{line.split()[0]} must be positive" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "o")
+
+
+def test_retired_viscosity_key_names_permeability(tmp_path, capsys):
+    # mu_fl was accepted but read by no computation
+    cfg_path = tmp_path / "visc.cfg"
+    cfg_path.write_text("nodes = 5\nT_end = 3600\nmu_fl = 0\n")
+    code = run_cli(["simulate", "--config", str(cfg_path),
+                    "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "unknown key 'mu_fl'" in err and "K_ref" in err
     assert not os.path.exists(tmp_path / "o")
 
 

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from porogrowth import adr, coupling
+from porogrowth import adr, config, coupling
 from porogrowth.errors import NonConvergenceError, NonphysicalStateError
 from porogrowth.mesh import build_mesh
 from porogrowth.params import EPS_PHI, ModelParams
@@ -37,7 +37,7 @@ def test_zero_data_fixed_point_converges_in_two_sweeps(frozen_params):
     assert np.max(np.abs(state1.p)) < 1e-14
     assert np.allclose(state1.c, params.c_0, rtol=1e-12)
     # species profiles relax by diffusion only: total mass conserved
-    m = mesh.lumped_masses()
+    m = mesh.lumped_masses
     for name in ("phi_n", "phi_v", "phi_q", "phi_ecm"):
         assert m @ getattr(state1, name) == pytest.approx(
             m @ getattr(state0, name), rel=1e-12)
@@ -47,7 +47,7 @@ def test_frozen_kinetics_static_run_conserves_mass(frozen_params):
     scenario = short_scenario(growth_rate=0.0)
     trajectory = coupling.run(scenario, frozen_params)
     mesh = trajectory.mesh
-    m = mesh.lumped_masses()
+    m = mesh.lumped_masses
     first = trajectory.states[0]
     for state in trajectory.states[1:]:
         for name in ("phi_n", "phi_v", "phi_q", "phi_ecm"):
@@ -197,6 +197,119 @@ def test_accelerator_rejects_unphysical_extrapolation(row, base_value, step_valu
     # the sweep output itself is physical; only the extrapolation is not
     assert np.min(g1[2:]) >= 0.0 and np.min(1.0 - g1[3:].sum(axis=0)) > EPS_PHI
     assert out is g1
+
+
+@pytest.mark.parametrize("row,base_value,step_value", [
+    (2, 3.5e-6, -1.5e-6),        # c turns negative
+    (3, 0.035, -0.015),          # phi_n turns negative
+    (slice(3, 7), 0.2, 0.02),    # phi_fl = 1 - sum(phi) drops below EPS_PHI
+])
+def test_unphysical_prediction_starts_from_previous_level(
+        row, base_value, step_value):
+    base, step = accelerator_base()
+    base[row] = base_value
+    step[row] = step_value
+    # three physical levels on a straight line, newest first: both the
+    # linear and the quadratic predictor give base + 3 step
+    levels = [base + 2.0 * step, base + step, base]
+    assert all(coupling._physical(x) for x in levels)
+    assert not coupling._physical(base + 3.0 * step)
+    assert coupling._predict(levels[:2]) is levels[0]
+    assert coupling._predict(levels) is levels[0]
+
+
+def test_prediction_by_available_history():
+    base, step = accelerator_base()
+    levels = [base + 2.0 * step, base + 0.5 * step, base]
+    assert coupling._predict(levels[:1]) is levels[0]
+    # u and p may be negative: the guard checks only c and the fractions
+    linear = coupling._predict(levels[:2])
+    assert np.array_equal(linear, 2.0 * levels[0] - levels[1])
+    quadratic = coupling._predict(levels)
+    assert np.array_equal(
+        quadratic, 3.0 * levels[0] - 3.0 * levels[1] + levels[2])
+    assert not np.array_equal(quadratic, linear)
+
+
+def record_starts(monkeypatch):
+    """Spy on the sweeps: one (start, previous, dt) per fixed_point_step
+    call, taken from its first sweep."""
+    starts = []
+    sweep = coupling._sweep
+
+    def spy(mesh, x, previous, g, boundary, dt, *args):
+        if not starts or starts[-1][1] is not previous:
+            starts.append((x, previous, dt))
+        return sweep(mesh, x, previous, g, boundary, dt, *args)
+
+    monkeypatch.setattr(coupling, "_sweep", spy)
+    return starts
+
+
+def expected_start(levels):
+    """The predictor's start from the levels x_0 .. x_n, oldest first."""
+    if len(levels) == 1:
+        return levels[-1]
+    if len(levels) == 2:
+        guess = 2.0 * levels[-1] - levels[-2]
+    else:
+        guess = 3.0 * levels[-1] - 3.0 * levels[-2] + levels[-3]
+    return guess if coupling._physical(guess) else levels[-1]
+
+
+def test_steps_start_from_polynomial_prediction(monkeypatch):
+    starts = record_starts(monkeypatch)
+    scenario = short_scenario(culture_mode="perfused")
+    coupling.run(scenario, ModelParams())
+    assert len(starts) == 5          # no bisection
+    # the first step starts from x_0 itself
+    assert np.array_equal(starts[0][0], starts[0][1])
+    levels = []
+    for x, previous, _ in starts:
+        levels.append(previous)
+        assert np.array_equal(x, expected_start(levels))
+    # the linear prediction of step 2 has a negative fraction here, so
+    # step 2 starts from x_1; steps 3-5 start from the quadratic, bitwise
+    assert not coupling._physical(2.0 * levels[1] - levels[0])
+    assert np.array_equal(starts[1][0], starts[1][1])
+    for k in (2, 3, 4):
+        quadratic = (3.0 * levels[k] - 3.0 * levels[k - 1]
+                     + levels[k - 2])
+        assert np.array_equal(starts[k][0], quadratic)
+
+
+def test_bisection_substeps_start_from_own_level(monkeypatch):
+    # max_iter = 5 is too small for every full static step, so each of
+    # the five steps bisects; the nominal attempts still use the
+    # prediction from the nominal levels
+    starts = record_starts(monkeypatch)
+    scenario = short_scenario(max_iter=5, auto_dt_halving=True)
+    trajectory = coupling.run(scenario, ModelParams())
+    assert len(trajectory.diagnostics) == 5
+    nominal = [s for s in starts if s[2] == scenario.dt]
+    substeps = [s for s in starts if s[2] < scenario.dt]
+    assert len(nominal) == 5 and len(substeps) > 10
+    for x, previous, _ in substeps:
+        assert np.array_equal(x, previous)
+    levels = []
+    for x, previous, _ in nominal:
+        levels.append(previous)
+        assert np.array_equal(x, expected_start(levels))
+    assert not np.array_equal(nominal[-1][0], nominal[-1][1])
+
+
+#: total sweeps of the 3-day perfused-ic2-kg2-cthr preset run: 419 when
+#: every step started from x_n, 314 with the quadratic predictor
+SWEEPS_3_DAYS_X_N = 419
+SWEEPS_3_DAYS_PREDICTED = 314
+
+
+def test_prediction_saves_sweeps_on_perfused_preset():
+    cfg = config.preset("perfused-ic2-kg2-cthr")
+    scenario = dataclasses.replace(cfg.scenario, t_end=3 * 86400.0)
+    trajectory = coupling.run(scenario, cfg.params)
+    sweeps = sum(d.iterations for d in trajectory.diagnostics)
+    assert sweeps <= SWEEPS_3_DAYS_PREDICTED < SWEEPS_3_DAYS_X_N
 
 
 def test_sweep_matches_standalone_adr_operator(frozen_params):

@@ -25,7 +25,7 @@ def test_mid_node():
 
 def test_lumped_masses_sum_to_length():
     mesh = build_mesh(0.01, 33)
-    m = mesh.lumped_masses()
+    m = mesh.lumped_masses
     assert m[0] == pytest.approx(mesh.h / 2)
     assert m[-1] == pytest.approx(mesh.h / 2)
     assert np.allclose(m[1:-1], mesh.h)
@@ -36,6 +36,9 @@ def test_nodes_are_read_only():
     mesh = build_mesh(1.0, 11)
     with pytest.raises(ValueError):
         mesh.nodes[0] = 5.0
+    # the masses are built once per mesh and shared by every assembly
+    with pytest.raises(ValueError):
+        mesh.lumped_masses[0] = 5.0
 
 
 @pytest.mark.parametrize("length,nodes", [(0.0, 11), (-1.0, 11), (1.0, 2), (1.0, 1)])

@@ -54,6 +54,7 @@ def test_inconsistent_cell_volume_rejected():
     ("tau_m", -math.inf),
     ("D_c_fl", 0.0),
     ("D_eta", 0.0),
+    ("K_ref", 0.0),
 ])
 def test_invalid_parameters_rejected(field, value):
     with pytest.raises(ConfigError):

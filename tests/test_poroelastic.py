@@ -202,9 +202,9 @@ def elementwise_reference(mesh, phi, g, u_prev, dt, t_b, v_b, side,
     rhs[2 * n - 2] += t_b
     rhs[2 * n - 1 if side == "left" else 1] -= v_b
     if forcing_u is not None:
-        rhs[0::2] -= mesh.lumped_masses() * forcing_u
+        rhs[0::2] -= mesh.lumped_masses * forcing_u
     if forcing_p is not None:
-        rhs[1::2] += mesh.lumped_masses() * forcing_p
+        rhs[1::2] += mesh.lumped_masses * forcing_p
     for row in (0, 1 if side == "left" else 2 * n - 1):
         a[row] = 0.0
         a[row, row] = 1.0
