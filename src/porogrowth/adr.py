@@ -4,7 +4,9 @@ A problem holds one transported field, or k fields stacked as (k, N)
 rows that share the diffusivity, the velocity and the boundary
 conditions and differ only in reaction, source and previous field (the
 four species of the mixture). Stacked rows are assembled in one pass
-and solved as one block-diagonal system.
+and solved as one block-diagonal system. Each boundary end is None
+(zero diffusive flux: only the advective flux w v n crosses it) or a
+float, the Dirichlet value.
 
 The edge flux between nodes i and i+1 is the Scharfetter-Gummel form
 
@@ -16,7 +18,7 @@ it is nodally exact; with lumped mass the system matrix is an M-matrix,
 so nonnegative data produce nonnegative solutions at any Peclet number.
 """
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,53 +51,22 @@ def bernoulli(t):
     return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
-class DirichletBC:
-    value: float
-
-
-@dataclass(frozen=True)
-class ZeroDiffusiveFluxBC:
-    """Zero-gradient end: only the advective flux w v n crosses it."""
-
-
-@dataclass(frozen=True)
-class AdrProblem:
+class AdrProblem(NamedTuple):
     """One linear transport problem on the mesh, or k stacked ones.
 
-    diffusion and velocity live on elements, reaction and source on
-    nodes: both (N,), or both (k, N) for k problems sharing the element
-    data. Exactly one boundary condition per end, shared by the rows.
+    diffusion (> 0) and velocity live on elements, reaction (sigma >= 0)
+    and source on nodes: both (N,), or both (k, N) for k problems
+    sharing the element data. bc_left and bc_right are None (zero
+    diffusive flux) or the Dirichlet value, shared by the rows.
     """
 
     mesh: object
-    diffusion: np.ndarray = field(repr=False)   # (N-1,), must be > 0
-    velocity: np.ndarray = field(repr=False)    # (N-1,)
-    reaction: np.ndarray = field(repr=False)    # (N,) or (k, N), sigma >= 0
-    source: np.ndarray = field(repr=False)      # same shape as reaction
-    bc_left: object = ZeroDiffusiveFluxBC()
-    bc_right: object = ZeroDiffusiveFluxBC()
-
-    def __post_init__(self):
-        ne, n = self.mesh.n_elements, self.mesh.node_count
-        reaction = np.asarray(self.reaction)
-        rows = reaction.shape[:1] if reaction.ndim == 2 and len(reaction) else ()
-        for name, shape in (
-            ("diffusion", (ne,)),
-            ("velocity", (ne,)),
-            ("reaction", rows + (n,)),
-            ("source", rows + (n,)),
-        ):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != shape:
-                raise InvalidProblemError(
-                    f"{name} has shape {arr.shape}, want {shape}")
-            object.__setattr__(self, name, arr)
-        if not np.all(self.diffusion > 0.0):  # also rejects NaN
-            raise InvalidProblemError("diffusion must be positive on every element")
-        for bc in (self.bc_left, self.bc_right):
-            if not isinstance(bc, (DirichletBC, ZeroDiffusiveFluxBC)):
-                raise InvalidProblemError(f"unsupported boundary spec {bc!r}")
+    diffusion: np.ndarray
+    velocity: np.ndarray
+    reaction: np.ndarray
+    source: np.ndarray
+    bc_left: object = None
+    bc_right: object = None
 
 
 def edge_coefficients(nodal_diffusion, nodal_velocity):
@@ -109,26 +80,25 @@ def edge_coefficients(nodal_diffusion, nodal_velocity):
     return d_e, element_means(v)
 
 
-def assemble_adr(problem, dt, previous_field, mass_lumping=True):
-    """Tridiagonal system of one backward-Euler step.
+def assemble_adr(problem, dt, previous_field):
+    """Tridiagonal system of one backward-Euler step with lumped mass.
 
     dt = None selects steady mode (no mass term). previous_field has
-    the shape of problem.reaction. Returns (matrix, rhs): the diagonals
-    are assembled in place in the LAPACK band storage of a BandedMatrix
+    the shape of problem.reaction and problem.source, else
+    InvalidProblemError. Returns (matrix, rhs): the diagonals are
+    assembled in place in the LAPACK band storage of a BandedMatrix
     (kl = ku = 1), block diagonal over the rows of a stacked problem with
     zeros at the block seams; rhs has the shape of previous_field. The
-    edge weights are computed once for all rows. mass_lumping=False
-    switches the time and reaction terms to the consistent linear-element
-    mass matrix; this is intended for convergence studies only, as it
-    forfeits the M-matrix property.
+    edge weights are computed once for all rows.
     """
     mesh = problem.mesh
     n, h = mesh.node_count, mesh.h
     prev = np.asarray(previous_field, dtype=float)
-    if prev.shape != problem.reaction.shape:
+    if not np.shape(problem.reaction) == np.shape(problem.source) == prev.shape:
         raise InvalidProblemError(
-            f"previous field has shape {prev.shape}, "
-            f"want {problem.reaction.shape}")
+            f"reaction, source and previous field have shapes "
+            f"{np.shape(problem.reaction)}, {np.shape(problem.source)}, "
+            f"{prev.shape}; want one shape")
     rows = prev.shape[:-1]
 
     d_e = problem.diffusion
@@ -150,47 +120,32 @@ def assemble_adr(problem, dt, previous_field, mass_lumping=True):
     lower[:] = -b_minus
 
     inv_dt = 0.0 if dt is None else 1.0 / dt
-    if mass_lumping:
-        m = mesh.lumped_masses
-        diag += m * (inv_dt + problem.reaction)
-        rhs += m * (inv_dt * prev + problem.source)
-    else:
-        # consistent mass: element block (h/6) [[2,1],[1,2]] applied to
-        # the 1/dt, reaction and source terms
-        sig = problem.reaction
-        wl = (inv_dt + sig[..., :-1]) * h / 6.0
-        wr = (inv_dt + sig[..., 1:]) * h / 6.0
-        diag[..., :-1] += 2.0 * wl
-        diag[..., 1:] += 2.0 * wr
-        upper += wl
-        lower += wr
-        # previous field and source on the rhs (consistent load)
-        fl = inv_dt * prev + problem.source
-        rhs[..., :-1] += h / 6.0 * (2.0 * fl[..., :-1] + fl[..., 1:])
-        rhs[..., 1:] += h / 6.0 * (fl[..., :-1] + 2.0 * fl[..., 1:])
+    m = mesh.lumped_masses
+    diag += m * (inv_dt + problem.reaction)
+    rhs += m * (inv_dt * prev + problem.source)
 
     # boundary terms
-    if isinstance(problem.bc_left, ZeroDiffusiveFluxBC):
+    if problem.bc_left is None:
         diag[..., 0] -= v_e[0]          # advective flux w v n with n = -1
     else:
         diag[..., 0], upper[..., 0] = 1.0, 0.0
-        rhs[..., 0] = problem.bc_left.value
-    if isinstance(problem.bc_right, ZeroDiffusiveFluxBC):
+        rhs[..., 0] = problem.bc_left
+    if problem.bc_right is None:
         diag[..., -1] += v_e[-1]        # advective flux w v n with n = +1
     else:
         diag[..., -1], lower[..., -1] = 1.0, 0.0
-        rhs[..., -1] = problem.bc_right.value
+        rhs[..., -1] = problem.bc_right
 
     return matrix, rhs
 
 
-def solve_adr(problem, dt, previous_field, mass_lumping=True):
+def solve_adr(problem, dt, previous_field):
     """Assemble and solve one step; returns the nodal field(s).
 
     The rows of a stacked problem are solved together as one
     block-diagonal system.
     """
-    return solve_banded(*assemble_adr(problem, dt, previous_field, mass_lumping))
+    return solve_banded(*assemble_adr(problem, dt, previous_field))
 
 
 # --- problem builders used by the coupling loop ----------------------
@@ -211,17 +166,11 @@ def build_oxygen_problem(mesh, phi_lagged, c_lagged, u_new, u_prev,
     v_fl = v_nodes / phi_fl + (u_new - u_prev) / dt
     d_nodes = nutrient_diffusivity(phi_fl, params)
     d_e, v_e = edge_coefficients(d_nodes, v_fl)
-    _, q_hat = oxygen_sink(phi_lagged[0], phi_lagged[1], phi_lagged[2],
-                           c_lagged, params)
+    q_hat = oxygen_sink(phi_lagged[0], phi_lagged[1], phi_lagged[2],
+                        c_lagged, params)
     return AdrProblem(
-        mesh=mesh,
-        diffusion=d_e,
-        velocity=v_e,
-        reaction=-q_hat,
-        source=np.zeros(mesh.node_count),
-        bc_left=ZeroDiffusiveFluxBC(),
-        bc_right=DirichletBC(scenario.c_ext(params)),
-    )
+        mesh=mesh, diffusion=d_e, velocity=v_e, reaction=-q_hat,
+        source=np.zeros(mesh.node_count), bc_right=scenario.c_ext(params))
 
 
 def build_species_problem(mesh, sigma, source, u_new, u_prev, dt, params):
@@ -236,12 +185,5 @@ def build_species_problem(mesh, sigma, source, u_new, u_prev, dt, params):
     v_s = (u_new - u_prev) / dt
     d_nodes = np.full(mesh.node_count, params.D_eta)
     d_e, v_e = edge_coefficients(d_nodes, v_s)
-    return AdrProblem(
-        mesh=mesh,
-        diffusion=d_e,
-        velocity=v_e,
-        reaction=sigma,
-        source=source,
-        bc_left=ZeroDiffusiveFluxBC(),
-        bc_right=ZeroDiffusiveFluxBC(),
-    )
+    return AdrProblem(mesh=mesh, diffusion=d_e, velocity=v_e,
+                      reaction=sigma, source=source)

@@ -98,15 +98,14 @@ def kinetics_fields(phi, phi_fl, c, h_r, h_c, k_g, params):
 # --- oxygen sink ------------------------------------------------------
 
 def oxygen_sink(phi_n, phi_v, phi_q, c, params):
-    """Michaelis-Menten oxygen sink and its lagged linear factor.
+    """Lagged linear factor of the Michaelis-Menten oxygen sink.
 
-    Returns (Q_c, Q_hat) with Q_c = Q_hat * c: Q_hat = -(R_n phi_n +
-    R_v phi_v + R_q phi_q) / (c + K_half) is the reaction coefficient
-    the fixed point applies to the new concentration.
+    Q_hat = -(R_n phi_n + R_v phi_v + R_q phi_q) / (c + K_half) is the
+    reaction coefficient the fixed point applies to the new
+    concentration; the sink itself is Q_c = Q_hat * c.
     """
     uptake = params.R_n * phi_n + params.R_v * phi_v + params.R_q * phi_q
-    q_hat = -uptake / (np.asarray(c, dtype=float) + params.K_half)
-    return q_hat * c, q_hat
+    return -uptake / (np.asarray(c, dtype=float) + params.K_half)
 
 
 # --- growth distortions ----------------------------------------------

@@ -149,7 +149,7 @@ def _sweep(mesh, x, previous, g, boundary, dt, scenario, params):
     system = poroelastic.assemble(
         mesh, phi_m, g, u_prev, dt, t_b, v_b, params,
         dirichlet_side=scenario.darcy_dirichlet_side)
-    new[0], new[1], v_new = poroelastic.solve(system)
+    new[0], new[1], v_new = poroelastic.solve(mesh, *system)
 
     # step 2: oxygen with the fresh displacement and Darcy flux
     oxygen = adr.build_oxygen_problem(

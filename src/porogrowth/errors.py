@@ -30,7 +30,7 @@ class DegenerateDiffusivityError(PorogrowthError):
 
 
 class InvalidProblemError(PorogrowthError):
-    """An ADR problem definition is inconsistent (e.g. D <= 0)."""
+    """An ADR problem definition is inconsistent (mismatched row shapes)."""
 
 
 class SingularSystemError(PorogrowthError):

@@ -1,4 +1,8 @@
-"""Banded direct solvers backing both finite element modules."""
+"""The banded direct solver backing both finite element modules.
+
+solve_banded is the single solver: LAPACK gtsv for the tridiagonal
+transport systems, gbsv for the interleaved poroelastic band.
+"""
 
 from dataclasses import dataclass, field
 
@@ -6,9 +10,6 @@ import numpy as np
 import scipy.linalg
 
 from .errors import SingularSystemError
-
-#: pivot guard relative to the matrix infinity norm
-PIVOT_FLOOR = 1e-30
 
 #: residual contract of every solve: |Ax-b|_inf <= RESIDUAL_REL * scale
 RESIDUAL_REL = 1e-10
@@ -67,15 +68,6 @@ class BandedMatrix:
         return rows
 
 
-def _residual_check(a_norm, residual, x, b):
-    """Raise unless residual <= 1e-10 (a_norm |x| + |b|). For k blocks,
-    x and b hold one row and a_norm and residual one entry per block."""
-    scale = a_norm * np.abs(x).max(axis=-1) + np.abs(b).max(axis=-1)
-    if (residual > RESIDUAL_REL * np.maximum(scale, _TINY)).any():
-        raise SingularSystemError(
-            f"solve residual {residual} exceeds contract for scale {scale}")
-
-
 def solve_banded(matrix, b):
     """Solve A x = b by banded LU with partial pivoting.
 
@@ -113,51 +105,9 @@ def solve_banded(matrix, b):
     if not np.isfinite(x).all():
         raise SingularSystemError("non-finite solution from banded solve")
     residual = np.abs(matrix.row_sums(band * x) - b.ravel()).reshape(blocks).max(axis=1)
-    _residual_check(a_norm, residual, x.reshape(blocks), b.reshape(blocks))
+    scale = (a_norm * np.abs(x).reshape(blocks).max(axis=1)
+             + np.abs(b).reshape(blocks).max(axis=1))
+    if (residual > RESIDUAL_REL * np.maximum(scale, _TINY)).any():
+        raise SingularSystemError(
+            f"solve residual {residual} exceeds contract for scale {scale}")
     return x.reshape(b.shape)
-
-
-def solve_tridiagonal(lower, diag, upper, b):
-    """Thomas algorithm for a tridiagonal system.
-
-    lower has length n-1 (subdiagonal), diag length n, upper length n-1.
-    Same residual contract and singularity guard as solve_banded.
-    """
-    lower = np.asarray(lower, dtype=float)
-    diag = np.asarray(diag, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    b = np.asarray(b, dtype=float)
-    n = diag.shape[0]
-    if lower.shape != (n - 1,) or upper.shape != (n - 1,) or b.shape != (n,):
-        raise ValueError("inconsistent tridiagonal array lengths")
-    a_norm = float(np.max(
-        np.abs(diag)
-        + np.abs(np.concatenate(([0.0], lower)))
-        + np.abs(np.concatenate((upper, [0.0])))))
-    if a_norm == 0.0:
-        raise SingularSystemError("zero matrix")
-    floor = PIVOT_FLOOR * a_norm
-
-    d = diag.copy()
-    rhs = b.copy()
-    for k in range(1, n):
-        if abs(d[k - 1]) < floor:
-            raise SingularSystemError(f"pivot underflow at row {k - 1}")
-        m = lower[k - 1] / d[k - 1]
-        d[k] -= m * upper[k - 1]
-        rhs[k] -= m * rhs[k - 1]
-    if abs(d[n - 1]) < floor:
-        raise SingularSystemError(f"pivot underflow at row {n - 1}")
-    x = np.empty(n)
-    x[n - 1] = rhs[n - 1] / d[n - 1]
-    for k in range(n - 2, -1, -1):
-        x[k] = (rhs[k] - upper[k] * x[k + 1]) / d[k]
-
-    residual = float(np.max(np.abs(
-        diag * x
-        + np.concatenate(([0.0], lower * x[:-1]))
-        + np.concatenate((upper * x[1:], [0.0]))
-        - b)))
-    _residual_check(a_norm, residual, x, b)
-    return x
-

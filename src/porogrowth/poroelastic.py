@@ -16,8 +16,6 @@ f_u, f_p are optional manufactured-solution forcings. Essential rows
 (u = 0 at the wall, p = 0 on the Dirichlet side) are replaced.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .constitutive import permeability
@@ -25,16 +23,6 @@ from .errors import NonphysicalStateError
 from .linalg import BandedMatrix, solve_banded
 from .mesh import element_means
 from .params import EPS_PHI
-
-
-@dataclass
-class PoroelasticSystem:
-    """Assembled interleaved system plus the data needed to postprocess."""
-
-    mesh: object
-    matrix: BandedMatrix = field(repr=False)
-    rhs: np.ndarray = field(repr=False)
-    permeability_e: np.ndarray = field(repr=False)  # per-element K
 
 
 def assemble(mesh, phi_lagged, g_lagged, u_prev, dt, t_b, v_b, params,
@@ -45,7 +33,9 @@ def assemble(mesh, phi_lagged, g_lagged, u_prev, dt, t_b, v_b, params,
     (4, N) growth distortions, u_prev the displacement at the previous
     time level. dt = None drops the strain-rate coupling (steady mode).
     dirichlet_side picks which end carries p = 0; the Darcy velocity
-    datum v_b applies at the opposite end.
+    datum v_b applies at the opposite end. Returns (matrix, rhs, k_e):
+    the interleaved BandedMatrix, its rhs and the per-element
+    permeability.
     """
     n = mesh.node_count
     h = mesh.h
@@ -124,14 +114,14 @@ def assemble(mesh, phi_lagged, g_lagged, u_prev, dt, t_b, v_b, params,
         matrix.data[matrix.ku, row] = 1.0
         rhs[row] = 0.0
 
-    return PoroelasticSystem(
-        mesh=mesh, matrix=matrix, rhs=rhs, permeability_e=k_e)
+    return matrix, rhs, k_e
 
 
-def solve(system):
-    """Solve for (u, p) and the per-element Darcy flux V = -K p'."""
-    x = solve_banded(system.matrix, system.rhs)
+def solve(mesh, matrix, rhs, k_e):
+    """Solve an assembled system for (u, p) and the per-element Darcy
+    flux V = -K p'."""
+    x = solve_banded(matrix, rhs)
     u = x[0::2]
     p = x[1::2]
-    v = -system.permeability_e * np.diff(p) / system.mesh.h
+    v = -k_e * np.diff(p) / mesh.h
     return u, p, v

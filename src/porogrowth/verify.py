@@ -8,7 +8,7 @@ compares the production path against them.
 import numpy as np
 
 from . import adr, poroelastic
-from .linalg import BandedMatrix, solve_banded, solve_tridiagonal
+from .linalg import BandedMatrix, solve_banded
 from .mesh import build_mesh
 from .params import ModelParams
 
@@ -74,7 +74,7 @@ def suite_linalg(rng=None):
     x = solve_banded(m, b)
     x_ref = dense_gaussian_elimination(m.to_dense(), b)
     err = float(np.max(np.abs(x - x_ref)))
-    result.check("banded vs dense oracle (50x50, kl=ku=2)", err < 1e-10,
+    result.check("banded (gbsv) vs dense oracle (50x50, kl=ku=2)", err < 1e-10,
                  f"max mismatch {err:.3e}")
 
     n = 200
@@ -84,15 +84,15 @@ def suite_linalg(rng=None):
             + np.abs(np.concatenate((upper, [0.0])))
             + rng.uniform(1.0, 2.0, size=n))
     b = rng.uniform(-1.0, 1.0, size=n)
-    x_thomas = solve_tridiagonal(lower, diag, upper, b)
     banded = BandedMatrix(n=n, kl=1, ku=1)
     banded.data[0, 1:] = upper
     banded.data[1, :] = diag
     banded.data[2, :-1] = lower
-    x_banded = solve_banded(banded, b)
-    err = float(np.max(np.abs(x_thomas - x_banded)))
-    result.check("Thomas vs banded (n=200 dominant)", err < 1e-10,
-                 f"max mismatch {err:.3e}")
+    x = solve_banded(banded, b)
+    x_ref = dense_gaussian_elimination(banded.to_dense(), b)
+    err = float(np.max(np.abs(x - x_ref)))
+    result.check("tridiagonal (gtsv) vs dense oracle (n=200 dominant)",
+                 err < 1e-10, f"max mismatch {err:.3e}")
     return result
 
 
@@ -110,10 +110,10 @@ def suite_darcy():
     mesh = build_mesh(0.01, 101)
     phi, g = _uniform_mixture(mesh.node_count)
     v_b = 5e-3
-    system = poroelastic.assemble(
+    matrix, rhs, k_e = poroelastic.assemble(
         mesh, phi, g, np.zeros(mesh.node_count), None, 0.0, v_b, params)
-    _, p, v = poroelastic.solve(system)
-    k = float(system.permeability_e[0])
+    _, p, v = poroelastic.solve(mesh, matrix, rhs, k_e)
+    k = float(k_e[0])
     p_exact = -(v_b / k) * mesh.nodes
     err = float(np.max(np.abs(p - p_exact)) / np.max(np.abs(p_exact)))
     result.check("nodal pressure vs -(V_b/K) x", err < 1e-10,
@@ -124,6 +124,16 @@ def suite_darcy():
     return result
 
 
+def _steady_unit_step(mesh, d, v):
+    """Steady constant-coefficient solve with w(0) = 0 and w(L) = 1."""
+    zeros = np.zeros(mesh.node_count)
+    problem = adr.AdrProblem(
+        mesh=mesh, diffusion=np.full(mesh.n_elements, d),
+        velocity=np.full(mesh.n_elements, v), reaction=zeros, source=zeros,
+        bc_left=0.0, bc_right=1.0)
+    return adr.solve_adr(problem, None, zeros)
+
+
 def suite_sg_exact():
     """Fitted scheme is nodally exact for constant-coefficient steady AD."""
     result = SuiteResult("sg-exact")
@@ -131,16 +141,7 @@ def suite_sg_exact():
     for peclet in (2.0, 20.0):
         d = 1.0e-3
         v = peclet * d / mesh.h
-        problem = adr.AdrProblem(
-            mesh=mesh,
-            diffusion=np.full(mesh.n_elements, d),
-            velocity=np.full(mesh.n_elements, v),
-            reaction=np.zeros(mesh.node_count),
-            source=np.zeros(mesh.node_count),
-            bc_left=adr.DirichletBC(0.0),
-            bc_right=adr.DirichletBC(1.0),
-        )
-        w = adr.solve_adr(problem, None, np.zeros(mesh.node_count))
+        w = _steady_unit_step(mesh, d, v)
         # (e^{vx/D} - 1)/(e^{vL/D} - 1) in overflow-safe form for v > 0
         exact = (np.exp(v * (mesh.nodes - mesh.length) / d)
                  * (-np.expm1(-v * mesh.nodes / d))
@@ -149,18 +150,7 @@ def suite_sg_exact():
         result.check(f"nodal exactness at cell Peclet {peclet:g}", err < 1e-10,
                      f"max nodal error {err:.3e}")
     # extreme Peclet: bounded and monotone, no oscillation
-    d = 1.0e-6
-    v = 1e3 * d / mesh.h
-    problem = adr.AdrProblem(
-        mesh=mesh,
-        diffusion=np.full(mesh.n_elements, d),
-        velocity=np.full(mesh.n_elements, v),
-        reaction=np.zeros(mesh.node_count),
-        source=np.zeros(mesh.node_count),
-        bc_left=adr.DirichletBC(0.0),
-        bc_right=adr.DirichletBC(1.0),
-    )
-    w = adr.solve_adr(problem, None, np.zeros(mesh.node_count))
+    w = _steady_unit_step(mesh, 1.0e-6, 1e3 * 1.0e-6 / mesh.h)
     inside = float(np.min(w)) >= -1e-12 and float(np.max(w)) <= 1.0 + 1e-12
     monotone = bool(np.all(np.diff(w) >= -1e-12))
     result.check("cell Peclet 1e3: values within [0,1]", inside,
@@ -199,8 +189,7 @@ def suite_mms_adr(node_counts=(33, 65, 129, 257)):
                 velocity=np.zeros(mesh.n_elements),
                 reaction=np.zeros(mesh.node_count),
                 source=forcing,
-                bc_left=adr.ZeroDiffusiveFluxBC(),
-                bc_right=adr.DirichletBC(float(decay * w0[-1])),
+                bc_right=float(decay * w0[-1]),
             )
             w = adr.solve_adr(problem, dt, w)
         exact = np.exp(-n_steps * dt) * w0
@@ -227,8 +216,9 @@ def suite_mms_poro(node_counts=(33, 65, 129, 257)):
         p_exact = x * (length - x)
         phi, g = _uniform_mixture(n)
         a = params.H_A * 0.1          # phi_s = 0.1 uniform
-        k = float(poroelastic.assemble(
-            mesh, phi, g, u_exact, dt, 0.0, 0.0, params).permeability_e[0])
+        _, _, k_e = poroelastic.assemble(
+            mesh, phi, g, u_exact, dt, 0.0, 0.0, params)
+        k = float(k_e[0])
         forcing_u = -a * omega**2 * np.sin(omega * x) - (length - 2.0 * x)
         forcing_p = np.full(n, 2.0 * k)
         t_b = a * omega * np.cos(omega * length)
@@ -236,7 +226,7 @@ def suite_mms_poro(node_counts=(33, 65, 129, 257)):
         system = poroelastic.assemble(
             mesh, phi, g, u_exact, dt, t_b, v_b, params,
             forcing_u=forcing_u, forcing_p=forcing_p)
-        u, p, _ = poroelastic.solve(system)
+        u, p, _ = poroelastic.solve(mesh, *system)
         err_u.append(_l2_norm(mesh, u - u_exact) / _l2_norm(mesh, u_exact))
         err_p.append(_l2_norm(mesh, p - p_exact) / _l2_norm(mesh, p_exact))
         hs.append(mesh.h)
@@ -265,9 +255,9 @@ def suite_positivity(rng=None, trials=200):
         bcs = []
         for _end in range(2):
             if rng.uniform() < 0.5:
-                bcs.append(adr.DirichletBC(rng.uniform(0.0, 1.0)))
+                bcs.append(rng.uniform(0.0, 1.0))
             else:
-                bcs.append(adr.ZeroDiffusiveFluxBC())
+                bcs.append(None)  # zero diffusive flux
         problem = adr.AdrProblem(
             mesh=mesh, diffusion=d, velocity=v, reaction=sigma,
             source=source, bc_left=bcs[0], bc_right=bcs[1])
@@ -287,7 +277,7 @@ def suite_positivity(rng=None, trials=200):
             mesh=mesh, diffusion=d, velocity=v,
             reaction=np.zeros(mesh.node_count),
             source=np.zeros(mesh.node_count),
-            bc_left=adr.DirichletBC(lo), bc_right=adr.DirichletBC(hi))
+            bc_left=lo, bc_right=hi)
         w = adr.solve_adr(problem, None, np.zeros(mesh.node_count))
         violations = max(violations,
                          float(lo - np.min(w)), float(np.max(w) - hi))

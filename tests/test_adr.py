@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from porogrowth import adr
 from porogrowth.errors import InvalidProblemError, NonphysicalStateError
 from porogrowth.mesh import build_mesh, element_means, nodal_means
-from porogrowth.params import ModelParams
+from porogrowth.params import EPS_PHI, ModelParams
 from porogrowth.scenario import ScenarioConfig
 
 PARAMS = ModelParams()
@@ -89,8 +89,8 @@ def uniform_problem(n=21, d=1e-5, v=0.0, sigma=0.0, source=0.0,
         velocity=np.full(mesh.n_elements, v),
         reaction=np.full(n, sigma),
         source=np.full(n, source),
-        bc_left=bc_left or adr.ZeroDiffusiveFluxBC(),
-        bc_right=bc_right or adr.ZeroDiffusiveFluxBC(),
+        bc_left=bc_left,
+        bc_right=bc_right,
     )
 
 
@@ -143,8 +143,8 @@ def test_steady_exactness_constant_coefficients():
         velocity=np.full(n - 1, v),
         reaction=np.zeros(n),
         source=np.zeros(n),
-        bc_left=adr.DirichletBC(0.0),
-        bc_right=adr.DirichletBC(1.0),
+        bc_left=0.0,
+        bc_right=1.0,
     )
     w = adr.solve_adr(problem, None, np.zeros(n))
     x = mesh.nodes
@@ -162,21 +162,9 @@ def test_positivity_high_peclet():
     assert np.min(w) >= -1e-13
 
 
-def test_consistent_mass_agrees_in_smooth_limit():
-    # lumped and consistent mass converge to each other as dt -> 0
-    n = 101
-    problem = uniform_problem(n=n, d=1e-5)
-    mesh = problem.mesh
-    w0 = np.cos(np.pi * mesh.nodes / mesh.length)
-    w_l = adr.solve_adr(problem, 1e-4, w0, mass_lumping=True)
-    w_c = adr.solve_adr(problem, 1e-4, w0, mass_lumping=False)
-    assert np.max(np.abs(w_l - w_c)) < 1e-7
-
-
 def test_dirichlet_rows_replaced():
     n = 11
-    problem = uniform_problem(n=n, bc_left=adr.DirichletBC(0.25),
-                              bc_right=adr.DirichletBC(0.75))
+    problem = uniform_problem(n=n, bc_left=0.25, bc_right=0.75)
     matrix, rhs = adr.assemble_adr(problem, 10.0, np.zeros(n))
     upper, diag, lower = matrix.data[0, 1:], matrix.data[1], matrix.data[2, :-1]
     assert diag[0] == 1.0 and upper[0] == 0.0 and rhs[0] == 0.25
@@ -192,24 +180,27 @@ def test_edge_coefficients():
 
 
 def test_problem_validation():
+    # reaction, source and previous field must share one shape; the
+    # element data need no check (see test_transport_data_valid_by_construction)
     mesh = build_mesh(0.01, 11)
     ne, n = mesh.n_elements, mesh.node_count
-    with pytest.raises(InvalidProblemError):
-        adr.AdrProblem(mesh=mesh, diffusion=np.zeros(ne),  # D must be > 0
-                       velocity=np.zeros(ne), reaction=np.zeros(n),
-                       source=np.zeros(n))
-    with pytest.raises(InvalidProblemError):
-        adr.AdrProblem(mesh=mesh, diffusion=np.full(ne, np.nan),  # NaN too
-                       velocity=np.zeros(ne), reaction=np.zeros(n),
-                       source=np.zeros(n))
-    with pytest.raises(InvalidProblemError):
-        adr.AdrProblem(mesh=mesh, diffusion=np.ones(ne + 1),
-                       velocity=np.zeros(ne), reaction=np.zeros(n),
-                       source=np.zeros(n))
-    with pytest.raises(InvalidProblemError):
-        adr.AdrProblem(mesh=mesh, diffusion=np.ones(ne),
-                       velocity=np.zeros(ne), reaction=np.zeros(n),
-                       source=np.zeros(n), bc_left=object())
+
+    def problem(reaction, source):
+        return adr.AdrProblem(mesh=mesh, diffusion=np.ones(ne),
+                              velocity=np.zeros(ne), reaction=reaction,
+                              source=source)
+
+    for reaction, source, previous in (
+            (np.zeros(n + 1), np.zeros(n), np.zeros(n)),
+            (np.zeros(n), np.zeros(n - 1), np.zeros(n)),
+            (np.zeros(n), np.zeros(n), np.zeros(n + 1)),
+            (np.zeros((4, n)), np.zeros(n), np.zeros((4, n))),
+            (np.zeros((4, n)), np.zeros((4, n)), np.zeros(n))):
+        with pytest.raises(InvalidProblemError, match="want one shape"):
+            adr.assemble_adr(problem(reaction, source), 1.0, previous)
+    matrix, rhs = adr.assemble_adr(
+        problem(np.zeros((4, n)), np.zeros((4, n))), 1.0, np.ones((4, n)))
+    assert matrix.n == 4 * n and rhs.shape == (4, n)
 
 
 # --- coupled-problem builders ---------------------------------------------
@@ -240,8 +231,8 @@ def test_build_oxygen_problem():
     v_darcy = np.full(n - 1, 2e-4)
     problem = adr.build_oxygen_problem(mesh, phi, c, u, u, v_darcy, 3600.0,
                                        scenario, PARAMS)
-    assert isinstance(problem.bc_left, adr.ZeroDiffusiveFluxBC)
-    assert problem.bc_right == adr.DirichletBC(PARAMS.c_sat)
+    assert problem.bc_left is None
+    assert problem.bc_right == PARAMS.c_sat
     # fluid velocity is V / phi_fl with no solid motion
     assert np.allclose(problem.velocity, 2e-4 / 0.96, rtol=1e-14)
     # reaction is the positive linearized Michaelis-Menten coefficient
@@ -271,8 +262,7 @@ def test_build_species_problem():
     u_new = 1e-5 * mesh.nodes / mesh.length
     problem = adr.build_species_problem(mesh, sigma, source, u_new,
                                         np.zeros(n), 3600.0, PARAMS)
-    assert isinstance(problem.bc_left, adr.ZeroDiffusiveFluxBC)
-    assert isinstance(problem.bc_right, adr.ZeroDiffusiveFluxBC)
+    assert problem.bc_left is None and problem.bc_right is None
     assert np.allclose(problem.diffusion, PARAMS.D_eta)
     # one advection, the solid velocity (u_new - u_prev) / dt at edges,
     # shared by the four stacked species rows
@@ -281,18 +271,71 @@ def test_build_species_problem():
     assert np.allclose(problem.velocity, 0.5 * (v_s[:-1] + v_s[1:]), rtol=1e-14)
     assert np.array_equal(problem.reaction, sigma)
     assert np.array_equal(problem.source, source)
-    # mis-shaped stacked rows are rejected
+    # mis-shaped stacked rows are rejected by the shape check of the
+    # assembly, before any band is written
     for bad_sigma, bad_source in (
             (np.zeros((4, n + 1)), np.zeros((4, n + 1))),
             (sigma, source[:3]),
             (sigma[0], source),
             (np.zeros((0, n)), np.zeros((0, n))),
             (sigma[None], source[None])):
+        bad = adr.build_species_problem(mesh, bad_sigma, bad_source, u_new,
+                                        np.zeros(n), 3600.0, PARAMS)
         with pytest.raises(InvalidProblemError):
-            adr.build_species_problem(mesh, bad_sigma, bad_source, u_new,
-                                      np.zeros(n), 3600.0, PARAMS)
+            adr.solve_adr(bad, 3600.0, np.zeros((4, n)))
     with pytest.raises(InvalidProblemError):
         adr.solve_adr(problem, 3600.0, np.zeros(n))  # previous field unstacked
+
+
+#: diffusivity magnitudes (cm^2 s^-1) drawn by the property test below;
+#: ModelParams accepts any positive finite value, the window stays clear
+#: of float underflow in the harmonic edge mean d_i d_{i+1}
+DIFFUSIVITY = st.floats(min_value=-30.0, max_value=0.0).map(lambda e: 10.0**e)
+
+
+@st.composite
+def lagged_species(draw):
+    """(4, N) nonnegative fractions whose fluid fraction 1 - sum lies in
+    (EPS_PHI, 1) at every node."""
+    n = draw(st.integers(min_value=3, max_value=8))
+    unit = st.floats(min_value=0.0, max_value=1.0)
+    phi_fl = np.array(draw(st.lists(
+        st.floats(min_value=EPS_PHI, max_value=1.0,
+                  exclude_min=True, exclude_max=True),
+        min_size=n, max_size=n)))
+    weights = np.array(draw(st.lists(
+        st.tuples(unit, unit, unit, unit), min_size=n, max_size=n))).T
+    total = weights.sum(axis=0)
+    weights = np.where(total > 0.0, weights / np.where(total > 0.0, total, 1.0),
+                       0.25)
+    phi = (1.0 - phi_fl) * weights
+    fluid = 1.0 - phi.sum(axis=0)
+    assume(np.min(fluid) > EPS_PHI and np.max(fluid) < 1.0)
+    return phi
+
+
+@given(d_c_fl=DIFFUSIVITY, d_c_s=st.just(0.0) | DIFFUSIVITY,
+       k_eq=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+       d_eta=DIFFUSIVITY, phi=lagged_species())
+@settings(max_examples=200, deadline=None)
+def test_transport_data_valid_by_construction(d_c_fl, d_c_s, k_eq, d_eta, phi):
+    # ModelParams checks the constants, the lagged fluid fraction lies in
+    # (EPS_PHI, 1) as poroelastic.assemble demands: every element of the
+    # built problems then carries a finite, positive diffusivity, so the
+    # assembly needs no check of its own
+    params = ModelParams(D_c_fl=d_c_fl, D_c_s=d_c_s, K_eq=k_eq, D_eta=d_eta)
+    n = phi.shape[1]
+    mesh = build_mesh(0.01, n)
+    zeros = np.zeros(n)
+    oxygen = adr.build_oxygen_problem(
+        mesh, phi, np.full(n, params.c_0), zeros, zeros, np.zeros(n - 1),
+        3600.0, ScenarioConfig(), params)
+    species = adr.build_species_problem(
+        mesh, np.zeros((4, n)), np.zeros((4, n)), zeros, zeros, 3600.0, params)
+    for problem in (oxygen, species):
+        assert problem.diffusion.shape == (n - 1,)
+        assert np.all(np.isfinite(problem.diffusion))
+        assert np.all(problem.diffusion > 0.0)
 
 
 # --- stacked rows -----------------------------------------------------------
@@ -302,17 +345,19 @@ def test_build_species_problem():
 PECLET_RANGES = {"series": (1e-5, 9e-3), "direct": (1.1e-2, 40.0),
                  "mixed": (1e-4, 1.0)}
 
+#: boundary ends: None is zero diffusive flux, a float the Dirichlet value
 BC_PAIRS = {
-    "flux-flux": (adr.ZeroDiffusiveFluxBC(), adr.ZeroDiffusiveFluxBC()),
-    "flux-dirichlet": (adr.ZeroDiffusiveFluxBC(), adr.DirichletBC(0.3)),
-    "dirichlet-dirichlet": (adr.DirichletBC(0.1), adr.DirichletBC(0.0)),
+    "flux-flux": (None, None),
+    "flux-dirichlet": (None, 0.3),
+    "dirichlet-dirichlet": (0.1, 0.0),
 }
 
 
 @pytest.mark.parametrize("peclet", sorted(PECLET_RANGES))
 @pytest.mark.parametrize("bcs", sorted(BC_PAIRS))
-@pytest.mark.parametrize("mass_lumping", (True, False))
-def test_stacked_solve_equals_scalar_solves_bitwise(peclet, bcs, mass_lumping):
+@pytest.mark.parametrize("transient", (True, False))
+def test_stacked_solve_equals_scalar_solves_bitwise(peclet, bcs, transient):
+    # transient=False is the steady mode dt = None (no mass term)
     rng = np.random.default_rng(sorted(PECLET_RANGES).index(peclet))
     n, k = 41, 4
     mesh = build_mesh(0.01, n)
@@ -331,18 +376,18 @@ def test_stacked_solve_equals_scalar_solves_bitwise(peclet, bcs, mass_lumping):
                               velocity=velocity, reaction=sigma, source=f,
                               bc_left=bc_left, bc_right=bc_right)
 
-    stacked = adr.solve_adr(problem(reaction, source), 600.0, previous,
-                            mass_lumping=mass_lumping)
+    dt = 600.0 if transient else None
+    stacked = adr.solve_adr(problem(reaction, source), dt, previous)
     assert stacked.shape == (k, n)
     for eta in range(k):
-        scalar = adr.solve_adr(problem(reaction[eta], source[eta]), 600.0,
-                               previous[eta], mass_lumping=mass_lumping)
+        scalar = adr.solve_adr(problem(reaction[eta], source[eta]), dt,
+                               previous[eta])
         assert stacked[eta].tobytes() == scalar.tobytes()
 
 
 @pytest.mark.parametrize("bcs", sorted(BC_PAIRS))
-@pytest.mark.parametrize("mass_lumping", (True, False))
-def test_stacked_band_is_block_diagonal_of_scalar_bands(bcs, mass_lumping):
+@pytest.mark.parametrize("transient", (True, False))
+def test_stacked_band_is_block_diagonal_of_scalar_bands(bcs, transient):
     # a stacked assembly writes each row's tridiagonal straight into its
     # block of the band; the entries coupling adjacent blocks stay zero
     rng = np.random.default_rng(3)
@@ -360,15 +405,14 @@ def test_stacked_band_is_block_diagonal_of_scalar_bands(bcs, mass_lumping):
     reaction = rng.uniform(0.0, 1e-4, size=(k, n))
     source = rng.uniform(0.0, 1e-6, size=(k, n))
     previous = rng.uniform(0.0, 0.2, size=(k, n))
-    matrix, rhs = adr.assemble_adr(problem(reaction, source), 600.0, previous,
-                                   mass_lumping=mass_lumping)
+    dt = 600.0 if transient else None
+    matrix, rhs = adr.assemble_adr(problem(reaction, source), dt, previous)
     assert (matrix.n, matrix.kl, matrix.ku) == (k * n, 1, 1)
     assert rhs.shape == (k, n)
     blocks = []
     for eta in range(k):
         scalar, scalar_rhs = adr.assemble_adr(
-            problem(reaction[eta], source[eta]), 600.0, previous[eta],
-            mass_lumping=mass_lumping)
+            problem(reaction[eta], source[eta]), dt, previous[eta])
         blocks.append(scalar.to_dense())
         assert np.array_equal(rhs[eta], scalar_rhs)
     assert np.array_equal(matrix.to_dense(), scipy.linalg.block_diag(*blocks))

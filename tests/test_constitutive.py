@@ -106,7 +106,7 @@ def test_stress_axial_value():
     n = mesh.node_count
     phi = np.repeat([[0.01], [0.02], [0.03], [0.04]], n, axis=1)
     g = np.repeat([[1e-4], [2e-4], [3e-4], [4e-4]], n, axis=1)
-    u, p, _ = poroelastic.solve(poroelastic.assemble(
+    u, p, _ = poroelastic.solve(mesh, *poroelastic.assemble(
         mesh, phi, g, np.zeros(n), None, PARAMS.T_b, 0.0, PARAMS))
     t_xx, _, tau_max = uniaxial_stresses(phi, g, nodal_strain(mesh, u), p, PARAMS)
     assert np.allclose(t_xx, PARAMS.T_b, rtol=1e-10, atol=0.0)
@@ -253,20 +253,21 @@ def test_ecm_production_saturates():
 # --- oxygen sink --------------------------------------------------------
 
 def test_oxygen_sink_value():
-    q_c, q_hat = con.oxygen_sink(0.005, 0.001, 0.001, 3.2e-6, PARAMS)
+    c = 3.2e-6
+    q_hat = con.oxygen_sink(0.005, 0.001, 0.001, c, PARAMS)
     uptake = PARAMS.R_n * 0.005 + PARAMS.R_v * 0.001 + PARAMS.R_q * 0.001
     assert q_hat == pytest.approx(-uptake / 6.4e-6, rel=1e-14)
-    assert q_c == pytest.approx(q_hat * 3.2e-6, rel=1e-14)
-    assert q_c == pytest.approx(-uptake / 2.0, rel=1e-14)
+    assert q_hat * c == pytest.approx(-uptake / 2.0, rel=1e-14)
 
 
 def test_oxygen_sink_michaelis_menten_limits():
-    # c >> K_half: sink saturates at the total uptake rate
-    q_c, _ = con.oxygen_sink(0.01, 0.0, 0.0, 1.0, PARAMS)
-    assert q_c == pytest.approx(-PARAMS.R_n * 0.01, rel=1e-5)
-    # c = 0: no consumption
-    q_c, q_hat = con.oxygen_sink(0.01, 0.0, 0.0, 0.0, PARAMS)
-    assert q_c == 0.0
+    # c >> K_half: the sink q_hat c saturates at the total uptake rate
+    c = 1.0
+    assert con.oxygen_sink(0.01, 0.0, 0.0, c, PARAMS) * c == pytest.approx(
+        -PARAMS.R_n * 0.01, rel=1e-5)
+    # c = 0: no consumption, but a finite negative linear factor
+    q_hat = con.oxygen_sink(0.01, 0.0, 0.0, 0.0, PARAMS)
+    assert q_hat * 0.0 == 0.0
     assert q_hat < 0.0
 
 
@@ -274,8 +275,8 @@ def test_oxygen_sink_michaelis_menten_limits():
        phi_n=st.floats(min_value=0.0, max_value=0.2))
 @settings(max_examples=50, deadline=None)
 def test_oxygen_sink_never_positive(c, phi_n):
-    q_c, q_hat = con.oxygen_sink(phi_n, 0.0, 0.0, c, PARAMS)
-    assert q_c <= 0.0
+    q_hat = con.oxygen_sink(phi_n, 0.0, 0.0, c, PARAMS)
+    assert q_hat * c <= 0.0
     assert q_hat <= 0.0
 
 

@@ -107,17 +107,28 @@ def test_run_attaches_partial_trajectory_on_failure():
 
 
 def test_auto_dt_halving_retries_with_substeps():
-    # max_iter too small for the full step; halving must either succeed
-    # or raise only after the 4-bisection budget is spent
-    scenario = short_scenario(culture_mode="perfused", t_end=3600.0,
-                              max_iter=4, auto_dt_halving=True)
     params = ModelParams()
-    try:
-        trajectory = coupling.run(scenario, params)
-    except NonConvergenceError as exc:
-        assert "bisection" in str(exc)
-    else:
-        assert len(trajectory.series_times) == 2
+    # a static step that needs more than 5 sweeps fails without halving
+    # and completes through bisection with it
+    static = short_scenario(t_end=3600.0, max_iter=5)
+    with pytest.raises(NonConvergenceError,
+                       match="did not converge in 5 sweeps"):
+        coupling.run(static, params)
+    trajectory = coupling.run(
+        dataclasses.replace(static, auto_dt_halving=True), params)
+    assert trajectory.series_times == [0.0, 3600.0]
+    assert trajectory.diagnostics[0].residual < static.tol
+    # a perfused step with max_iter = 4 fails at every bisection depth and
+    # raises only once the 4-bisection budget is spent, with its report
+    perfused = short_scenario(culture_mode="perfused", t_end=3600.0,
+                              max_iter=4, auto_dt_halving=True)
+    with pytest.raises(NonConvergenceError,
+                       match="fixed point failed after 4 time-step bisections"
+                       ) as info:
+        coupling.run(perfused, params)
+    report = info.value.report
+    assert report is not None and not report.converged
+    assert report.iterations == 4
 
 
 def test_growth_model_g1_accumulates_distortion():

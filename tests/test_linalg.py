@@ -4,12 +4,7 @@ import scipy.linalg
 
 from porogrowth import linalg
 from porogrowth.errors import SingularSystemError
-from porogrowth.linalg import (
-    RESIDUAL_REL,
-    BandedMatrix,
-    solve_banded,
-    solve_tridiagonal,
-)
+from porogrowth.linalg import RESIDUAL_REL, BandedMatrix, solve_banded
 from porogrowth.verify import dense_gaussian_elimination, random_banded_dominant
 
 
@@ -127,26 +122,33 @@ def test_zero_block_raises():
         solve_banded(packed, np.ones((3, 8)))
 
 
+def tridiagonal(lower, diag, upper):
+    """BandedMatrix (kl = ku = 1) from its three diagonals."""
+    banded = BandedMatrix(n=len(diag), kl=1, ku=1)
+    banded.data[0, 1:] = upper
+    banded.data[1] = diag
+    banded.data[2, :-1] = lower
+    return banded
+
+
 def test_thomas_matches_banded():
+    # the tridiagonal (gtsv) path against the dense elimination oracle
     rng = np.random.default_rng(1)
     n = 128
     lower = rng.uniform(-1, 1, size=n - 1)
     upper = rng.uniform(-1, 1, size=n - 1)
     diag = 4.0 + rng.uniform(0, 1, size=n)
     b = rng.uniform(-1, 1, size=n)
-    x1 = solve_tridiagonal(lower, diag, upper, b)
-    banded = BandedMatrix(n=n, kl=1, ku=1)
-    banded.data[0, 1:] = upper
-    banded.data[1] = diag
-    banded.data[2, :-1] = lower
-    x2 = solve_banded(banded, b)
-    assert np.allclose(x1, x2, atol=1e-12)
+    banded = tridiagonal(lower, diag, upper)
+    x = solve_banded(banded, b)
+    assert np.allclose(x, dense_gaussian_elimination(banded.to_dense(), b),
+                       atol=1e-12)
 
 
 def test_thomas_exact_small_system():
     # [[2, -1, 0], [-1, 2, -1], [0, -1, 2]] x = (1, 0, 1) -> x = (1, 1, 1)
-    x = solve_tridiagonal([-1.0, -1.0], [2.0, 2.0, 2.0], [-1.0, -1.0],
-                          [1.0, 0.0, 1.0])
+    x = solve_banded(tridiagonal([-1.0, -1.0], [2.0, 2.0, 2.0], [-1.0, -1.0]),
+                     np.array([1.0, 0.0, 1.0]))
     assert np.allclose(x, 1.0, atol=1e-14)
 
 
@@ -154,8 +156,6 @@ def test_singular_matrix_raises():
     m = BandedMatrix(n=3, kl=1, ku=1)
     with pytest.raises(SingularSystemError):
         solve_banded(m, np.ones(3))
-    with pytest.raises(SingularSystemError):
-        solve_tridiagonal(np.zeros(2), np.zeros(3), np.zeros(2), np.ones(3))
 
 
 @pytest.mark.parametrize("kl, ku", [(1, 1), (2, 2), (3, 3), (2, 1)])
@@ -187,10 +187,12 @@ def test_singular_nonzero_matrix_raises_on_both_lapack_paths():
 
 
 def test_thomas_pivot_underflow():
-    # zero pivot appears at the second elimination step
-    with pytest.raises(SingularSystemError):
-        solve_tridiagonal([1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0],
-                          [1.0, 1.0, 1.0])
+    # [[1, 1, 0], [1, 1, 1], [0, 1, 1]] has det -1, but elimination without
+    # row exchanges meets a zero pivot at its second step; gtsv's partial
+    # pivoting solves it: x = (0, 1, 0) for b = (1, 1, 1)
+    x = solve_banded(tridiagonal([1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0]),
+                     np.ones(3))
+    assert np.allclose(x, [0.0, 1.0, 0.0], atol=1e-15)
 
 
 def test_rhs_shape_checked():
@@ -201,8 +203,6 @@ def test_rhs_shape_checked():
         solve_banded(m, np.ones((3, 3)))
     with pytest.raises(ValueError):
         solve_banded(m, np.ones((2, 5, 1)))
-    with pytest.raises(ValueError):
-        solve_tridiagonal(np.ones(3), np.ones(5), np.ones(4), np.ones(5))
 
 
 def test_bad_band_construction():

@@ -27,7 +27,7 @@ def assemble_uniform(mesh, t_b=0.0, v_b=0.0, dt=3600.0, phi_eta=0.025,
 def test_zero_data_gives_zero_solution():
     mesh = build_mesh(0.01, 41)
     system = assemble_uniform(mesh)
-    u, p, v = poroelastic.solve(system)
+    u, p, v = poroelastic.solve(mesh, *system)
     assert np.max(np.abs(u)) < 1e-18
     assert np.max(np.abs(p)) < 1e-14
     assert np.max(np.abs(v)) < 1e-16
@@ -41,7 +41,7 @@ def test_darcy_linear_pressure():
     phi, g, u_prev = uniform_inputs(n)
     v_b = PARAMS.V_b
     system = poroelastic.assemble(mesh, phi, g, u_prev, None, 0.0, v_b, PARAMS)
-    u, p, v = poroelastic.solve(system)
+    u, p, v = poroelastic.solve(mesh, *system)
     k = permeability(0.9, PARAMS)
     assert np.allclose(p, -(v_b / k) * mesh.nodes, rtol=1e-10)
     assert np.allclose(v, v_b, rtol=1e-10)
@@ -58,7 +58,7 @@ def test_traction_only_uniform_strain():
     phi, g, u_prev = uniform_inputs(n)
     t_b = PARAMS.T_b
     system = poroelastic.assemble(mesh, phi, g, u_prev, None, t_b, 0.0, PARAMS)
-    u, p, v = poroelastic.solve(system)
+    u, p, v = poroelastic.solve(mesh, *system)
     ux = t_b / (PARAMS.H_A * 0.1)
     assert np.allclose(u, ux * mesh.nodes, rtol=1e-10)
     assert np.max(np.abs(p)) < 1e-10 * t_b
@@ -73,7 +73,7 @@ def test_growth_prestress_displaces_free_end():
     g = np.zeros((4, n))
     g[0] = 1e-3
     system = poroelastic.assemble(mesh, phi, g, u_prev, None, 0.0, 0.0, PARAMS)
-    u, p, v = poroelastic.solve(system)
+    u, p, v = poroelastic.solve(mesh, *system)
     ux = 1e-3 * 0.025 / 0.1
     assert np.allclose(u, ux * mesh.nodes, rtol=1e-10)
     assert np.max(np.abs(p)) < 1e-12
@@ -85,10 +85,10 @@ def test_dirichlet_side_swap_mirrors_pressure():
     n = 41
     mesh = build_mesh(0.01, n)
     phi, g, u_prev = uniform_inputs(n)
-    _, p_left, _ = poroelastic.solve(poroelastic.assemble(
+    _, p_left, _ = poroelastic.solve(mesh, *poroelastic.assemble(
         mesh, phi, g, u_prev, None, 0.0, PARAMS.V_b, PARAMS,
         dirichlet_side="left"))
-    _, p_right, _ = poroelastic.solve(poroelastic.assemble(
+    _, p_right, _ = poroelastic.solve(mesh, *poroelastic.assemble(
         mesh, phi, g, u_prev, None, 0.0, PARAMS.V_b, PARAMS,
         dirichlet_side="right"))
     # v_b is the outward-normal flux at the flux-carrying end in both
@@ -104,7 +104,7 @@ def test_consolidation_step_couples_fields():
     phi, g, u_prev = uniform_inputs(n)
     system = poroelastic.assemble(mesh, phi, g, u_prev, 1.0, PARAMS.T_b,
                                   0.0, PARAMS)
-    u, p, v = poroelastic.solve(system)
+    u, p, v = poroelastic.solve(mesh, *system)
     assert np.max(np.abs(p)) > 1e-4 * PARAMS.T_b
     # essential rows hold to solver roundoff
     assert abs(p[0]) < 1e-12 * np.max(np.abs(p))
@@ -135,7 +135,7 @@ def test_mms_quadratic_exact():
         v_b = -k * b * (L - 2.0 * L)
         system = poroelastic.assemble(mesh, phi, g, u_prev, None, t_b, v_b,
                                       PARAMS, forcing_u=f_u, forcing_p=f_p)
-        u, p, _ = poroelastic.solve(system)
+        u, p, _ = poroelastic.solve(mesh, *system)
         err = np.max(np.abs(u - a * x * (L - x))) + np.max(np.abs(p - b * x * (L - x)))
         errors.append(err)
     rates = [errors[i] / errors[i + 1] for i in range(2)]
@@ -153,23 +153,25 @@ def test_rejects_vanishing_fluid_fraction():
 def test_bandwidth_and_bc_record():
     mesh = build_mesh(0.01, 11)
     for side, p_row in (("left", 1), ("right", 21)):
-        system = assemble_uniform(mesh, t_b=1.0, v_b=2.0, dirichlet_side=side)
-        assert system.matrix.n == 22
-        assert system.matrix.kl == 3 and system.matrix.ku == 3
-        dense = system.matrix.to_dense()
+        matrix, rhs, _ = assemble_uniform(mesh, t_b=1.0, v_b=2.0,
+                                          dirichlet_side=side)
+        assert matrix.n == 22
+        assert matrix.kl == 3 and matrix.ku == 3
+        dense = matrix.to_dense()
         # u(0) = 0 and the p = 0 end are unit rows with zero data; the
         # columns of the replaced rows survive
         for row in (0, p_row):
             expected = np.zeros(22)
             expected[row] = 1.0
             assert np.array_equal(dense[row], expected)
-            assert system.rhs[row] == 0.0
+            assert rhs[row] == 0.0
             assert np.count_nonzero(dense[:, row]) > 1
 
 
 def elementwise_reference(mesh, phi, g, u_prev, dt, t_b, v_b, side,
                           forcing_u, forcing_p):
-    """Dense system assembled one element at a time, entry by entry."""
+    """Dense system assembled one element at a time, entry by entry,
+    with the per-element permeability."""
     n, h = mesh.node_count, mesh.h
     phi_fl = 1.0 - phi.sum(axis=0)
     phi_s = 1.0 - phi_fl
@@ -209,7 +211,7 @@ def elementwise_reference(mesh, phi, g, u_prev, dt, t_b, v_b, side,
         a[row] = 0.0
         a[row, row] = 1.0
         rhs[row] = 0.0
-    return a, rhs
+    return a, rhs, k_e
 
 
 @pytest.mark.parametrize("forced", [False, True])
@@ -225,10 +227,12 @@ def test_assemble_equals_elementwise_reference(side, dt, forced):
     u_prev = rng.uniform(-1e-4, 1e-4, size=n)
     forcing_u = rng.uniform(-1.0, 1.0, size=n) if forced else None
     forcing_p = rng.uniform(-1.0, 1.0, size=n) if forced else None
-    system = poroelastic.assemble(
+    matrix, rhs, k_e = poroelastic.assemble(
         mesh, phi, g, u_prev, dt, PARAMS.T_b, PARAMS.V_b, PARAMS,
         forcing_u=forcing_u, forcing_p=forcing_p, dirichlet_side=side)
-    a, rhs = elementwise_reference(mesh, phi, g, u_prev, dt, PARAMS.T_b,
-                                   PARAMS.V_b, side, forcing_u, forcing_p)
-    assert np.array_equal(system.matrix.to_dense(), a)
-    assert np.array_equal(system.rhs, rhs)
+    a, rhs_ref, k_ref = elementwise_reference(
+        mesh, phi, g, u_prev, dt, PARAMS.T_b, PARAMS.V_b, side, forcing_u,
+        forcing_p)
+    assert np.array_equal(matrix.to_dense(), a)
+    assert np.array_equal(rhs, rhs_ref)
+    assert np.array_equal(k_e, k_ref)
