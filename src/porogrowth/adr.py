@@ -86,8 +86,8 @@ def assemble_adr(problem, dt, previous_field):
     dt = None selects steady mode (no mass term). previous_field has
     the shape of problem.reaction and problem.source, else
     InvalidProblemError. Returns (matrix, rhs): the diagonals are
-    assembled in place in the LAPACK band storage of a BandedMatrix
-    (kl = ku = 1), block diagonal over the rows of a stacked problem with
+    assembled in place in the LAPACK band storage of a tridiagonal
+    BandedMatrix, block diagonal over the rows of a stacked problem with
     zeros at the block seams; rhs has the shape of previous_field. The
     edge weights are computed once for all rows.
     """
@@ -107,7 +107,7 @@ def assemble_adr(problem, dt, previous_field):
     # b_plus multiplies w_{i+1} in the edge flux, b_minus multiplies w_i
     b_plus, b_minus = d_e / h * bernoulli(np.stack([t_e, -t_e]))
 
-    matrix = BandedMatrix(n=prev.size, kl=1, ku=1)
+    matrix = BandedMatrix(n=prev.size)
     # views of the (3, k, N) band; entries never written are the seams
     band = matrix.data.reshape((3,) + rows + (n,))
     upper, diag, lower = band[0, ..., 1:], band[1], band[2, ..., :-1]
@@ -182,8 +182,9 @@ def build_species_problem(mesh, sigma, source, u_new, u_prev, dt, params):
     and the solid velocity as advection; both ends are
     zero-diffusive-flux (phases leave only by advection).
     """
-    v_s = (u_new - u_prev) / dt
-    d_nodes = np.full(mesh.node_count, params.D_eta)
-    d_e, v_e = edge_coefficients(d_nodes, v_s)
+    d = params.D_eta
+    # the harmonic edge mean of a constant, as edge_coefficients takes it
+    d_e = np.full(mesh.n_elements, 2.0 * d * d / (d + d))
+    v_e = element_means((u_new - u_prev) / dt)
     return AdrProblem(mesh=mesh, diffusion=d_e, velocity=v_e,
                       reaction=sigma, source=source)

@@ -88,10 +88,11 @@ def kinetics_fields(phi, phi_fl, c, h_r, h_c, k_g, params):
         p42 * phi[1],
     ])
     # the two complementary beta channels out of q sum to beta
-    diag = (1.0 / params.tau_m + starve, beta_r + starve + params.k_apo,
-            params.beta + starve + params.k_apo, params.k_deg)
-    n = phi.shape[1]
-    sigma = np.stack([np.broadcast_to(d, (n,)).astype(float) for d in diag])
+    sigma = np.empty_like(phi)
+    sigma[0] = 1.0 / params.tau_m + starve
+    sigma[1] = beta_r + starve + params.k_apo
+    sigma[2] = params.beta + starve + params.k_apo
+    sigma[3] = params.k_deg
     return sigma, source
 
 

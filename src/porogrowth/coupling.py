@@ -254,15 +254,10 @@ def _advance(state, mesh, dt, scenario, params, start):
 def _record(trajectory, state, mesh, params):
     mid = mesh.mid_node()
     xi = sample_xi_field(state, params, mesh)
-    phi_fl_mid = float(state.phi_fl_field()[mid])
     series = trajectory.mid_series
-    series["phi_n"].append(float(state.phi_n[mid]))
-    series["phi_v"].append(float(state.phi_v[mid]))
-    series["phi_q"].append(float(state.phi_q[mid]))
-    series["phi_ecm"].append(float(state.phi_ecm[mid]))
-    series["phi_fl"].append(phi_fl_mid)
-    series["c"].append(float(state.c[mid]))
-    series["p"].append(float(state.p[mid]))
+    for key in ("phi_n", "phi_v", "phi_q", "phi_ecm", "c", "p"):
+        series[key].append(float(getattr(state, key)[mid]))
+    series["phi_fl"].append(float(state.phi_fl_field()[mid]))
     series["xi"].append(int(xi[mid]))
     trajectory.xi_series.append(xi)
 

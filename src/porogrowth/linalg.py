@@ -1,7 +1,10 @@
-"""The banded direct solver backing both finite element modules.
+"""The tridiagonal direct solver backing both finite element modules.
 
-solve_banded is the single solver: LAPACK gtsv for the tridiagonal
-transport systems, gbsv for the interleaved poroelastic band.
+Every system of a sweep is tridiagonal: the transport systems by
+construction, and the poroelastic one because its momentum rows
+telescope to a known stress on each element, which eliminates u and
+leaves the N pressures (derivation in poroelastic). solve_banded solves
+them all with LAPACK gtsv and checks the residual.
 """
 
 from dataclasses import dataclass, field
@@ -16,65 +19,52 @@ RESIDUAL_REL = 1e-10
 
 _TINY = np.finfo(float).tiny
 
-#: the LAPACK drivers behind solve_banded, fetched once
-_gtsv, _gbsv = scipy.linalg.get_lapack_funcs(("gtsv", "gbsv"), dtype=np.float64)
+#: the LAPACK driver behind solve_banded, fetched once
+_gtsv, = scipy.linalg.get_lapack_funcs(("gtsv",), dtype=np.float64)
 
 
 @dataclass
 class BandedMatrix:
-    """Square matrix with lower/upper bandwidths (kl, ku).
+    """Tridiagonal matrix of order n in LAPACK band storage (kl = ku = 1).
 
-    Band storage follows the LAPACK convention: data[ku + i - j, j]
-    holds A[i, j] for max(0, j-ku) <= i <= min(n-1, j+kl).
+    data[1 + i - j, j] holds A[i, j]: data[0, 1:] is the upper, data[1]
+    the main and data[2, :-1] the lower diagonal; data[0, 0] and
+    data[2, -1] lie outside the matrix and are never read.
     """
 
     n: int
-    kl: int
-    ku: int
     data: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("matrix dimension must be at least 1")
-        if not (0 <= self.kl < self.n and 0 <= self.ku < self.n):
-            raise ValueError("bandwidths must satisfy 0 <= kl, ku < n")
+        if self.n < 2:   # gtsv rejects the empty off-diagonals of n = 1
+            raise ValueError("matrix dimension must be at least 2")
         if self.data is None:
-            self.data = np.zeros((self.kl + self.ku + 1, self.n))
-        elif self.data.shape != (self.kl + self.ku + 1, self.n):
+            self.data = np.zeros((3, self.n))
+        elif self.data.shape != (3, self.n):
             raise ValueError("band storage has wrong shape")
 
-    def zero_row(self, i):
-        """Clear row i inside the band (essential BC row replacement)."""
-        j = np.arange(max(0, i - self.kl), min(self.n, i + self.ku + 1))
-        self.data[self.ku + i - j, j] = 0.0
-
     def to_dense(self):
-        a = np.zeros((self.n, self.n))
-        for s in range(-self.ku, self.kl + 1):
-            j = np.arange(max(0, -s), min(self.n, self.n - s))
-            a[j + s, j] = self.data[self.ku + s, j]
-        return a
+        return (np.diag(self.data[0, 1:], 1) + np.diag(self.data[1])
+                + np.diag(self.data[2, :-1], -1))
 
     def row_sums(self, values):
         """Sum a band-shaped array along the rows of A, one sum per row.
 
-        values[ku + i - j, j] belongs to row i, as in data; row_sums of
+        values[1 + i - j, j] belongs to row i, as in data; row_sums of
         |data| gives the absolute row sums, of data * x the product A x.
         """
-        rows = np.zeros(self.n)
-        for s in range(-self.ku, self.kl + 1):
-            j0, j1 = max(0, -s), min(self.n, self.n - s)
-            rows[j0 + s:j1 + s] += values[self.ku + s, j0:j1]
+        rows = values[1].copy()
+        rows[:-1] += values[0, 1:]
+        rows[1:] += values[2, :-1]
         return rows
 
 
 def solve_banded(matrix, b):
-    """Solve A x = b by banded LU with partial pivoting.
+    """Solve the tridiagonal system A x = b by LU with partial pivoting.
 
-    LAPACK gtsv solves the tridiagonal case (kl = ku = 1), gbsv every
-    other band; these are the routines scipy.linalg.solve_banded calls,
-    called here without its per-call wrapper. Neither touches
-    matrix.data or b, which the residual contract reads afterwards.
+    LAPACK gtsv, as scipy.linalg.solve_banded calls it but without its
+    per-call wrapper; it leaves matrix.data and b intact for the
+    residual contract, whose |A| and Ax take one slice per diagonal.
 
     An rhs of shape (k, m) with k m = n declares A block diagonal with
     k blocks of size m; one LAPACK call solves all of them and row i of
@@ -89,17 +79,11 @@ def solve_banded(matrix, b):
         raise ValueError(f"rhs has shape {b.shape}, want ({matrix.n},) "
                          "or (k, m) with k m = n")
     blocks = (-1, b.shape[-1])
-    kl, ku, band = matrix.kl, matrix.ku, matrix.data
+    band = matrix.data
     a_norm = matrix.row_sums(np.abs(band)).reshape(blocks).max(axis=1)
     if (a_norm == 0.0).any():
         raise SingularSystemError("zero matrix block")
-    if kl == ku == 1:
-        *_, x, info = _gtsv(band[2, :-1], band[1], band[0, 1:], b.ravel())
-    else:
-        # gbsv needs kl extra rows above the band for the LU fill-in
-        lu = np.zeros((2 * kl + ku + 1, matrix.n))
-        lu[kl:] = band
-        *_, x, info = _gbsv(kl, ku, lu, b.ravel(), overwrite_ab=True)
+    *_, x, info = _gtsv(band[2, :-1], band[1], band[0, 1:], b.ravel())
     if info != 0:
         raise SingularSystemError(f"LAPACK banded solve failed, info = {info}")
     if not np.isfinite(x).all():

@@ -11,6 +11,7 @@ such (typographical issue, not rescaled).
 """
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -20,6 +21,9 @@ SHEAR_THRESHOLD_STRESS = 0.1
 
 #: smallest admissible fluid fraction inside solver coefficients
 EPS_PHI = 1e-6
+
+#: smallest admissible diffusivity: its square is a normal float
+_D_MIN = math.sqrt(sys.float_info.min)
 
 
 @dataclass(frozen=True)
@@ -81,9 +85,14 @@ class ModelParams:
                 raise ConfigError(f"parameter {name} must be nonnegative")
         # K_ref = 0 drops the Darcy term from the continuity rows; the
         # equal-order (u, p) pair then gives a node-to-node oscillating p
-        for name in ("D_c_fl", "D_eta", "K_ref"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigError(f"parameter {name} must be positive")
+        if self.K_ref <= 0.0:
+            raise ConfigError("parameter K_ref must be positive")
+        # below sqrt(tiny), the harmonic edge mean 2 d d / (d + d) of a
+        # diffusivity underflows towards 0
+        for name in ("D_c_fl", "D_eta"):
+            if getattr(self, name) < _D_MIN:
+                raise ConfigError(f"parameter {name} must be positive and at "
+                                  f"least {_D_MIN:.3g}, got {getattr(self, name)}")
         if self.mu <= 0.0:
             raise ConfigError("shear modulus mu must be positive")
         if self.lam + 2.0 * self.mu <= 0.0:

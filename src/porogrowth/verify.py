@@ -5,11 +5,14 @@ Each suite recomputes its expected answers from an independent route
 compares the production path against them.
 """
 
+import itertools
+
 import numpy as np
 
 from . import adr, poroelastic
+from .constitutive import permeability
 from .linalg import BandedMatrix, solve_banded
-from .mesh import build_mesh
+from .mesh import build_mesh, element_means
 from .params import ModelParams
 
 SUITE_NAMES = ("linalg", "darcy", "sg-exact", "mms-adr", "mms-poro",
@@ -51,43 +54,75 @@ def dense_gaussian_elimination(a, b):
     return x
 
 
-def random_banded_dominant(rng, n, kl, ku):
-    """Random diagonally dominant BandedMatrix."""
-    m = BandedMatrix(n=n, kl=kl, ku=ku)
-    for i in range(n):
-        row_sum = 0.0
-        for j in range(max(0, i - kl), min(n, i + ku + 1)):
-            if j != i:
-                v = rng.uniform(-1.0, 1.0)
-                m.data[ku + i - j, j] = v
-                row_sum += abs(v)
-        m.data[ku, i] = row_sum + rng.uniform(1.0, 2.0)
-    return m
+def saddle_point_system(mesh, phi, g, u_prev, dt, t_b, v_b, params,
+                        side="left", forcing_u=None, forcing_p=None):
+    """The full 2N poroelastic system before its condensation to p,
+    dense and assembled one element at a time: dof 2i is u_i, 2i+1 p_i.
+    Returns (matrix, rhs)."""
+    n, h = mesh.node_count, mesh.h
+    phi_s = phi.sum(axis=0)
+    a_e = params.H_A * element_means(phi_s)
+    k_e = permeability(element_means(1.0 - phi_s), params)
+    g_e = element_means(params.H_A * g[0] * phi[0]
+                        + params.H_B * (g[1:] * phi[1:]).sum(axis=0))
+    c = 0.0 if dt is None else 0.5 / dt
+    a = np.zeros((2 * n, 2 * n))
+    rhs = np.zeros(2 * n)
+    for e in range(n - 1):
+        ka, kk = a_e[e] / h, k_e[e] / h
+        dofs = np.arange(2 * e, 2 * e + 4)   # u_e, p_e, u_e+1, p_e+1
+        a[np.ix_(dofs, dofs)] += [[ka, 0.5, -ka, 0.5],
+                                  [-c, kk, c, -kk],
+                                  [-ka, -0.5, ka, -0.5],
+                                  [-c, -kk, c, kk]]
+        du = c * (u_prev[e + 1] - u_prev[e])
+        rhs[dofs] += [-g_e[e], du, g_e[e], du]
+    rhs[2 * n - 2] += t_b
+    rhs[2 * n - 1 if side == "left" else 1] -= v_b
+    if forcing_u is not None:
+        rhs[0::2] -= mesh.lumped_masses * forcing_u
+    if forcing_p is not None:
+        rhs[1::2] += mesh.lumped_masses * forcing_p
+    for row in (0, 1 if side == "left" else 2 * n - 1):
+        a[row] = rhs[row] = 0.0
+        a[row, row] = 1.0
+    return a, rhs
 
 
 def suite_linalg(rng=None):
     rng = np.random.default_rng(20240901) if rng is None else rng
     result = SuiteResult("linalg")
 
-    m = random_banded_dominant(rng, 50, 2, 2)
-    b = rng.uniform(-1.0, 1.0, size=50)
-    x = solve_banded(m, b)
-    x_ref = dense_gaussian_elimination(m.to_dense(), b)
-    err = float(np.max(np.abs(x - x_ref)))
-    result.check("banded (gbsv) vs dense oracle (50x50, kl=ku=2)", err < 1e-10,
-                 f"max mismatch {err:.3e}")
+    # condensed poroelastic solve against dense elimination of the full
+    # saddle-point system: forced and unforced, both Dirichlet sides,
+    # steady and transient, on random lagged data
+    params = ModelParams()
+    mesh = build_mesh(0.01, 21)
+    n = mesh.node_count
+    worst = 0.0
+    for side, dt, forced in itertools.product(
+            ("left", "right"), (3600.0, None), (False, True)):
+        phi = rng.uniform(0.005, 0.05, size=(4, n))
+        g = rng.uniform(-1e-3, 1e-3, size=(4, n))
+        u_prev = rng.uniform(-1e-4, 1e-4, size=n)
+        f_u, f_p = rng.uniform(-1.0, 1.0, size=(2, n)) if forced else (None,) * 2
+        data = (mesh, phi, g, u_prev, dt, params.T_b, params.V_b, params)
+        u, p, _ = poroelastic.solve(mesh, *poroelastic.assemble(
+            *data, forcing_u=f_u, forcing_p=f_p, dirichlet_side=side))
+        x_ref = dense_gaussian_elimination(
+            *saddle_point_system(*data, side, f_u, f_p))
+        for field, ref in ((u, x_ref[0::2]), (p, x_ref[1::2])):
+            worst = max(worst, float(np.max(np.abs(field - ref))
+                                     / np.max(np.abs(ref))))
+    result.check("condensed poroelastic vs dense elimination of the full "
+                 "saddle-point system (8 cases, 2N=42)", worst < 1e-10,
+                 f"max relative mismatch {worst:.3e}")
 
     n = 200
-    lower = rng.uniform(-1.0, 1.0, size=n - 1)
-    upper = rng.uniform(-1.0, 1.0, size=n - 1)
-    diag = (np.abs(np.concatenate(([0.0], lower)))
-            + np.abs(np.concatenate((upper, [0.0])))
-            + rng.uniform(1.0, 2.0, size=n))
+    banded = BandedMatrix(n=n, data=rng.uniform(-1.0, 1.0, size=(3, n)))
+    banded.data[1] = (np.abs(banded.to_dense()).sum(axis=1)
+                      + rng.uniform(1.0, 2.0, size=n))   # dominant
     b = rng.uniform(-1.0, 1.0, size=n)
-    banded = BandedMatrix(n=n, kl=1, ku=1)
-    banded.data[0, 1:] = upper
-    banded.data[1, :] = diag
-    banded.data[2, :-1] = lower
     x = solve_banded(banded, b)
     x_ref = dense_gaussian_elimination(banded.to_dense(), b)
     err = float(np.max(np.abs(x - x_ref)))
@@ -110,10 +145,10 @@ def suite_darcy():
     mesh = build_mesh(0.01, 101)
     phi, g = _uniform_mixture(mesh.node_count)
     v_b = 5e-3
-    matrix, rhs, k_e = poroelastic.assemble(
+    system = poroelastic.assemble(
         mesh, phi, g, np.zeros(mesh.node_count), None, 0.0, v_b, params)
-    _, p, v = poroelastic.solve(mesh, matrix, rhs, k_e)
-    k = float(k_e[0])
+    _, p, v = poroelastic.solve(mesh, *system)
+    k = float(system[2][0])
     p_exact = -(v_b / k) * mesh.nodes
     err = float(np.max(np.abs(p - p_exact)) / np.max(np.abs(p_exact)))
     result.check("nodal pressure vs -(V_b/K) x", err < 1e-10,
@@ -216,9 +251,7 @@ def suite_mms_poro(node_counts=(33, 65, 129, 257)):
         p_exact = x * (length - x)
         phi, g = _uniform_mixture(n)
         a = params.H_A * 0.1          # phi_s = 0.1 uniform
-        _, _, k_e = poroelastic.assemble(
-            mesh, phi, g, u_exact, dt, 0.0, 0.0, params)
-        k = float(k_e[0])
+        k = float(permeability(0.9, params))   # phi_fl = 0.9 uniform
         forcing_u = -a * omega**2 * np.sin(omega * x) - (length - 2.0 * x)
         forcing_p = np.full(n, 2.0 * k)
         t_b = a * omega * np.cos(omega * length)

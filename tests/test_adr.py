@@ -407,7 +407,7 @@ def test_stacked_band_is_block_diagonal_of_scalar_bands(bcs, transient):
     previous = rng.uniform(0.0, 0.2, size=(k, n))
     dt = 600.0 if transient else None
     matrix, rhs = adr.assemble_adr(problem(reaction, source), dt, previous)
-    assert (matrix.n, matrix.kl, matrix.ku) == (k * n, 1, 1)
+    assert (matrix.n, matrix.data.shape) == (k * n, (3, k * n))
     assert rhs.shape == (k, n)
     blocks = []
     for eta in range(k):

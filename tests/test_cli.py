@@ -82,11 +82,13 @@ def test_non_finite_config_value_is_config_error(tmp_path, capsys, line,
     assert not os.path.exists(tmp_path / "o")
 
 
-@pytest.mark.parametrize("line", ["D_c_fl = 0", "D_eta = 0", "K_ref = 0"])
+@pytest.mark.parametrize("line", ["D_c_fl = 0", "D_eta = 0", "K_ref = 0",
+                                  "D_c_fl = 1e-200", "D_eta = 1e-200"])
 def test_zero_diffusivity_is_config_error(tmp_path, capsys, line):
     # D_c_fl = 0 divided by zero in k_partition; D_eta = 0 gave NaN edge
     # diffusivities that failed later as a numerical error; the zero
-    # permeability K_ref = 0 ran to exit 0 with an oscillating pressure
+    # permeability K_ref = 0 ran to exit 0 with an oscillating pressure;
+    # 1e-200 underflowed the harmonic edge mean to a zero diffusion
     cfg_path = tmp_path / "zero.cfg"
     cfg_path.write_text(f"nodes = 5\nT_end = 3600\n{line}\n")
     code = run_cli(["simulate", "--config", str(cfg_path),

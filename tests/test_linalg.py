@@ -5,43 +5,57 @@ import scipy.linalg
 from porogrowth import linalg
 from porogrowth.errors import SingularSystemError
 from porogrowth.linalg import RESIDUAL_REL, BandedMatrix, solve_banded
-from porogrowth.verify import dense_gaussian_elimination, random_banded_dominant
+from porogrowth.verify import dense_gaussian_elimination
+
+
+def random_dominant(rng, n):
+    """Random diagonally dominant tridiagonal BandedMatrix."""
+    m = BandedMatrix(n=n)
+    m.data[0, 1:] = rng.uniform(-1.0, 1.0, size=n - 1)
+    m.data[2, :-1] = rng.uniform(-1.0, 1.0, size=n - 1)
+    m.data[1] = (np.abs(m.to_dense()).sum(axis=1)
+                 + rng.uniform(1.0, 2.0, size=n))
+    return m
 
 
 def test_band_storage_round_trip():
-    # LAPACK band storage: data[ku + i - j, j] holds A[i, j]
-    m = BandedMatrix(n=5, kl=2, ku=1)
+    # LAPACK band storage: data[1 + i - j, j] holds A[i, j]
+    m = BandedMatrix(n=5)
     m.data[1, 0] = 1.0   # A[0, 0]
     m.data[0, 1] = 2.0   # A[0, 1]
-    m.data[3, 0] = 3.5   # A[2, 0]
+    m.data[2, 3] = 3.5   # A[4, 3]
+    m.data[0, 0] = m.data[2, 4] = 9.0   # outside the matrix, never read
     dense = m.to_dense()
     assert dense[0, 0] == 1.0
     assert dense[0, 1] == 2.0
-    assert dense[2, 0] == 3.5
+    assert dense[4, 3] == 3.5
     assert np.count_nonzero(dense) == 3
     assert dense[0, 3] == 0.0  # outside the band reads as zero
 
 
 def test_zero_row():
-    m = BandedMatrix(n=4, kl=1, ku=1)
+    # a row cleared in band storage, as an essential boundary row is:
+    # data[0, i + 1], data[1, i] and data[2, i - 1] hold row i
+    m = BandedMatrix(n=4)
     for i in range(4):
         for j in range(max(0, i - 1), min(4, i + 2)):
-            m.data[m.ku + i - j, j] = 1.0 + i + j
-    m.zero_row(2)
+            m.data[1 + i - j, j] = 1.0 + i + j
+    m.data[0, 3] = m.data[1, 2] = m.data[2, 1] = 0.0
     dense = m.to_dense()
     assert np.all(dense[2] == 0.0)
     assert dense[1, 2] != 0.0  # the column survives
-    m.zero_row(0)  # a row clipped by the band's edge
+    m.data[1, 0] = m.data[0, 1] = 0.0  # a row clipped by the band's edge
     assert np.all(m.to_dense()[0] == 0.0)
     assert np.count_nonzero(m.to_dense()) == 10 - 3 - 2
 
 
 def test_matvec_and_norm_match_dense():
     rng = np.random.default_rng(0)
-    for kl, ku in ((3, 2), (0, 4), (5, 1)):
-        m = random_banded_dominant(rng, 30, kl, ku)
+    for n in (2, 3, 30):
+        m = random_dominant(rng, n)
+        m.data[0, 0] = m.data[2, -1] = 7.0  # the unused corners stay out
         dense = m.to_dense()
-        x = rng.uniform(-1, 1, size=30)
+        x = rng.uniform(-1, 1, size=n)
         assert np.allclose(m.row_sums(m.data * x), dense @ x, rtol=1e-14)
         assert np.allclose(m.row_sums(np.abs(m.data)), np.abs(dense).sum(axis=1),
                            rtol=1e-14)
@@ -49,9 +63,9 @@ def test_matvec_and_norm_match_dense():
 
 def test_solve_banded_against_dense_oracle():
     rng = np.random.default_rng(42)
-    for kl, ku in ((1, 1), (2, 2), (3, 3), (2, 1)):
-        m = random_banded_dominant(rng, 40, kl, ku)
-        b = rng.uniform(-1, 1, size=40)
+    for n in (2, 5, 40):
+        m = random_dominant(rng, n)
+        b = rng.uniform(-1, 1, size=n)
         x = solve_banded(m, b)
         x_ref = dense_gaussian_elimination(m.to_dense(), b)
         assert np.max(np.abs(x - x_ref)) < 1e-10
@@ -60,7 +74,7 @@ def test_solve_banded_against_dense_oracle():
 def random_tridiagonal_blocks(rng, k, m):
     """Block-diagonal BandedMatrix of k random tridiagonal m x m blocks,
     written into .data viewed as (3, k, m); the seams stay zero."""
-    packed = BandedMatrix(n=k * m, kl=1, ku=1)
+    packed = BandedMatrix(n=k * m)
     band = packed.data.reshape(3, k, m)
     band[2, :, :-1] = rng.uniform(-1, 1, size=(k, m - 1))   # lower
     band[0, :, 1:] = rng.uniform(-1, 1, size=(k, m - 1))    # upper
@@ -80,7 +94,7 @@ def test_stacked_rhs_solves_each_block():
     x = solve_banded(packed, b)
     assert x.shape == (k, m)
     for i, data in enumerate(packed.data.reshape(3, k, m).transpose(1, 0, 2)):
-        single = BandedMatrix(n=m, kl=1, ku=1, data=data.copy())
+        single = BandedMatrix(n=m, data=data.copy())
         assert np.array_equal(x[i], solve_banded(single, b[i]))
 
 
@@ -123,8 +137,8 @@ def test_zero_block_raises():
 
 
 def tridiagonal(lower, diag, upper):
-    """BandedMatrix (kl = ku = 1) from its three diagonals."""
-    banded = BandedMatrix(n=len(diag), kl=1, ku=1)
+    """BandedMatrix from its three diagonals."""
+    banded = BandedMatrix(n=len(diag))
     banded.data[0, 1:] = upper
     banded.data[1] = diag
     banded.data[2, :-1] = lower
@@ -153,37 +167,46 @@ def test_thomas_exact_small_system():
 
 
 def test_singular_matrix_raises():
-    m = BandedMatrix(n=3, kl=1, ku=1)
+    m = BandedMatrix(n=3)
     with pytest.raises(SingularSystemError):
         solve_banded(m, np.ones(3))
 
 
 @pytest.mark.parametrize("kl, ku", [(1, 1), (2, 2), (3, 3), (2, 1)])
 def test_lapack_solve_leaves_inputs_and_matches_scipy(kl, ku):
-    # kl = ku = 1 goes to gtsv, the rest to gbsv; the residual contract
-    # reads matrix.data and b after the call, so both must survive it
+    # the residual contract reads matrix.data and b after the gtsv call,
+    # so both must survive it. The reference is scipy.linalg.solve_banded
+    # on the same matrix stored with bandwidths (kl, ku), the outer
+    # diagonals zero: gtsv itself for (1, 1), gbsv for the wider bands
     rng = np.random.default_rng(10 + kl + ku)
-    m = random_banded_dominant(rng, 40, kl, ku)
+    m = random_dominant(rng, 40)
     b = rng.uniform(-1, 1, size=40)
     data, rhs = m.data.copy(), b.copy()
     x = solve_banded(m, b)
     assert np.array_equal(m.data, data)
     assert np.array_equal(b, rhs)
-    assert np.array_equal(x, scipy.linalg.solve_banded((kl, ku), data, rhs))
+    wide = np.zeros((kl + ku + 1, 40))
+    wide[ku - 1:ku + 2] = data
+    reference = scipy.linalg.solve_banded((kl, ku), wide, rhs)
+    if kl == ku == 1:
+        assert np.array_equal(x, reference)
+    else:
+        assert np.allclose(x, reference, rtol=1e-13, atol=0.0)
 
 
 def test_singular_nonzero_matrix_raises_on_both_lapack_paths():
-    # rows 0 and 1 are equal, so elimination leaves an exact zero pivot
+    # rows 0 and 1 are equal, so elimination leaves an exact zero pivot;
+    # gtsv reports it for one system and for the same system stacked
+    # twice as a block-diagonal pair
     dense = np.eye(5)
     dense[0, 1] = dense[1, 0] = 1.0
-    for kl, ku in ((1, 1), (2, 2)):
-        m = BandedMatrix(n=5, kl=kl, ku=ku)
-        for s in range(-ku, kl + 1):
-            j = np.arange(max(0, -s), min(5, 5 - s))
-            m.data[ku + s, j] = dense[j + s, j]
-        assert np.array_equal(m.to_dense(), dense)
-        with pytest.raises(SingularSystemError):
-            solve_banded(m, np.ones(5))
+    m = tridiagonal(np.diag(dense, -1), np.diag(dense), np.diag(dense, 1))
+    assert np.array_equal(m.to_dense(), dense)
+    with pytest.raises(SingularSystemError):
+        solve_banded(m, np.ones(5))
+    stacked = BandedMatrix(n=10, data=np.concatenate([m.data, m.data], axis=1))
+    with pytest.raises(SingularSystemError):
+        solve_banded(stacked, np.ones((2, 5)))
 
 
 def test_thomas_pivot_underflow():
@@ -196,7 +219,7 @@ def test_thomas_pivot_underflow():
 
 
 def test_rhs_shape_checked():
-    m = random_banded_dominant(np.random.default_rng(2), 10, 1, 1)
+    m = random_dominant(np.random.default_rng(2), 10)
     with pytest.raises(ValueError):
         solve_banded(m, np.ones(9))
     with pytest.raises(ValueError):
@@ -207,8 +230,10 @@ def test_rhs_shape_checked():
 
 def test_bad_band_construction():
     with pytest.raises(ValueError):
-        BandedMatrix(n=0, kl=0, ku=0)
+        BandedMatrix(n=0)
     with pytest.raises(ValueError):
-        BandedMatrix(n=3, kl=3, ku=0)
+        BandedMatrix(n=1)
     with pytest.raises(ValueError):
-        BandedMatrix(n=3, kl=1, ku=1, data=np.zeros((2, 3)))
+        BandedMatrix(n=3, data=np.zeros((2, 3)))
+    with pytest.raises(ValueError):
+        BandedMatrix(n=3, data=np.zeros((3, 4)))

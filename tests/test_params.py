@@ -55,6 +55,9 @@ def test_inconsistent_cell_volume_rejected():
     ("D_c_fl", 0.0),
     ("D_eta", 0.0),
     ("K_ref", 0.0),
+    # the harmonic edge mean 2 D D / (D + D) underflows to 0
+    ("D_eta", 1e-200),
+    ("D_c_fl", 1e-200),
 ])
 def test_invalid_parameters_rejected(field, value):
     with pytest.raises(ConfigError):

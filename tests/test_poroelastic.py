@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from porogrowth import poroelastic
 from porogrowth.constitutive import permeability
-from porogrowth.errors import NonphysicalStateError
+from porogrowth.errors import NonphysicalStateError, SingularSystemError
+from porogrowth.linalg import RESIDUAL_REL
 from porogrowth.mesh import build_mesh
 from porogrowth.params import ModelParams
 
@@ -152,20 +155,33 @@ def test_rejects_vanishing_fluid_fraction():
 
 def test_bandwidth_and_bc_record():
     mesh = build_mesh(0.01, 11)
-    for side, p_row in (("left", 1), ("right", 21)):
-        matrix, rhs, _ = assemble_uniform(mesh, t_b=1.0, v_b=2.0,
-                                          dirichlet_side=side)
-        assert matrix.n == 22
-        assert matrix.kl == 3 and matrix.ku == 3
+    for side, p_row in (("left", 0), ("right", 10)):
+        matrix, rhs, *_ = assemble_uniform(mesh, t_b=1.0, v_b=2.0,
+                                           dirichlet_side=side)
+        # one tridiagonal pressure band of size N
+        assert matrix.n == 11 and matrix.data.shape == (3, 11)
         dense = matrix.to_dense()
-        # u(0) = 0 and the p = 0 end are unit rows with zero data; the
-        # columns of the replaced rows survive
-        for row in (0, p_row):
-            expected = np.zeros(22)
-            expected[row] = 1.0
-            assert np.array_equal(dense[row], expected)
-            assert rhs[row] == 0.0
-            assert np.count_nonzero(dense[:, row]) > 1
+        # the p = 0 end is a unit row with zero data; its column survives
+        expected = np.zeros(11)
+        expected[p_row] = 1.0
+        assert np.array_equal(dense[p_row], expected)
+        assert rhs[p_row] == 0.0
+        assert np.count_nonzero(dense[:, p_row]) > 1
+
+
+def test_zero_skeleton_stiffness_raises():
+    # a_e = H_A phi_s underflows to 0 on the one element whose solid
+    # fraction is 1e-15; the compliance h / a_e must not reach the solve
+    mesh = build_mesh(0.01, 11)
+    phi = np.full((4, 11), 0.025)
+    phi[:, 5:7] = 0.25e-15
+    params = dataclasses.replace(PARAMS, lam=0.0, mu=5e-311)
+    assert np.count_nonzero(
+        params.H_A * 0.5 * (phi.sum(axis=0)[:-1] + phi.sum(axis=0)[1:])) == 9
+    for dt in (3600.0, None):
+        with pytest.raises(SingularSystemError, match="stiffness"):
+            poroelastic.assemble(mesh, phi, np.zeros((4, 11)), np.zeros(11),
+                                 dt, 0.0, 0.0, params)
 
 
 def elementwise_reference(mesh, phi, g, u_prev, dt, t_b, v_b, side,
@@ -218,7 +234,9 @@ def elementwise_reference(mesh, phi, g, u_prev, dt, t_b, v_b, side,
 @pytest.mark.parametrize("dt", [3600.0, None])
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_assemble_equals_elementwise_reference(side, dt, forced):
-    # random data make every band entry and rhs entry distinct
+    # the condensed pressure solve and the recovered displacement solve
+    # the full saddle-point system: within the residual contract, and
+    # as np.linalg.solve solves it
     n = 13
     mesh = build_mesh(0.01, n)
     rng = np.random.default_rng(3)
@@ -227,12 +245,21 @@ def test_assemble_equals_elementwise_reference(side, dt, forced):
     u_prev = rng.uniform(-1e-4, 1e-4, size=n)
     forcing_u = rng.uniform(-1.0, 1.0, size=n) if forced else None
     forcing_p = rng.uniform(-1.0, 1.0, size=n) if forced else None
-    matrix, rhs, k_e = poroelastic.assemble(
+    system = poroelastic.assemble(
         mesh, phi, g, u_prev, dt, PARAMS.T_b, PARAMS.V_b, PARAMS,
         forcing_u=forcing_u, forcing_p=forcing_p, dirichlet_side=side)
+    u, p, v = poroelastic.solve(mesh, *system)
     a, rhs_ref, k_ref = elementwise_reference(
         mesh, phi, g, u_prev, dt, PARAMS.T_b, PARAMS.V_b, side, forcing_u,
         forcing_p)
-    assert np.array_equal(matrix.to_dense(), a)
-    assert np.array_equal(rhs, rhs_ref)
-    assert np.array_equal(k_e, k_ref)
+    x = np.empty(2 * n)
+    x[0::2], x[1::2] = u, p
+    residual = np.max(np.abs(a @ x - rhs_ref))
+    scale = (np.max(np.abs(a).sum(axis=1)) * np.max(np.abs(x))
+             + np.max(np.abs(rhs_ref)))
+    assert residual <= RESIDUAL_REL * scale
+    x_ref = np.linalg.solve(a, rhs_ref)
+    for field, ref in ((u, x_ref[0::2]), (p, x_ref[1::2])):
+        assert np.max(np.abs(field - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.array_equal(system[2], k_ref)
+    assert np.array_equal(v, -k_ref * np.diff(p) / mesh.h)
