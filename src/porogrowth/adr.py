@@ -6,7 +6,8 @@ conditions and differ only in reaction, source and previous field (the
 four species of the mixture). Stacked rows are assembled in one pass
 and solved as one block-diagonal system. Each boundary end is None
 (zero diffusive flux: only the advective flux w v n crosses it) or a
-float, the Dirichlet value.
+float, the Dirichlet value. The assembly takes its edge weights from
+edge_weights, which weighs several problems with one Bernoulli call.
 
 The edge flux between nodes i and i+1 is the Scharfetter-Gummel form
 
@@ -32,23 +33,30 @@ from .params import EPS_PHI
 def bernoulli(t):
     """B(t) = t / (exp(t) - 1), with B(0) = 1.
 
-    A truncated series of (exp(t)-1)/t is used for |t| < 1e-2 to avoid
-    cancellation near zero.
+    A truncated series of (exp(t)-1)/t over the whole array avoids
+    cancellation near zero; t / expm1(t) replaces it where |t| >= 1e-2.
     """
     t = np.asarray(t, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.divide(t, np.expm1(t), out=np.empty_like(t))
-    small = np.abs(t) < 1e-2
-    ts = t[small]
-    # products, not ts**k: powers above 2 go through the slow np.power
-    t2 = ts * ts
-    t3 = t2 * ts
+    # products, not t**k: powers above 2 go through the slow np.power
+    t2 = t * t
     t4 = t2 * t2
-    t5 = t4 * ts
-    # (exp(t)-1)/t = 1 + t/2 + t^2/6 + t^3/24 + t^4/120 + t^5/720 + O(t^6)
-    out[small] = 1.0 / (
-        1.0 + ts / 2.0 + t2 / 6.0 + t3 / 24.0 + t4 / 120.0 + t5 / 720.0)
+    with np.errstate(all="ignore"):   # the large |t| entries are replaced
+        # (exp(t)-1)/t = 1 + t/2 + t^2/6 + t^3/24 + t^4/120 + t^5/720 + O(t^6)
+        out = np.divide(1.0, 1.0 + t / 2.0 + t2 / 6.0 + t2 * t / 24.0
+                        + t4 / 120.0 + t4 * t / 720.0, out=np.empty_like(t))
+        large = np.abs(t) >= 1e-2
+        if large.any():
+            tl = t[large]
+            out[large] = tl / np.expm1(tl)
     return out if out.ndim else float(out)
+
+
+def edge_weights(h, diffusion, velocity):
+    """(b_plus, b_minus) = D_e/h (B(t_e), B(-t_e)), t_e = v_e h / D_e, of
+    one problem's element data, or of k problems' stacked as (k, N-1)
+    rows, from one bernoulli call on the rows (t_1, -t_1, t_2, -t_2, ...)."""
+    t_e = velocity * h / diffusion
+    return (diffusion / h)[..., None, :] * bernoulli(np.stack([t_e, -t_e], axis=-2))
 
 
 class AdrProblem(NamedTuple):
@@ -70,29 +78,25 @@ class AdrProblem(NamedTuple):
 
 
 def edge_coefficients(nodal_diffusion, nodal_velocity):
-    """Per-element (D_e, v_e) from nodal fields.
-
-    Harmonic mean for the diffusivity, arithmetic mean for the velocity.
-    """
-    d = np.asarray(nodal_diffusion, dtype=float)
-    v = np.asarray(nodal_velocity, dtype=float)
-    d_e = 2.0 * d[:-1] * d[1:] / (d[:-1] + d[1:])
-    return d_e, element_means(v)
+    """Per-element (D_e, v_e) from nodal fields: harmonic mean for the
+    diffusivity, arithmetic mean for the velocity."""
+    d = nodal_diffusion
+    return 2.0 * d[:-1] * d[1:] / (d[:-1] + d[1:]), element_means(nodal_velocity)
 
 
-def assemble_adr(problem, dt, previous_field):
+def assemble_adr(problem, weights, dt, previous_field):
     """Tridiagonal system of one backward-Euler step with lumped mass.
 
+    weights are edge_weights of the problem's diffusion and velocity.
     dt = None selects steady mode (no mass term). previous_field has
     the shape of problem.reaction and problem.source, else
     InvalidProblemError. Returns (matrix, rhs): the diagonals are
     assembled in place in the LAPACK band storage of a tridiagonal
     BandedMatrix, block diagonal over the rows of a stacked problem with
-    zeros at the block seams; rhs has the shape of previous_field. The
-    edge weights are computed once for all rows.
+    zeros at the block seams; rhs has the shape of previous_field.
     """
     mesh = problem.mesh
-    n, h = mesh.node_count, mesh.h
+    n = mesh.node_count
     prev = np.asarray(previous_field, dtype=float)
     if not np.shape(problem.reaction) == np.shape(problem.source) == prev.shape:
         raise InvalidProblemError(
@@ -101,11 +105,8 @@ def assemble_adr(problem, dt, previous_field):
             f"{prev.shape}; want one shape")
     rows = prev.shape[:-1]
 
-    d_e = problem.diffusion
     v_e = problem.velocity
-    t_e = v_e * h / d_e
-    # b_plus multiplies w_{i+1} in the edge flux, b_minus multiplies w_i
-    b_plus, b_minus = d_e / h * bernoulli(np.stack([t_e, -t_e]))
+    b_plus, b_minus = weights   # multiplying w_{i+1} and w_i in the flux
 
     matrix = BandedMatrix(n=prev.size)
     # views of the (3, k, N) band; entries never written are the seams
@@ -139,31 +140,29 @@ def assemble_adr(problem, dt, previous_field):
     return matrix, rhs
 
 
-def solve_adr(problem, dt, previous_field):
+def solve_adr(problem, weights, dt, previous_field):
     """Assemble and solve one step; returns the nodal field(s).
 
     The rows of a stacked problem are solved together as one
     block-diagonal system.
     """
-    return solve_banded(*assemble_adr(problem, dt, previous_field))
+    return solve_banded(*assemble_adr(problem, weights, dt, previous_field))
 
 
 # --- problem builders used by the coupling loop ----------------------
 
-def build_oxygen_problem(mesh, phi_lagged, c_lagged, u_new, u_prev,
-                         v_darcy_new, dt, scenario, params):
+def build_oxygen_problem(mesh, phi_lagged, phi_fl, c_lagged, v_solid,
+                         v_darcy_new, scenario, params):
     """Oxygen transport problem of one fixed-point sweep.
 
-    phi_lagged is the stacked (4, N) species array at iterate m; the
-    fluid velocity is v_fl = V/phi_fl + (u - u_prev)/dt. Zero diffusive
-    flux at the scaffold wall, Dirichlet c_ext at the fluid interface.
+    phi_lagged is the stacked (4, N) species array at iterate m, phi_fl
+    its fluid fraction; v_fl = V/phi_fl + (u_new - u_prev)/dt. Zero
+    diffusive flux at the scaffold wall, Dirichlet c_ext at the interface.
     """
-    phi_fl = 1.0 - phi_lagged.sum(axis=0)
-    if np.min(phi_fl) <= EPS_PHI:
+    if phi_fl.min() <= EPS_PHI:
         raise NonphysicalStateError(
             f"lagged fluid fraction below {EPS_PHI}: min = {np.min(phi_fl)}")
-    v_nodes = nodal_means(v_darcy_new)
-    v_fl = v_nodes / phi_fl + (u_new - u_prev) / dt
+    v_fl = nodal_means(v_darcy_new) / phi_fl + v_solid
     d_nodes = nutrient_diffusivity(phi_fl, params)
     d_e, v_e = edge_coefficients(d_nodes, v_fl)
     q_hat = oxygen_sink(phi_lagged[0], phi_lagged[1], phi_lagged[2],
@@ -173,18 +172,20 @@ def build_oxygen_problem(mesh, phi_lagged, c_lagged, u_new, u_prev,
         source=np.zeros(mesh.node_count), bc_right=scenario.c_ext(params))
 
 
-def build_species_problem(mesh, sigma, source, u_new, u_prev, dt, params):
+def species_diffusion(mesh, params):
+    """Species element diffusivity: the harmonic edge mean of D_eta."""
+    d = params.D_eta
+    return np.full(mesh.n_elements, 2.0 * d * d / (d + d))
+
+
+def build_species_problem(mesh, sigma, source, diffusion, velocity):
     """Stacked population-balance problem of the (n, v, q, ecm) species.
 
     sigma / source are the (4, N) nodal consumption diagonals and
     production rows already evaluated from lagged fractions and the
-    fresh oxygen/stress fields. All species share the diffusivity D_eta
-    and the solid velocity as advection; both ends are
-    zero-diffusive-flux (phases leave only by advection).
+    fresh oxygen/stress fields. All species share the diffusivity
+    (species_diffusion) and the element solid velocity as advection;
+    both ends are zero-diffusive-flux (phases leave only by advection).
     """
-    d = params.D_eta
-    # the harmonic edge mean of a constant, as edge_coefficients takes it
-    d_e = np.full(mesh.n_elements, 2.0 * d * d / (d + d))
-    v_e = element_means((u_new - u_prev) / dt)
-    return AdrProblem(mesh=mesh, diffusion=d_e, velocity=v_e,
+    return AdrProblem(mesh=mesh, diffusion=diffusion, velocity=velocity,
                       reaction=sigma, source=source)

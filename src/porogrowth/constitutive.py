@@ -77,16 +77,12 @@ def kinetics_fields(phi, phi_fl, c, h_r, h_c, k_g, params):
     monod = c / (params.K_sat + c)
     beta_r = params.beta * h_r
     starve = params.k_qui * (1 - h_c)
-    p42 = (
-        c * params.E * params.k_GAG / params.V_cell
-        * np.maximum(0.0, 1.0 - phi[3] / params.phi_ecm_max)
-    )
-    source = np.stack([
-        phi_fl * monod * k_g * phi[0] + beta_r * phi[2],
-        params.beta * (1 - h_r) * phi[2],
-        1.0 / params.tau_m * phi[0] + beta_r * phi[1],
-        p42 * phi[1],
-    ])
+    source = np.empty_like(phi)
+    source[0] = phi_fl * monod * k_g * phi[0] + beta_r * phi[2]
+    source[1] = params.beta * (1 - h_r) * phi[2]
+    source[2] = 1.0 / params.tau_m * phi[0] + beta_r * phi[1]
+    source[3] = (c * params.E * params.k_GAG / params.V_cell   # P42 phi_v
+                 * np.maximum(0.0, 1.0 - phi[3] / params.phi_ecm_max) * phi[1])
     # the two complementary beta channels out of q sum to beta
     sigma = np.empty_like(phi)
     sigma[0] = 1.0 / params.tau_m + starve

@@ -4,14 +4,15 @@ Each accepted step performs, per sweep m: (1) the poroelastic solve with
 lagged fractions and growth terms, (2) the oxygen solve with the fresh
 displacement and Darcy flux, (3) one stacked species solve of the four
 population balances with the fresh oxygen and stress-derived switches
-but lagged sources. Convergence is the max over all fields of the
-relative infinity-norm change between sweeps. Growth distortions
-update once per accepted step, after convergence, never inside the
-sweep.
+but lagged sources. A sweep sums the lagged fractions once, for all
+three, and after (1) weighs the edges of both transports with one
+Bernoulli call; the old-level strain, H_A g_n and the species
+diffusivity are computed once per step. Convergence is the max over all
+fields of the relative infinity-norm change between sweeps. Growth
+distortions update once per accepted step, after convergence.
 """
 
 import math
-import time
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -25,7 +26,7 @@ from .constitutive import (
     switch_Hr,
 )
 from .errors import NonConvergenceError, NonphysicalStateError, PorogrowthError
-from .mesh import build_mesh
+from .mesh import build_mesh, element_means
 from .params import EPS_PHI
 from .state import (
     MixtureState,
@@ -44,7 +45,6 @@ class FixedPointReport:
     iterations: int = 0
     residuals: list = field(default_factory=list)
     converged: bool = False
-    wall_time: float = 0.0
 
 
 #: extrapolation cap of the secant acceleration (safeguard)
@@ -54,9 +54,9 @@ _GAMMA_MAX = 0.95
 def _physical(x):
     """Whether a (7, N) iterate may enter a sweep: nonnegative fractions
     and oxygen, fluid fraction above the solver floor EPS_PHI."""
-    return not (np.min(x[3:]) < 0.0
-                or np.min(1.0 - x[3:].sum(axis=0)) <= EPS_PHI
-                or np.min(x[2]) < 0.0)
+    return not (x[3:].min() < 0.0
+                or (1.0 - x[3:].sum(axis=0)).min() <= EPS_PHI
+                or x[2].min() < 0.0)
 
 
 def _levels(state):
@@ -104,8 +104,8 @@ class _Accelerator:
     def push(self, x, g):
         """Return the next iterate given the sweep input x and output g."""
         if self.scale is None:
-            peak = np.max(np.abs(g), axis=1)
-            peak[3:] = np.max(peak[3:])
+            peak = np.abs(g).max(axis=1)
+            peak[3:] = peak[3:].max()
             self.scale = (peak + 1e-30)[:, None]
         f = (g - x) / self.scale
         accelerated = None
@@ -123,45 +123,50 @@ class _Accelerator:
         return accelerated
 
 
-def _kinetics(mesh, u, c, phi, g_n, scenario, params):
+def _kinetics(mesh, u, c, phi, phi_s, phi_fl, g_n, scenario, params):
     """(sigma, source) of the species, gated by the r and oxygen switches."""
-    phi_s = phi.sum(axis=0)
     r = indicator_r(mesh, u, phi_s, phi[0], g_n)
     h_r = switch_Hr(r, params.r_bar, inverted=scenario.h_r_inverted)
     h_c = switch_Hc(c, scenario.c_threshold(params))
     return kinetics_fields(
-        phi, 1.0 - phi_s, c, h_r, h_c, scenario.k_g(params), params)
+        phi, phi_fl, c, h_r, h_c, scenario.k_g(params), params)
 
 
-def _sweep(mesh, x, previous, g, boundary, dt, scenario, params):
+def _sweep(mesh, x, invariants, dt, scenario, params):
     """One fixed-point sweep on the (7, N) iterate: the poroelastic, the
     oxygen and one stacked species solve; returns the next iterate.
 
-    previous is the (7, N) state at the last time level, g its (4, N)
-    growth distortions and boundary its (traction, Darcy flux) data.
+    invariants are the step's last level (7, N), its growth distortions
+    (4, N), the poroelastic.step_invariants, the species diffusivity and
+    the (traction, Darcy flux) data.
     """
-    t_b, v_b = boundary
+    previous, g, lagged, d_eta, (t_b, v_b) = invariants
     phi_m = x[3:]
-    u_prev = previous[0]
+    phi_s = phi_m.sum(axis=0)
+    phi_fl = 1.0 - phi_s
     new = np.empty_like(x)
 
     # step 1: poroelastic solve with lagged coefficients
     system = poroelastic.assemble(
-        mesh, phi_m, g, u_prev, dt, t_b, v_b, params,
+        mesh, phi_m, phi_fl, lagged, dt, t_b, v_b, params,
         dirichlet_side=scenario.darcy_dirichlet_side)
     new[0], new[1], v_new = poroelastic.solve(mesh, *system)
 
     # step 2: oxygen with the fresh displacement and Darcy flux
+    v_solid = (new[0] - previous[0]) / dt
     oxygen = adr.build_oxygen_problem(
-        mesh, phi_m, x[2], new[0], u_prev, v_new, dt, scenario, params)
-    new[2] = adr.solve_adr(oxygen, dt, previous[2])
+        mesh, phi_m, phi_fl, x[2], v_solid, v_new, scenario, params)
+    v_eta = element_means(v_solid)
+    w_oxygen, w_species = adr.edge_weights(
+        mesh.h, np.stack([oxygen.diffusion, d_eta]),
+        np.stack([oxygen.velocity, v_eta]))
+    new[2] = adr.solve_adr(oxygen, w_oxygen, dt, previous[2])
 
     # step 3: populations, gated by the freshest stress and oxygen
     sigma, source = _kinetics(
-        mesh, new[0], new[2], phi_m, g[0], scenario, params)
-    species = adr.build_species_problem(
-        mesh, sigma, source, new[0], u_prev, dt, params)
-    new[3:] = adr.solve_adr(species, dt, previous[3:])
+        mesh, new[0], new[2], phi_m, phi_s, phi_fl, g[0], scenario, params)
+    species = adr.build_species_problem(mesh, sigma, source, d_eta, v_eta)
+    new[3:] = adr.solve_adr(species, w_species, dt, previous[3:])
     return new
 
 
@@ -176,22 +181,21 @@ def fixed_point_step(state_n, mesh, dt, scenario, params, start=None):
     sweep gives a non-finite residual or an intermediate state violates
     the closure.
     """
-    t0 = time.perf_counter()
     report = FixedPointReport()
 
     # per-step invariants of the sweep
     previous = _levels(state_n)
     g = state_n.g_fields()
-    boundary = scenario.boundary_data(params)
+    invariants = (previous, g, poroelastic.step_invariants(g, previous[0], params),
+                  adr.species_diffusion(mesh, params), scenario.boundary_data(params))
 
     x = previous if start is None else start
     accelerator = _Accelerator()
     for _ in range(scenario.max_iter):
-        new = _sweep(mesh, x, previous, g, boundary, dt, scenario, params)
+        new = _sweep(mesh, x, invariants, dt, scenario, params)
         # max over the fields of the relative infinity-norm change
-        residual = float(np.max(
-            np.max(np.abs(new - x), axis=1)
-            / (np.max(np.abs(x), axis=1) + 1e-30)))
+        residual = float((np.abs(new - x).max(axis=1)
+                          / (np.abs(x).max(axis=1) + 1e-30)).max())
         report.residuals.append(residual)
         report.iterations += 1
         if not math.isfinite(residual):
@@ -203,7 +207,6 @@ def fixed_point_step(state_n, mesh, dt, scenario, params, start=None):
             report.converged = True
             break
         x = accelerator.push(x, new)
-    report.wall_time = time.perf_counter() - t0
     if not report.converged:
         raise NonConvergenceError(
             f"fixed point did not converge in {scenario.max_iter} sweeps "
@@ -212,7 +215,9 @@ def fixed_point_step(state_n, mesh, dt, scenario, params, start=None):
     # growth distortions update once per accepted step
     if scenario.growth_model == "G1":
         phi = x[3:]
-        sigma, source = _kinetics(mesh, x[0], x[2], phi, g[0], scenario, params)
+        phi_s = phi.sum(axis=0)
+        sigma, source = _kinetics(mesh, x[0], x[2], phi, phi_s, 1.0 - phi_s,
+                                  g[0], scenario, params)
         safe_phi = np.where(phi > EPS_PHI, phi, 1.0)
         g = growth_distortion_step(
             g, phi, (source - sigma * phi) / safe_phi, dt)
@@ -282,7 +287,6 @@ def run(scenario, params):
     _record(trajectory, state, mesh, params)
     levels = deque([_levels(state)], maxlen=3)   # newest first
 
-    t = 0.0
     for step in range(1, scenario.n_steps + 1):
         try:
             state, report = _advance(state, mesh, scenario.dt, scenario,

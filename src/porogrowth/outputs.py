@@ -33,7 +33,11 @@ def emit_outputs(trajectory, config, out_dir):
     """Write the configured CSV files into out_dir; returns their paths."""
     if not trajectory.states:
         raise PorogrowthError("trajectory is empty")
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise PorogrowthError(
+            f"cannot create output directory {out_dir}: {exc}") from exc
     written = []
 
     if config.emit_timeseries:

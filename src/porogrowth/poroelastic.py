@@ -35,28 +35,34 @@ from .mesh import element_means
 from .params import EPS_PHI
 
 
-def assemble(mesh, phi_lagged, g_lagged, u_prev, dt, t_b, v_b, params,
+def step_invariants(g_lagged, u_prev, params):
+    """assemble's data fixed for a time step: H_A g_n, the (4, N) growth
+    distortions and the element increments of u_prev (last level)."""
+    return params.H_A * g_lagged[0], g_lagged, u_prev[1:] - u_prev[:-1]
+
+
+def assemble(mesh, phi_lagged, phi_fl, invariants, dt, t_b, v_b, params,
              forcing_u=None, forcing_p=None, dirichlet_side="left"):
     """Assemble one sweep's condensed pressure system.
 
-    phi_lagged is the stacked (4, N) species array, g_lagged the stacked
-    (4, N) growth distortions, u_prev the displacement at the previous
-    time level. dt = None drops the strain-rate coupling (steady mode).
-    dirichlet_side picks which end carries p = 0; the Darcy velocity
-    datum v_b applies at the opposite end. Returns (matrix, rhs, k_e,
-    w_e, load): the pressure BandedMatrix and rhs, and per element the
-    permeability, the compliance h / a_e and the load T_e + g_e.
+    phi_lagged is the stacked (4, N) species array, phi_fl its fluid
+    fraction, invariants the step_invariants of the step. dt = None
+    drops the strain-rate coupling (steady mode). dirichlet_side picks
+    which end carries p = 0; the Darcy velocity datum v_b applies at the
+    opposite end. Returns (matrix, rhs, k_e, w_e, load): the pressure
+    BandedMatrix and rhs, and per element the permeability, the
+    compliance h / a_e and the load T_e + g_e.
     """
     n, h = mesh.node_count, mesh.h
-    phi_fl = 1.0 - phi_lagged.sum(axis=0)
-    if np.min(phi_fl) <= EPS_PHI or np.max(phi_fl) >= 1.0:
+    ha_g_n, g_lagged, du_prev = invariants
+    if phi_fl.min() <= EPS_PHI or phi_fl.max() >= 1.0:
         raise NonphysicalStateError(
             f"lagged fluid fraction out of range: [{np.min(phi_fl)}, {np.max(phi_fl)}]")
     a_e = params.H_A * element_means(1.0 - phi_fl)
     if not a_e.all():
         raise SingularSystemError("zero skeleton stiffness H_A phi_s on an element")
     k_e = permeability(element_means(phi_fl), params)
-    growth = (params.H_A * g_lagged[0] * phi_lagged[0]
+    growth = (ha_g_n * phi_lagged[0]
               + params.H_B * (g_lagged[1:] * phi_lagged[1:]).sum(axis=0))
     load = element_means(growth) + t_b
     if forcing_u is not None:
@@ -75,7 +81,7 @@ def assemble(mesh, phi_lagged, g_lagged, u_prev, dt, t_b, v_b, params,
     diag[:-1] = k_h + coupling
     diag[1:] += k_h + coupling
     upper[:] = lower[:] = coupling - k_h
-    strain = 0.5 * inv_dt * (np.diff(u_prev) - w_e * load)
+    strain = 0.5 * inv_dt * (du_prev - w_e * load)
     rhs[:-1] = strain
     rhs[1:] += strain
     if forcing_p is not None:
@@ -98,5 +104,5 @@ def solve(mesh, matrix, rhs, k_e, w_e, load):
     p = solve_banded(matrix, rhs)
     u = np.zeros_like(p)
     np.cumsum(w_e * (load + 0.5 * (p[:-1] + p[1:])), out=u[1:])
-    v = -k_e * np.diff(p) / mesh.h
+    v = -k_e * (p[1:] - p[:-1]) / mesh.h
     return u, p, v

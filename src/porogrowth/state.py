@@ -47,11 +47,11 @@ class MixtureState:
                 raise ClosureViolationError(f"field {f.name} is not finite")
             object.__setattr__(self, f.name, _frozen(a))
         for name in ("phi_n", "phi_v", "phi_q", "phi_ecm", "c"):
-            if np.min(getattr(self, name)) < -NEG_TOL:
+            if getattr(self, name).min() < -NEG_TOL:
                 raise ClosureViolationError(
                     f"{name} has negative entries: min = {np.min(getattr(self, name))}")
         fl = self.phi_fl_field()
-        if np.min(fl) <= 0.0 or np.max(fl) >= 1.0:
+        if fl.min() <= 0.0 or fl.max() >= 1.0:
             raise ClosureViolationError(
                 f"fluid fraction out of (0, 1): range [{np.min(fl)}, {np.max(fl)}]")
 
@@ -96,7 +96,7 @@ def initial_state(mesh, params, scenario):
 
 def nodal_strain(mesh, u):
     """du/dx at nodes: adjacent-element average inside, one-sided at ends."""
-    return nodal_means(np.diff(u) / mesh.h)
+    return nodal_means((u[1:] - u[:-1]) / mesh.h)
 
 
 def indicator_r(mesh, u, phi_s, phi_n, g_n):

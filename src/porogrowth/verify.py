@@ -89,6 +89,12 @@ def saddle_point_system(mesh, phi, g, u_prev, dt, t_b, v_b, params,
     return a, rhs
 
 
+def _solve_adr(problem, dt, previous):
+    """adr.solve_adr with the edge weights of the problem's own data."""
+    return adr.solve_adr(problem, adr.edge_weights(
+        problem.mesh.h, problem.diffusion, problem.velocity), dt, previous)
+
+
 def suite_linalg(rng=None):
     rng = np.random.default_rng(20240901) if rng is None else rng
     result = SuiteResult("linalg")
@@ -107,8 +113,10 @@ def suite_linalg(rng=None):
         u_prev = rng.uniform(-1e-4, 1e-4, size=n)
         f_u, f_p = rng.uniform(-1.0, 1.0, size=(2, n)) if forced else (None,) * 2
         data = (mesh, phi, g, u_prev, dt, params.T_b, params.V_b, params)
+        lagged = poroelastic.step_invariants(g, u_prev, params)
         u, p, _ = poroelastic.solve(mesh, *poroelastic.assemble(
-            *data, forcing_u=f_u, forcing_p=f_p, dirichlet_side=side))
+            mesh, phi, 1.0 - phi.sum(axis=0), lagged, *data[4:],
+            forcing_u=f_u, forcing_p=f_p, dirichlet_side=side))
         x_ref = dense_gaussian_elimination(
             *saddle_point_system(*data, side, f_u, f_p))
         for field, ref in ((u, x_ref[0::2]), (p, x_ref[1::2])):
@@ -131,11 +139,12 @@ def suite_linalg(rng=None):
     return result
 
 
-def _uniform_mixture(n, phi_eta=0.025):
-    """Uniform lagged fields: phi_s = 4 * phi_eta, zero growth."""
-    phi = np.full((4, n), phi_eta)
-    g = np.zeros((4, n))
-    return phi, g
+def _uniform_mixture(u_prev, params, phi_eta=0.025):
+    """The lagged poroelastic.assemble data of a uniform mixture:
+    phi_s = 4 * phi_eta, zero growth."""
+    phi = np.full((4, u_prev.size), phi_eta)
+    return (phi, 1.0 - phi.sum(axis=0),
+            poroelastic.step_invariants(np.zeros_like(phi), u_prev, params))
 
 
 def suite_darcy():
@@ -143,10 +152,10 @@ def suite_darcy():
     result = SuiteResult("darcy")
     params = ModelParams()
     mesh = build_mesh(0.01, 101)
-    phi, g = _uniform_mixture(mesh.node_count)
     v_b = 5e-3
     system = poroelastic.assemble(
-        mesh, phi, g, np.zeros(mesh.node_count), None, 0.0, v_b, params)
+        mesh, *_uniform_mixture(np.zeros(mesh.node_count), params), None,
+        0.0, v_b, params)
     _, p, v = poroelastic.solve(mesh, *system)
     k = float(system[2][0])
     p_exact = -(v_b / k) * mesh.nodes
@@ -166,7 +175,7 @@ def _steady_unit_step(mesh, d, v):
         mesh=mesh, diffusion=np.full(mesh.n_elements, d),
         velocity=np.full(mesh.n_elements, v), reaction=zeros, source=zeros,
         bc_left=0.0, bc_right=1.0)
-    return adr.solve_adr(problem, None, zeros)
+    return _solve_adr(problem, None, zeros)
 
 
 def suite_sg_exact():
@@ -226,7 +235,7 @@ def suite_mms_adr(node_counts=(33, 65, 129, 257)):
                 source=forcing,
                 bc_right=float(decay * w0[-1]),
             )
-            w = adr.solve_adr(problem, dt, w)
+            w = _solve_adr(problem, dt, w)
         exact = np.exp(-n_steps * dt) * w0
         errors.append(_l2_norm(mesh, w - exact) / _l2_norm(mesh, exact))
         hs.append(mesh.h)
@@ -249,7 +258,6 @@ def suite_mms_poro(node_counts=(33, 65, 129, 257)):
         omega = np.pi / length
         u_exact = np.sin(omega * x)
         p_exact = x * (length - x)
-        phi, g = _uniform_mixture(n)
         a = params.H_A * 0.1          # phi_s = 0.1 uniform
         k = float(permeability(0.9, params))   # phi_fl = 0.9 uniform
         forcing_u = -a * omega**2 * np.sin(omega * x) - (length - 2.0 * x)
@@ -257,7 +265,7 @@ def suite_mms_poro(node_counts=(33, 65, 129, 257)):
         t_b = a * omega * np.cos(omega * length)
         v_b = k * length
         system = poroelastic.assemble(
-            mesh, phi, g, u_exact, dt, t_b, v_b, params,
+            mesh, *_uniform_mixture(u_exact, params), dt, t_b, v_b, params,
             forcing_u=forcing_u, forcing_p=forcing_p)
         u, p, _ = poroelastic.solve(mesh, *system)
         err_u.append(_l2_norm(mesh, u - u_exact) / _l2_norm(mesh, u_exact))
@@ -294,7 +302,7 @@ def suite_positivity(rng=None, trials=200):
         problem = adr.AdrProblem(
             mesh=mesh, diffusion=d, velocity=v, reaction=sigma,
             source=source, bc_left=bcs[0], bc_right=bcs[1])
-        w = adr.solve_adr(problem, float(rng.uniform(0.1, 100.0)), prev)
+        w = _solve_adr(problem, float(rng.uniform(0.1, 100.0)), prev)
         worst = min(worst, float(np.min(w)))
     result.check(f"min value over {trials} random problems >= -1e-12",
                  worst >= -1e-12, f"worst {worst:.3e}")
@@ -311,7 +319,7 @@ def suite_positivity(rng=None, trials=200):
             reaction=np.zeros(mesh.node_count),
             source=np.zeros(mesh.node_count),
             bc_left=lo, bc_right=hi)
-        w = adr.solve_adr(problem, None, np.zeros(mesh.node_count))
+        w = _solve_adr(problem, None, np.zeros(mesh.node_count))
         violations = max(violations,
                          float(lo - np.min(w)), float(np.max(w) - hi))
     result.check("steady discrete maximum principle", violations <= 1e-12,

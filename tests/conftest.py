@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from porogrowth import adr, poroelastic
 from porogrowth.params import ModelParams
 
 
@@ -24,3 +25,17 @@ def frozen_kinetics_params(**overrides):
 @pytest.fixture
 def frozen_params():
     return frozen_kinetics_params()
+
+
+def sg_weights(problem):
+    """Edge weights of a transport problem from its own element data,
+    as adr.solve_adr and adr.assemble_adr take them."""
+    return adr.edge_weights(problem.mesh.h, problem.diffusion,
+                            problem.velocity)
+
+
+def lagged(phi, g, u_prev, params):
+    """The lagged-state arguments of poroelastic.assemble: the species,
+    their fluid fraction and the step invariants."""
+    return (phi, 1.0 - phi.sum(axis=0),
+            poroelastic.step_invariants(g, u_prev, params))

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -126,6 +128,27 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
                     "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_NUMERICAL
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("below", [False, True])
+def test_uncreatable_out_dir_is_numerical_failure(tmp_path, below):
+    # --out naming an existing file, or a directory below one: one error
+    # line and exit 1, not a traceback after the whole run
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    out = blocker / "run" if below else blocker
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "porogrowth.cli", "simulate", "--preset",
+         "static-ic1-kg1-csat", "--t-end", "3600", "--nodes", "5",
+         "--out", str(out)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == cli.EXIT_NUMERICAL
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("numerical failure: cannot create")
 
 
 def test_out_env_var_default(tmp_path, monkeypatch):

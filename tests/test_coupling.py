@@ -10,7 +10,7 @@ from porogrowth.params import EPS_PHI, ModelParams
 from porogrowth.scenario import ScenarioConfig
 from porogrowth.state import initial_state
 
-from conftest import frozen_kinetics_params
+from conftest import sg_weights
 
 
 def short_scenario(**overrides):
@@ -248,10 +248,11 @@ def record_starts(monkeypatch):
     starts = []
     sweep = coupling._sweep
 
-    def spy(mesh, x, previous, g, boundary, dt, *args):
+    def spy(mesh, x, invariants, dt, *args):
+        previous = invariants[0]
         if not starts or starts[-1][1] is not previous:
             starts.append((x, previous, dt))
-        return sweep(mesh, x, previous, g, boundary, dt, *args)
+        return sweep(mesh, x, invariants, dt, *args)
 
     monkeypatch.setattr(coupling, "_sweep", spy)
     return starts
@@ -340,8 +341,34 @@ def test_sweep_matches_standalone_adr_operator(frozen_params):
         reaction=np.zeros(n),
         source=np.zeros(n),
     )
-    expected = adr.solve_adr(problem, scenario.dt, state0.phi_n)
+    expected = adr.solve_adr(problem, sg_weights(problem), scenario.dt,
+                             state0.phi_n)
     assert np.allclose(state1.phi_n, expected, rtol=1e-13)
+
+
+def test_one_bernoulli_call_per_sweep(monkeypatch):
+    # both transport problems of a sweep take their edge weights from one
+    # call on the stacked (t_ox, -t_ox, t_sp, -t_sp) rows, made through
+    # adr's module global; the G1 growth update after convergence makes
+    # none
+    shapes = []
+    bernoulli = adr.bernoulli
+
+    def counting(t):
+        shapes.append(np.shape(t))
+        return bernoulli(t)
+
+    monkeypatch.setattr(adr, "bernoulli", counting)
+    cfg = config.preset("perfused-ic2-kg2-cthr")
+    scenario = dataclasses.replace(cfg.scenario, node_count=41,
+                                   growth_model="G1")
+    mesh = build_mesh(scenario.length, scenario.node_count)
+    state0 = initial_state(mesh, cfg.params, scenario)
+    _, report = coupling.fixed_point_step(
+        state0, mesh, scenario.dt, scenario, cfg.params)
+    assert report.iterations > 1
+    assert len(shapes) == report.iterations
+    assert set(shapes) == {(2, 2, mesh.n_elements)}
 
 
 def test_diagnostics_recorded_per_step():

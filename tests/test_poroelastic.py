@@ -10,6 +10,8 @@ from porogrowth.linalg import RESIDUAL_REL
 from porogrowth.mesh import build_mesh
 from porogrowth.params import ModelParams
 
+from conftest import lagged
+
 PARAMS = ModelParams()
 
 
@@ -23,8 +25,8 @@ def uniform_inputs(n, phi_eta=0.025, g=0.0):
 def assemble_uniform(mesh, t_b=0.0, v_b=0.0, dt=3600.0, phi_eta=0.025,
                      g=0.0, **kwargs):
     phi, g_fields, u_prev = uniform_inputs(mesh.node_count, phi_eta, g)
-    return poroelastic.assemble(mesh, phi, g_fields, u_prev, dt, t_b, v_b,
-                                PARAMS, **kwargs)
+    return poroelastic.assemble(mesh, *lagged(phi, g_fields, u_prev, PARAMS),
+                                dt, t_b, v_b, PARAMS, **kwargs)
 
 
 def test_zero_data_gives_zero_solution():
@@ -43,7 +45,8 @@ def test_darcy_linear_pressure():
     mesh = build_mesh(0.01, n)
     phi, g, u_prev = uniform_inputs(n)
     v_b = PARAMS.V_b
-    system = poroelastic.assemble(mesh, phi, g, u_prev, None, 0.0, v_b, PARAMS)
+    system = poroelastic.assemble(mesh, *lagged(phi, g, u_prev, PARAMS),
+                                  None, 0.0, v_b, PARAMS)
     u, p, v = poroelastic.solve(mesh, *system)
     k = permeability(0.9, PARAMS)
     assert np.allclose(p, -(v_b / k) * mesh.nodes, rtol=1e-10)
@@ -60,7 +63,8 @@ def test_traction_only_uniform_strain():
     mesh = build_mesh(0.01, n)
     phi, g, u_prev = uniform_inputs(n)
     t_b = PARAMS.T_b
-    system = poroelastic.assemble(mesh, phi, g, u_prev, None, t_b, 0.0, PARAMS)
+    system = poroelastic.assemble(mesh, *lagged(phi, g, u_prev, PARAMS),
+                                  None, t_b, 0.0, PARAMS)
     u, p, v = poroelastic.solve(mesh, *system)
     ux = t_b / (PARAMS.H_A * 0.1)
     assert np.allclose(u, ux * mesh.nodes, rtol=1e-10)
@@ -75,7 +79,8 @@ def test_growth_prestress_displaces_free_end():
     phi, _, u_prev = uniform_inputs(n)
     g = np.zeros((4, n))
     g[0] = 1e-3
-    system = poroelastic.assemble(mesh, phi, g, u_prev, None, 0.0, 0.0, PARAMS)
+    system = poroelastic.assemble(mesh, *lagged(phi, g, u_prev, PARAMS),
+                                  None, 0.0, 0.0, PARAMS)
     u, p, v = poroelastic.solve(mesh, *system)
     ux = 1e-3 * 0.025 / 0.1
     assert np.allclose(u, ux * mesh.nodes, rtol=1e-10)
@@ -89,11 +94,11 @@ def test_dirichlet_side_swap_mirrors_pressure():
     mesh = build_mesh(0.01, n)
     phi, g, u_prev = uniform_inputs(n)
     _, p_left, _ = poroelastic.solve(mesh, *poroelastic.assemble(
-        mesh, phi, g, u_prev, None, 0.0, PARAMS.V_b, PARAMS,
-        dirichlet_side="left"))
+        mesh, *lagged(phi, g, u_prev, PARAMS), None, 0.0, PARAMS.V_b,
+        PARAMS, dirichlet_side="left"))
     _, p_right, _ = poroelastic.solve(mesh, *poroelastic.assemble(
-        mesh, phi, g, u_prev, None, 0.0, PARAMS.V_b, PARAMS,
-        dirichlet_side="right"))
+        mesh, *lagged(phi, g, u_prev, PARAMS), None, 0.0, PARAMS.V_b,
+        PARAMS, dirichlet_side="right"))
     # v_b is the outward-normal flux at the flux-carrying end in both
     # orientations, so the pressure profile simply reflects
     assert np.allclose(p_left, p_right[::-1], atol=1e-10 * np.max(np.abs(p_left)))
@@ -105,8 +110,8 @@ def test_consolidation_step_couples_fields():
     n = 101
     mesh = build_mesh(0.01, n)
     phi, g, u_prev = uniform_inputs(n)
-    system = poroelastic.assemble(mesh, phi, g, u_prev, 1.0, PARAMS.T_b,
-                                  0.0, PARAMS)
+    system = poroelastic.assemble(mesh, *lagged(phi, g, u_prev, PARAMS),
+                                  1.0, PARAMS.T_b, 0.0, PARAMS)
     u, p, v = poroelastic.solve(mesh, *system)
     assert np.max(np.abs(p)) > 1e-4 * PARAMS.T_b
     # essential rows hold to solver roundoff
@@ -136,8 +141,9 @@ def test_mms_quadratic_exact():
         f_p = -k * (-2.0 * b)
         t_b = h_a * a * (L - 2.0 * L) + b * 0.0  # a u'(L) - p*(L)
         v_b = -k * b * (L - 2.0 * L)
-        system = poroelastic.assemble(mesh, phi, g, u_prev, None, t_b, v_b,
-                                      PARAMS, forcing_u=f_u, forcing_p=f_p)
+        system = poroelastic.assemble(
+            mesh, *lagged(phi, g, u_prev, PARAMS), None, t_b, v_b, PARAMS,
+            forcing_u=f_u, forcing_p=f_p)
         u, p, _ = poroelastic.solve(mesh, *system)
         err = np.max(np.abs(u - a * x * (L - x))) + np.max(np.abs(p - b * x * (L - x)))
         errors.append(err)
@@ -149,8 +155,9 @@ def test_rejects_vanishing_fluid_fraction():
     mesh = build_mesh(0.01, 11)
     phi = np.full((4, 11), 0.25)
     with pytest.raises(NonphysicalStateError):
-        poroelastic.assemble(mesh, phi, np.zeros((4, 11)), np.zeros(11),
-                             3600.0, 0.0, 0.0, PARAMS)
+        poroelastic.assemble(
+            mesh, *lagged(phi, np.zeros((4, 11)), np.zeros(11), PARAMS),
+            3600.0, 0.0, 0.0, PARAMS)
 
 
 def test_bandwidth_and_bc_record():
@@ -180,8 +187,9 @@ def test_zero_skeleton_stiffness_raises():
         params.H_A * 0.5 * (phi.sum(axis=0)[:-1] + phi.sum(axis=0)[1:])) == 9
     for dt in (3600.0, None):
         with pytest.raises(SingularSystemError, match="stiffness"):
-            poroelastic.assemble(mesh, phi, np.zeros((4, 11)), np.zeros(11),
-                                 dt, 0.0, 0.0, params)
+            poroelastic.assemble(
+                mesh, *lagged(phi, np.zeros((4, 11)), np.zeros(11), params),
+                dt, 0.0, 0.0, params)
 
 
 def elementwise_reference(mesh, phi, g, u_prev, dt, t_b, v_b, side,
@@ -246,7 +254,8 @@ def test_assemble_equals_elementwise_reference(side, dt, forced):
     forcing_u = rng.uniform(-1.0, 1.0, size=n) if forced else None
     forcing_p = rng.uniform(-1.0, 1.0, size=n) if forced else None
     system = poroelastic.assemble(
-        mesh, phi, g, u_prev, dt, PARAMS.T_b, PARAMS.V_b, PARAMS,
+        mesh, *lagged(phi, g, u_prev, PARAMS), dt, PARAMS.T_b, PARAMS.V_b,
+        PARAMS,
         forcing_u=forcing_u, forcing_p=forcing_p, dirichlet_side=side)
     u, p, v = poroelastic.solve(mesh, *system)
     a, rhs_ref, k_ref = elementwise_reference(
