@@ -53,6 +53,8 @@ def _apply_overrides(cfg, args):
 
 
 def _run_one(cfg, out_dir):
+    # an output directory that cannot be made fails before the run
+    outputs.make_output_dir(out_dir)
     trajectory = coupling.run(cfg.scenario, cfg.params)
     written = outputs.emit_outputs(trajectory, cfg, out_dir)
     for path in written:

@@ -65,19 +65,37 @@ def _levels(state):
     return np.stack([state.u, state.p, state.c, *state.phi_fields()])
 
 
+#: time levels the start predictor extrapolates through (order 5 at most)
+HISTORY = 6
+
+
+def _change(dx, x):
+    """Scaled size of dx against x: per row max|dx| / (max|x| + 1e-30),
+    max over the rows (the fixed-point residual norm); one per stacked dx."""
+    return (np.abs(dx).max(axis=-1)
+            / (np.abs(x).max(axis=1) + 1e-30)).max(axis=-1)
+
+
 def _predict(levels):
     """Start iterate of the next step from the last accepted levels,
-    newest first: x_n alone, the linear 2 x_n - x_{n-1}, or the
-    quadratic 3 x_n - 3 x_{n-1} + x_{n-2}. An unphysical prediction
+    newest first: the Newton backward-difference series x_n + nabla x_n
+    + nabla^2 x_n + ..., stopped before the first term whose scaled size
+    (_change against x_n) does not shrink. An unphysical prediction
     falls back to x_n.
     """
-    if len(levels) == 1:
-        return levels[0]
-    if len(levels) == 2:
-        guess = 2.0 * levels[0] - levels[1]
-    else:
-        guess = 3.0 * levels[0] - 3.0 * levels[1] + levels[2]
-    return guess if _physical(guess) else levels[0]
+    x_n = levels[0]
+    table = np.stack(levels)
+    terms = [x_n]
+    for _ in range(1, len(levels)):
+        table = table[:-1] - table[1:]
+        terms.append(table[0])
+    sizes = _change(np.stack(terms), x_n)
+    guess = x_n
+    for k in range(1, len(terms)):
+        if not sizes[k] < sizes[k - 1]:
+            break
+        guess = guess + terms[k]
+    return guess if _physical(guess) else x_n
 
 
 class _Accelerator:
@@ -193,9 +211,7 @@ def fixed_point_step(state_n, mesh, dt, scenario, params, start=None):
     accelerator = _Accelerator()
     for _ in range(scenario.max_iter):
         new = _sweep(mesh, x, invariants, dt, scenario, params)
-        # max over the fields of the relative infinity-norm change
-        residual = float((np.abs(new - x).max(axis=1)
-                          / (np.abs(x).max(axis=1) + 1e-30)).max())
+        residual = float(_change(new - x, x))
         report.residuals.append(residual)
         report.iterations += 1
         if not math.isfinite(residual):
@@ -272,9 +288,10 @@ def run(scenario, params):
 
     Snapshots are kept every output_stride steps (plus the first and
     last); the mid-node series and xi map are recorded at every step.
-    Each step's fixed point starts from a polynomial extrapolation of
-    the last three levels (see _predict). A step failure aborts with the
-    partial trajectory attached to the raised error.
+    Each step's fixed point starts from a backward-difference
+    extrapolation of the last HISTORY levels (see _predict). A step
+    failure aborts with the partial trajectory attached to the raised
+    error.
     """
     mesh = build_mesh(scenario.length, scenario.node_count)
     state = initial_state(mesh, params, scenario)
@@ -285,7 +302,7 @@ def run(scenario, params):
                      "c", "p", "xi")},
         xi_series=[], diagnostics=[])
     _record(trajectory, state, mesh, params)
-    levels = deque([_levels(state)], maxlen=3)   # newest first
+    levels = deque([_levels(state)], maxlen=HISTORY)   # newest first
 
     for step in range(1, scenario.n_steps + 1):
         try:

@@ -29,15 +29,20 @@ def _write(path, lines):
         raise PorogrowthError(f"cannot write {path}: {exc}") from exc
 
 
-def emit_outputs(trajectory, config, out_dir):
-    """Write the configured CSV files into out_dir; returns their paths."""
-    if not trajectory.states:
-        raise PorogrowthError("trajectory is empty")
+def make_output_dir(out_dir):
+    """Create out_dir if needed; an OSError becomes a PorogrowthError."""
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise PorogrowthError(
             f"cannot create output directory {out_dir}: {exc}") from exc
+
+
+def emit_outputs(trajectory, config, out_dir):
+    """Write the configured CSV files into out_dir; returns their paths."""
+    if not trajectory.states:
+        raise PorogrowthError("trajectory is empty")
+    make_output_dir(out_dir)
     written = []
 
     if config.emit_timeseries:

@@ -257,6 +257,37 @@ def test_species_budget_with_kinetics_and_advection():
         assert abs(math.fsum(terms)) <= 1e-12 * max(map(abs, terms)), terms
 
 
+def test_oxygen_budget_with_consumption_and_advection():
+    # over the nodes below the Dirichlet node the oxygen balances to
+    # roundoff over one step: storage + consumption + advective outflow
+    # at the zero-diffusive-flux wall + the SG flux into the Dirichlet
+    # node = 0 (the oxygen problem has no source)
+    rng = np.random.default_rng(5)
+    n, dt = 41, 3600.0
+    mesh = build_mesh(0.01, n)
+    phi = rng.uniform(0.001, 0.05, size=(4, n))
+    c_prev = rng.uniform(0.0, 6.4e-6, size=n)
+    # solid velocity of both signs on top of a nonzero Darcy flux
+    v_solid = 2e-4 * np.cos(3.0 * np.pi * mesh.nodes / mesh.length)
+    assert v_solid.min() < 0.0 < v_solid.max()
+    oxygen = adr.build_oxygen_problem(
+        mesh, phi, 1.0 - phi.sum(axis=0), c_prev, v_solid,
+        np.full(n - 1, 1e-4), ScenarioConfig(culture_mode="perfused"), PARAMS)
+    assert oxygen.reaction.min() > 0.0 and oxygen.bc_right is not None
+    v_e = oxygen.velocity
+    assert v_e.min() < 0.0 < v_e.max()
+    # the weights as a sweep takes them, stacked with a species row
+    w_oxygen, _ = adr.edge_weights(
+        mesh.h, np.stack([oxygen.diffusion, adr.species_diffusion(mesh, PARAMS)]),
+        np.stack([v_e, element_means(v_solid)]))
+    c = adr.solve_adr(oxygen, w_oxygen, dt, c_prev)
+    b_plus, b_minus = w_oxygen
+    m = mesh.lumped_masses[:-1]
+    terms = [m @ (c[:-1] - c_prev[:-1]) / dt, m @ (oxygen.reaction[:-1] * c[:-1]),
+             -v_e[0] * c[0], b_minus[-1] * c[-2] - b_plus[-1] * c[-1]]
+    assert abs(math.fsum(terms)) <= 1e-12 * max(map(abs, terms)), terms
+
+
 # --- coupled-problem builders ---------------------------------------------
 
 def test_interpolate_flux_to_nodes():

@@ -151,6 +151,22 @@ def test_uncreatable_out_dir_is_numerical_failure(tmp_path, below):
     assert lines[0].startswith("numerical failure: cannot create")
 
 
+def test_uncreatable_out_dir_fails_before_the_run(tmp_path, monkeypatch,
+                                                  capsys):
+    def no_run(*args):
+        raise AssertionError("coupling.run called")
+
+    monkeypatch.setattr(cli.coupling, "run", no_run)
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    code = run_cli(["simulate", "--preset", "static-ic1-kg1-csat",
+                    "--out", str(blocker)])
+    assert code == cli.EXIT_NUMERICAL
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("numerical failure: cannot create")
+
+
 def test_out_env_var_default(tmp_path, monkeypatch):
     out = str(tmp_path / "envout")
     monkeypatch.setenv("POROGROWTH_OUT", out)

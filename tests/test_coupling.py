@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -229,17 +230,107 @@ def test_unphysical_prediction_starts_from_previous_level(
     assert coupling._predict(levels) is levels[0]
 
 
-def test_prediction_by_available_history():
+def newton_terms(history):
+    """x_n, nabla x_n, nabla^2 x_n, ... of the levels, newest first, from
+    an explicit backward-difference table: column j holds nabla^j at
+    every level it reaches."""
+    column = list(history)
+    terms = [column[0]]
+    while len(column) > 1:
+        column = [column[i] - column[i + 1] for i in range(len(column) - 1)]
+        terms.append(column[0])
+    return terms
+
+
+def scaled_size(term, x_n):
+    """Per row max|term| / (max|x_n| + 1e-30), the max over the rows."""
+    return max(np.max(np.abs(term[i])) / (np.max(np.abs(x_n[i])) + 1e-30)
+               for i in range(len(x_n)))
+
+
+def series_sum(terms):
+    """The terms added left to right."""
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
+
+
+def expected_start(levels):
+    """The predictor's start from the levels x_0 .. x_n, oldest first:
+    the Newton series through the last HISTORY levels, stopped before
+    the first term whose scaled size does not shrink, or x_n when that
+    is unphysical."""
+    terms = newton_terms(levels[::-1][:coupling.HISTORY])
+    x_n = terms[0]
+    kept = 1
+    while (kept < len(terms) and scaled_size(terms[kept], x_n)
+           < scaled_size(terms[kept - 1], x_n)):
+        kept += 1
+    guess = series_sum(terms[:kept])
+    return guess if coupling._physical(guess) else x_n
+
+
+def smooth_levels(count):
+    """count physical levels on base + step e^{0.3 t}, t = 0, 1, ...,
+    oldest first: every backward difference is about 1 - e^{-0.3} = 0.26
+    times the one before it."""
     base, step = accelerator_base()
-    levels = [base + 2.0 * step, base + 0.5 * step, base]
+    return [base + np.exp(0.3 * t) * step for t in range(count)]
+
+
+def test_prediction_by_available_history():
+    levels = smooth_levels(coupling.HISTORY)[::-1]   # newest first
     assert coupling._predict(levels[:1]) is levels[0]
     # u and p may be negative: the guard checks only c and the fractions
-    linear = coupling._predict(levels[:2])
-    assert np.array_equal(linear, 2.0 * levels[0] - levels[1])
-    quadratic = coupling._predict(levels)
-    assert np.array_equal(
-        quadratic, 3.0 * levels[0] - 3.0 * levels[1] + levels[2])
-    assert not np.array_equal(quadratic, linear)
+    starts = []
+    for count in range(2, coupling.HISTORY + 1):
+        start = coupling._predict(levels[:count])
+        assert np.array_equal(start, expected_start(levels[:count][::-1]))
+        # the smooth history keeps every term: the full series of order
+        # count - 1
+        assert np.array_equal(start, series_sum(newton_terms(levels[:count])))
+        starts.append(start)
+    assert np.array_equal(starts[0], 2.0 * levels[0] - levels[1])
+    assert not any(np.array_equal(a, b) for a, b in zip(starts, starts[1:]))
+
+
+@pytest.mark.parametrize("degree", range(coupling.HISTORY))
+def test_polynomial_levels_are_extrapolated_exactly(degree):
+    # levels on base + step q(t) with q of the given degree: the level at
+    # t = HISTORY follows from the last d + 1 levels and from all HISTORY
+    base, step = accelerator_base()
+
+    def level(t):
+        q = sum((0.3 * t) ** k / math.factorial(k)
+                for k in range(1, degree + 1))
+        return base + q * step
+
+    exact = level(coupling.HISTORY)
+    for count in (degree + 1, coupling.HISTORY):
+        levels = [level(t) for t in range(coupling.HISTORY - 1,
+                                          coupling.HISTORY - 1 - count, -1)]
+        start = coupling._predict(levels)
+        assert np.all(np.abs(start - exact).max(axis=1)
+                      <= 1e-12 * np.abs(exact).max(axis=1))
+
+
+@pytest.mark.parametrize("kink", range(2, coupling.HISTORY))
+def test_kinked_history_truncates_the_series(kink):
+    # the levels older than the newest `kink` ones carry a jump, so
+    # nabla^kink x_n is the first difference that reaches it: the series
+    # keeps x_n .. nabla^(kink - 1) x_n and stops there
+    levels = smooth_levels(coupling.HISTORY)[::-1]   # newest first
+    _, step = accelerator_base()
+    levels[kink:] = [x + 2.0 * step for x in levels[kink:]]
+    terms = newton_terms(levels)
+    x_n = levels[0]
+    sizes = [scaled_size(term, x_n) for term in terms]
+    assert all(a > b for a, b in zip(sizes[:kink], sizes[1:kink]))
+    assert sizes[kink] >= sizes[kink - 1]
+    start = coupling._predict(levels)
+    assert np.array_equal(start, series_sum(terms[:kink]))
+    assert not np.array_equal(start, series_sum(terms))
 
 
 def record_starts(monkeypatch):
@@ -258,36 +349,26 @@ def record_starts(monkeypatch):
     return starts
 
 
-def expected_start(levels):
-    """The predictor's start from the levels x_0 .. x_n, oldest first."""
-    if len(levels) == 1:
-        return levels[-1]
-    if len(levels) == 2:
-        guess = 2.0 * levels[-1] - levels[-2]
-    else:
-        guess = 3.0 * levels[-1] - 3.0 * levels[-2] + levels[-3]
-    return guess if coupling._physical(guess) else levels[-1]
-
-
 def test_steps_start_from_polynomial_prediction(monkeypatch):
+    # eight steps, so the last ones extrapolate through HISTORY levels of
+    # the longer history
     starts = record_starts(monkeypatch)
-    scenario = short_scenario(culture_mode="perfused")
+    scenario = short_scenario(culture_mode="perfused", t_end=8 * 3600.0)
     coupling.run(scenario, ModelParams())
-    assert len(starts) == 5          # no bisection
+    assert len(starts) == 8          # no bisection
     # the first step starts from x_0 itself
     assert np.array_equal(starts[0][0], starts[0][1])
     levels = []
     for x, previous, _ in starts:
         levels.append(previous)
         assert np.array_equal(x, expected_start(levels))
-    # the linear prediction of step 2 has a negative fraction here, so
-    # step 2 starts from x_1; steps 3-5 start from the quadratic, bitwise
-    assert not coupling._physical(2.0 * levels[1] - levels[0])
+    # the first step moves a field by more than its own size, so nabla x_1
+    # does not shrink against x_1 and step 2 starts from x_1; steps 3-8
+    # start from a prediction
+    assert scaled_size(levels[1] - levels[0], levels[1]) >= 1.0
     assert np.array_equal(starts[1][0], starts[1][1])
-    for k in (2, 3, 4):
-        quadratic = (3.0 * levels[k] - 3.0 * levels[k - 1]
-                     + levels[k - 2])
-        assert np.array_equal(starts[k][0], quadratic)
+    for x, previous, _ in starts[2:]:
+        assert not np.array_equal(x, previous)
 
 
 def test_bisection_substeps_start_from_own_level(monkeypatch):
@@ -311,9 +392,11 @@ def test_bisection_substeps_start_from_own_level(monkeypatch):
 
 
 #: total sweeps of the 3-day perfused-ic2-kg2-cthr preset run: 419 when
-#: every step started from x_n, 314 with the quadratic predictor
+#: every step started from x_n, 314 with the quadratic predictor, 203
+#: with the backward-difference series through HISTORY levels
 SWEEPS_3_DAYS_X_N = 419
-SWEEPS_3_DAYS_PREDICTED = 314
+SWEEPS_3_DAYS_QUADRATIC = 314
+SWEEPS_3_DAYS_PREDICTED = 203
 
 
 def test_prediction_saves_sweeps_on_perfused_preset():
@@ -321,7 +404,8 @@ def test_prediction_saves_sweeps_on_perfused_preset():
     scenario = dataclasses.replace(cfg.scenario, t_end=3 * 86400.0)
     trajectory = coupling.run(scenario, cfg.params)
     sweeps = sum(d.iterations for d in trajectory.diagnostics)
-    assert sweeps <= SWEEPS_3_DAYS_PREDICTED < SWEEPS_3_DAYS_X_N
+    assert (sweeps <= SWEEPS_3_DAYS_PREDICTED < SWEEPS_3_DAYS_QUADRATIC
+            < SWEEPS_3_DAYS_X_N)
 
 
 def test_sweep_matches_standalone_adr_operator(frozen_params):
