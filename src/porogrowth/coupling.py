@@ -13,7 +13,6 @@ distortions update once per accepted step, after convergence.
 """
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,12 +28,14 @@ from .errors import NonConvergenceError, NonphysicalStateError, PorogrowthError
 from .mesh import build_mesh, element_means
 from .params import EPS_PHI
 from .state import (
+    ROWS,
     MixtureState,
     StepDiagnostics,
     Trajectory,
     indicator_r,
     initial_state,
     sample_xi_field,
+    solid_and_fluid,
 )
 
 
@@ -55,14 +56,8 @@ def _physical(x):
     """Whether a (7, N) iterate may enter a sweep: nonnegative fractions
     and oxygen, fluid fraction above the solver floor EPS_PHI."""
     return not (x[3:].min() < 0.0
-                or (1.0 - x[3:].sum(axis=0)).min() <= EPS_PHI
+                or solid_and_fluid(x[3:])[1].min() <= EPS_PHI
                 or x[2].min() < 0.0)
-
-
-def _levels(state):
-    """The (7, N) iterate of a time level: rows u, p, c, phi_n, phi_v,
-    phi_q, phi_ecm."""
-    return np.stack([state.u, state.p, state.c, *state.phi_fields()])
 
 
 #: time levels the start predictor extrapolates through (order 5 at most)
@@ -76,26 +71,33 @@ def _change(dx, x):
             / (np.abs(x).max(axis=1) + 1e-30)).max(axis=-1)
 
 
-def _predict(levels):
-    """Start iterate of the next step from the last accepted levels,
-    newest first: the Newton backward-difference series x_n + nabla x_n
-    + nabla^2 x_n + ..., stopped before the first term whose scaled size
-    (_change against x_n) does not shrink. An unphysical prediction
-    falls back to x_n.
+def _push(table, depth, x):
+    """Enter the accepted (7, N) level x into the backward-difference
+    table, in place: row k of the depth filled rows holds nabla^k x_n of
+    the newest level, and becomes nabla^k x = nabla^(k-1) x - (the old
+    row k - 1). Returns the new depth, at most len(table).
     """
-    x_n = levels[0]
-    table = np.stack(levels)
-    terms = [x_n]
-    for _ in range(1, len(levels)):
-        table = table[:-1] - table[1:]
-        terms.append(table[0])
-    sizes = _change(np.stack(terms), x_n)
-    guess = x_n
-    for k in range(1, len(terms)):
+    depth = min(depth + 1, len(table))
+    for k in range(depth - 1):
+        table[k], x = x, x - table[k]
+    table[depth - 1] = x
+    return depth
+
+
+def _predict(table):
+    """Start iterate of the next step from the filled rows x_n, nabla
+    x_n, nabla^2 x_n, ... of the backward-difference table: the Newton
+    series, stopped before the first term whose scaled size (_change
+    against x_n) does not shrink. An unphysical prediction falls back to
+    x_n, a view of row 0 that the next _push overwrites.
+    """
+    sizes = _change(table, table[0])
+    guess = table[0]
+    for k in range(1, len(table)):
         if not sizes[k] < sizes[k - 1]:
             break
-        guess = guess + terms[k]
-    return guess if _physical(guess) else x_n
+        guess = guess + table[k]
+    return guess if _physical(guess) else table[0]
 
 
 class _Accelerator:
@@ -160,8 +162,7 @@ def _sweep(mesh, x, invariants, dt, scenario, params):
     """
     previous, g, lagged, d_eta, (t_b, v_b) = invariants
     phi_m = x[3:]
-    phi_s = phi_m.sum(axis=0)
-    phi_fl = 1.0 - phi_s
+    phi_s, phi_fl = solid_and_fluid(phi_m)
     new = np.empty_like(x)
 
     # step 1: poroelastic solve with lagged coefficients
@@ -202,8 +203,7 @@ def fixed_point_step(state_n, mesh, dt, scenario, params, start=None):
     report = FixedPointReport()
 
     # per-step invariants of the sweep
-    previous = _levels(state_n)
-    g = state_n.g_fields()
+    previous, g = state_n.level[:7], state_n.level[7:]
     invariants = (previous, g, poroelastic.step_invariants(g, previous[0], params),
                   adr.species_diffusion(mesh, params), scenario.boundary_data(params))
 
@@ -231,19 +231,13 @@ def fixed_point_step(state_n, mesh, dt, scenario, params, start=None):
     # growth distortions update once per accepted step
     if scenario.growth_model == "G1":
         phi = x[3:]
-        phi_s = phi.sum(axis=0)
-        sigma, source = _kinetics(mesh, x[0], x[2], phi, phi_s, 1.0 - phi_s,
+        sigma, source = _kinetics(mesh, x[0], x[2], phi, *solid_and_fluid(phi),
                                   g[0], scenario, params)
         safe_phi = np.where(phi > EPS_PHI, phi, 1.0)
         g = growth_distortion_step(
             g, phi, (source - sigma * phi) / safe_phi, dt)
 
-    state = MixtureState(
-        u=x[0], p=x[1], c=x[2],
-        phi_n=x[3], phi_v=x[4], phi_q=x[5], phi_ecm=x[6],
-        g_n=g[0], g_v=g[1], g_q=g[2], g_ecm=g[3],
-    )
-    return state, report
+    return MixtureState(np.concatenate((x, g))), report
 
 
 def _advance(state, mesh, dt, scenario, params, start):
@@ -274,11 +268,12 @@ def _advance(state, mesh, dt, scenario, params, start):
 
 def _record(trajectory, state, mesh, params):
     mid = mesh.mid_node()
+    column = state.level[:, mid]
     xi = sample_xi_field(state, params, mesh)
     series = trajectory.mid_series
-    for key in ("phi_n", "phi_v", "phi_q", "phi_ecm", "c", "p"):
-        series[key].append(float(getattr(state, key)[mid]))
-    series["phi_fl"].append(float(state.phi_fl_field()[mid]))
+    for key, value in zip(ROWS[1:7], column[1:7].tolist()):
+        series[key].append(value)
+    series["phi_fl"].append(float(solid_and_fluid(column[3:7])[1]))
     series["xi"].append(int(xi[mid]))
     trajectory.xi_series.append(xi)
 
@@ -289,7 +284,8 @@ def run(scenario, params):
     Snapshots are kept every output_stride steps (plus the first and
     last); the mid-node series and xi map are recorded at every step.
     Each step's fixed point starts from a backward-difference
-    extrapolation of the last HISTORY levels (see _predict). A step
+    extrapolation of the last HISTORY levels (see _predict), whose table
+    _push updates in place once the step is accepted. A step
     failure aborts with the partial trajectory attached to the raised
     error.
     """
@@ -302,16 +298,17 @@ def run(scenario, params):
                      "c", "p", "xi")},
         xi_series=[], diagnostics=[])
     _record(trajectory, state, mesh, params)
-    levels = deque([_levels(state)], maxlen=HISTORY)   # newest first
+    table = np.empty((HISTORY, 7, mesh.node_count))
+    depth = _push(table, 0, state.level[:7])
 
     for step in range(1, scenario.n_steps + 1):
         try:
             state, report = _advance(state, mesh, scenario.dt, scenario,
-                                     params, _predict(levels))
+                                     params, _predict(table[:depth]))
         except PorogrowthError as exc:
             exc.partial_trajectory = trajectory
             raise
-        levels.appendleft(_levels(state))
+        depth = _push(table, depth, state.level[:7])
         t = step * scenario.dt
         trajectory.series_times.append(t)
         trajectory.diagnostics.append(StepDiagnostics(

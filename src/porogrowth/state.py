@@ -1,6 +1,6 @@
 """Nodal mixture state, initial conditions and the isotropy map."""
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -10,61 +10,55 @@ from .mesh import Mesh1D, nodal_means
 #: roundoff slack granted to the nonnegativity checks
 NEG_TOL = 1e-12
 
+#: row order of a time level: rows 0-6 (u, p, c and the four fractions)
+#: are the fixed-point iterate, rows 7-10 the growth distortions
+ROWS = ("u", "p", "c", "phi_n", "phi_v", "phi_q", "phi_ecm",
+        "g_n", "g_v", "g_q", "g_ecm")
 
-def _frozen(a):
-    a = np.asarray(a, dtype=float)
-    a.flags.writeable = False
-    return a
+
+def solid_and_fluid(phi):
+    """(phi_s, phi_fl) of the fractions phi stacked as rows phi_n, phi_v,
+    phi_q, phi_ecm: the solid fraction and the fluid fraction 1 - phi_s."""
+    phi_s = phi.sum(axis=0)
+    return phi_s, 1.0 - phi_s
 
 
-@dataclass(frozen=True)
 class MixtureState:
-    """All nodal fields of one time level.
+    """All nodal fields of one time level: the read-only (11, N) array
+    level, rows in ROWS order, each also readable as a row view
+    (state.u, state.phi_n, ...).
 
     u in cm, p in dyne cm^-2, c in g cm^-3; volume fractions and growth
-    distortions dimensionless. Arrays are read-only after construction.
+    distortions dimensionless. Construction checks the closure: every
+    field finite, c and the fractions >= -NEG_TOL, phi_fl in (0, 1).
     """
 
-    u: np.ndarray = field(repr=False)
-    p: np.ndarray = field(repr=False)
-    phi_n: np.ndarray = field(repr=False)
-    phi_v: np.ndarray = field(repr=False)
-    phi_q: np.ndarray = field(repr=False)
-    phi_ecm: np.ndarray = field(repr=False)
-    c: np.ndarray = field(repr=False)
-    g_n: np.ndarray = field(repr=False)
-    g_v: np.ndarray = field(repr=False)
-    g_q: np.ndarray = field(repr=False)
-    g_ecm: np.ndarray = field(repr=False)
+    __slots__ = ("level",)
 
-    def __post_init__(self):
-        n = self.u.shape[0]
-        for f in fields(self):
-            a = getattr(self, f.name)
-            if a.shape != (n,):
-                raise ValueError(f"field {f.name} has shape {a.shape}, want ({n},)")
-            if not np.isfinite(a).all():
-                raise ClosureViolationError(f"field {f.name} is not finite")
-            object.__setattr__(self, f.name, _frozen(a))
-        for name in ("phi_n", "phi_v", "phi_q", "phi_ecm", "c"):
-            if getattr(self, name).min() < -NEG_TOL:
-                raise ClosureViolationError(
-                    f"{name} has negative entries: min = {np.min(getattr(self, name))}")
-        fl = self.phi_fl_field()
+    def __init__(self, level):
+        level = np.asarray(level, dtype=float).view()
+        if level.ndim != 2 or level.shape[0] != len(ROWS):
+            raise ValueError(
+                f"level has shape {level.shape}, want ({len(ROWS)}, N)")
+        finite = np.isfinite(level).all(axis=1)
+        if not finite.all():
+            raise ClosureViolationError(
+                f"field {ROWS[finite.argmin()]} is not finite")
+        low = level[2:7].min(axis=1)
+        if low.min() < -NEG_TOL:
+            k = (low < -NEG_TOL).argmax()
+            raise ClosureViolationError(
+                f"{ROWS[2 + k]} has negative entries: min = {low[k]}")
+        _, fl = solid_and_fluid(level[3:7])
         if fl.min() <= 0.0 or fl.max() >= 1.0:
             raise ClosureViolationError(
-                f"fluid fraction out of (0, 1): range [{np.min(fl)}, {np.max(fl)}]")
+                f"fluid fraction out of (0, 1): range [{fl.min()}, {fl.max()}]")
+        level.flags.writeable = False
+        self.level = level
 
-    def phi_fields(self):
-        """Species fractions stacked in the canonical order: proliferating,
-        synthesizing, quiescent, ECM (n, v, q, ecm)."""
-        return np.stack([self.phi_n, self.phi_v, self.phi_q, self.phi_ecm])
 
-    def g_fields(self):
-        return np.stack([self.g_n, self.g_v, self.g_q, self.g_ecm])
-
-    def phi_fl_field(self):
-        return 1.0 - (self.phi_n + self.phi_v + self.phi_q + self.phi_ecm)
+for _row, _name in enumerate(ROWS):
+    setattr(MixtureState, _name, property(lambda self, row=_row: self.level[row]))
 
 
 def initial_state(mesh, params, scenario):
@@ -77,19 +71,13 @@ def initial_state(mesh, params, scenario):
     a_n, a_eta = scenario.amplitudes()
     l_d = mesh.length / 5.0
     profile = np.exp(-mesh.nodes / l_d)
-    zeros = np.zeros(mesh.node_count)
-    g0 = np.full(mesh.node_count, scenario.g_initial)
+    level = np.zeros((len(ROWS), mesh.node_count))
+    level[2] = params.c_0
+    level[3] = a_n * profile
+    level[4:7] = a_eta * profile
+    level[7:] = scenario.g_initial
     try:
-        return MixtureState(
-            u=zeros.copy(),
-            p=zeros.copy(),
-            phi_n=a_n * profile,
-            phi_v=a_eta * profile,
-            phi_q=a_eta * profile,
-            phi_ecm=a_eta * profile,
-            c=np.full(mesh.node_count, params.c_0),
-            g_n=g0.copy(), g_v=g0.copy(), g_q=g0.copy(), g_ecm=g0.copy(),
-        )
+        return MixtureState(level)
     except ClosureViolationError as exc:
         raise InvalidInitialConditionError(str(exc)) from exc
 
@@ -104,18 +92,15 @@ def indicator_r(mesh, u, phi_s, phi_n, g_n):
     return np.abs(phi_s * nodal_strain(mesh, u) - g_n * phi_n)
 
 
-def anisotropy_field(state, mesh):
-    """Nodal isotropy indicator r of one state (see indicator_r)."""
-    return indicator_r(mesh, state.u, state.phi_fields().sum(axis=0),
-                       state.phi_n, state.g_n)
-
-
 def sample_xi_field(state, params, mesh):
-    """Binary isotropy map: 1 where r <= r_bar, else 0.
+    """Binary isotropy map of one state: 1 where r <= r_bar, else 0 (r
+    from indicator_r).
 
     The tie r = r_bar maps to 1 (isotropic set kept closed).
     """
-    return np.where(anisotropy_field(state, mesh) <= params.r_bar, 1, 0)
+    phi_s, _ = solid_and_fluid(state.level[3:7])
+    r = indicator_r(mesh, state.u, phi_s, state.phi_n, state.g_n)
+    return np.where(r <= params.r_bar, 1, 0)
 
 
 @dataclass

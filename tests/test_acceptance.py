@@ -14,7 +14,7 @@ import pytest
 
 from porogrowth import cli, config, constitutive, coupling, verify
 from porogrowth.scenario import SECONDS_PER_DAY
-from porogrowth.state import anisotropy_field
+from porogrowth.state import indicator_r, solid_and_fluid
 
 from conftest import frozen_kinetics_params
 
@@ -66,7 +66,7 @@ def test_criterion_2_positivity_and_closure(preset_runs):
             for field in ("c", "phi_n", "phi_v", "phi_q", "phi_ecm"):
                 low = float(np.min(getattr(state, field)))
                 assert low >= -1e-12, f"{name}: {field} dips to {low}"
-            fl = state.phi_fl_field()
+            _, fl = solid_and_fluid(state.level[3:7])
             assert np.min(fl) > 1e-6, f"{name}: phi_fl min {np.min(fl)}"
             assert np.max(fl) < 1.0, f"{name}: phi_fl max {np.max(fl)}"
 
@@ -115,7 +115,10 @@ def test_criterion_6_perfused_pressure_linear_and_anisotropic(preset_runs):
     # the primitive form: the perfusion stress pushes r past the
     # threshold everywhere after the very first step
     params = config.preset("perfused-ic1-kg1-csat").params
-    r_first = anisotropy_field(trajectory.states[1], trajectory.mesh)
+    first = trajectory.states[1]
+    r_first = indicator_r(trajectory.mesh, first.u,
+                          solid_and_fluid(first.level[3:7])[0],
+                          first.phi_n, first.g_n)
     assert np.min(r_first) > params.r_bar, (
         f"min r = {np.min(r_first)} vs r_bar = {params.r_bar}")
 

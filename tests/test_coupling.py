@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from porogrowth import adr, config, coupling
+from porogrowth import adr, config, coupling, outputs
 from porogrowth.errors import NonConvergenceError, NonphysicalStateError
 from porogrowth.mesh import build_mesh
 from porogrowth.params import EPS_PHI, ModelParams
@@ -105,6 +105,46 @@ def test_run_attaches_partial_trajectory_on_failure():
     partial = exc_info.value.partial_trajectory
     assert partial.times == [0.0]
     assert len(partial.states) == 1
+
+
+def test_run_attaches_recorded_prefix_on_failure_mid_run(monkeypatch, tmp_path):
+    # the third step fails: the partial trajectory holds the initial
+    # level and the two accepted steps, recorded as a full run records
+    # them, and the CSV emission writes it
+    scenario = short_scenario(culture_mode="perfused")
+    params = ModelParams()
+    full = coupling.run(scenario, params)
+    step = coupling.fixed_point_step
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise NonphysicalStateError("injected failure")
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(coupling, "fixed_point_step", failing)
+    with pytest.raises(NonphysicalStateError, match="injected") as exc_info:
+        coupling.run(scenario, params)
+    partial = exc_info.value.partial_trajectory
+    assert partial.series_times == full.series_times[:3] == [0.0, 3600.0, 7200.0]
+    assert partial.times == full.times[:3]
+    for a, b in zip(partial.states, full.states[:3], strict=True):
+        assert np.array_equal(a.level, b.level)
+    assert partial.mid_series.keys() == full.mid_series.keys()
+    for key, values in partial.mid_series.items():
+        assert values == full.mid_series[key][:3], key
+    assert len(partial.xi_series) == 3
+    for a, b in zip(partial.xi_series, full.xi_series):
+        assert np.array_equal(a, b)
+    assert partial.diagnostics == full.diagnostics[:2]
+    written = outputs.emit_outputs(
+        partial, config.RunConfig(scenario=scenario), str(tmp_path))
+    assert len(written) == 6
+    with open(tmp_path / "timeseries.csv", encoding="utf-8") as fh:
+        assert len(fh.read().splitlines()) == 1 + 3
+    with open(tmp_path / "diagnostics.csv", encoding="utf-8") as fh:
+        assert len(fh.read().splitlines()) == 1 + 2
 
 
 def test_auto_dt_halving_retries_with_substeps():
@@ -226,8 +266,18 @@ def test_unphysical_prediction_starts_from_previous_level(
     levels = [base + 2.0 * step, base + step, base]
     assert all(coupling._physical(x) for x in levels)
     assert not coupling._physical(base + 3.0 * step)
-    assert coupling._predict(levels[:2]) is levels[0]
-    assert coupling._predict(levels) is levels[0]
+    assert np.array_equal(predict(levels[:2]), levels[0])
+    assert np.array_equal(predict(levels), levels[0])
+
+
+def predict(levels):
+    """coupling._predict on the table that coupling._push builds from
+    the levels, newest first."""
+    table = np.empty((coupling.HISTORY, *levels[0].shape))
+    depth = 0
+    for x in reversed(levels):
+        depth = coupling._push(table, depth, x)
+    return coupling._predict(table[:depth])
 
 
 def newton_terms(history):
@@ -281,11 +331,11 @@ def smooth_levels(count):
 
 def test_prediction_by_available_history():
     levels = smooth_levels(coupling.HISTORY)[::-1]   # newest first
-    assert coupling._predict(levels[:1]) is levels[0]
+    assert np.array_equal(predict(levels[:1]), levels[0])
     # u and p may be negative: the guard checks only c and the fractions
     starts = []
     for count in range(2, coupling.HISTORY + 1):
-        start = coupling._predict(levels[:count])
+        start = predict(levels[:count])
         assert np.array_equal(start, expected_start(levels[:count][::-1]))
         # the smooth history keeps every term: the full series of order
         # count - 1
@@ -310,7 +360,7 @@ def test_polynomial_levels_are_extrapolated_exactly(degree):
     for count in (degree + 1, coupling.HISTORY):
         levels = [level(t) for t in range(coupling.HISTORY - 1,
                                           coupling.HISTORY - 1 - count, -1)]
-        start = coupling._predict(levels)
+        start = predict(levels)
         assert np.all(np.abs(start - exact).max(axis=1)
                       <= 1e-12 * np.abs(exact).max(axis=1))
 
@@ -328,21 +378,23 @@ def test_kinked_history_truncates_the_series(kink):
     sizes = [scaled_size(term, x_n) for term in terms]
     assert all(a > b for a, b in zip(sizes[:kink], sizes[1:kink]))
     assert sizes[kink] >= sizes[kink - 1]
-    start = coupling._predict(levels)
+    start = predict(levels)
     assert np.array_equal(start, series_sum(terms[:kink]))
     assert not np.array_equal(start, series_sum(terms))
 
 
 def record_starts(monkeypatch):
     """Spy on the sweeps: one (start, previous, dt) per fixed_point_step
-    call, taken from its first sweep."""
+    call, taken from its first sweep. The start is copied: it may be a
+    view of the predictor's table, which the next accepted level
+    overwrites."""
     starts = []
     sweep = coupling._sweep
 
     def spy(mesh, x, invariants, dt, *args):
         previous = invariants[0]
         if not starts or starts[-1][1] is not previous:
-            starts.append((x, previous, dt))
+            starts.append((x.copy(), previous, dt))
         return sweep(mesh, x, invariants, dt, *args)
 
     monkeypatch.setattr(coupling, "_sweep", spy)
@@ -389,6 +441,43 @@ def test_bisection_substeps_start_from_own_level(monkeypatch):
         levels.append(previous)
         assert np.array_equal(x, expected_start(levels))
     assert not np.array_equal(nominal[-1][0], nominal[-1][1])
+
+
+def restacked_prediction(levels):
+    """Start iterate from the levels, newest first, with the whole
+    backward-difference table rebuilt from their stack on every call:
+    the reference that the in-place table of coupling._push and
+    coupling._predict must equal bit for bit."""
+    x_n = levels[0]
+    table = np.stack(levels)
+    terms = [x_n]
+    for _ in range(1, len(levels)):
+        table = table[:-1] - table[1:]
+        terms.append(table[0])
+    sizes = coupling._change(np.stack(terms), x_n)
+    guess = x_n
+    for k in range(1, len(terms)):
+        if not sizes[k] < sizes[k - 1]:
+            break
+        guess = guess + terms[k]
+    return guess if coupling._physical(guess) else x_n
+
+
+def test_start_iterates_equal_restacked_table_bitwise(monkeypatch):
+    # 120 steps: the table fills, then slides over the last HISTORY
+    # levels for more than a hundred updates in place
+    starts = record_starts(monkeypatch)
+    cfg = config.preset("perfused-ic2-kg2-cthr")
+    scenario = dataclasses.replace(cfg.scenario, t_end=5 * 86400.0)
+    coupling.run(scenario, cfg.params)
+    assert len(starts) == scenario.n_steps == 120    # no bisection
+    levels = []                                       # newest first
+    for x, previous, _ in starts:
+        levels.insert(0, previous)
+        reference = restacked_prediction(levels[:coupling.HISTORY])
+        assert x.tobytes() == reference.tobytes()
+    predicted = sum(not np.array_equal(x, previous) for x, previous, _ in starts)
+    assert predicted > 100
 
 
 #: total sweeps of the 3-day perfused-ic2-kg2-cthr preset run: 419 when

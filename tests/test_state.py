@@ -6,11 +6,13 @@ from porogrowth.mesh import build_mesh
 from porogrowth.params import ModelParams
 from porogrowth.scenario import ScenarioConfig
 from porogrowth.state import (
+    ROWS,
     MixtureState,
-    anisotropy_field,
+    indicator_r,
     initial_state,
     nodal_strain,
     sample_xi_field,
+    solid_and_fluid,
 )
 
 
@@ -24,21 +26,36 @@ def make_state(n=11, amp=0.01, **overrides):
         g_n=z.copy(), g_v=z.copy(), g_q=z.copy(), g_ecm=z.copy(),
     )
     fields.update(overrides)
-    return MixtureState(**fields)
+    return MixtureState(np.stack([fields[name] for name in ROWS]))
+
+
+def anisotropy(state, mesh):
+    """Nodal isotropy indicator r of one state."""
+    phi_s, _ = solid_and_fluid(state.level[3:7])
+    return indicator_r(mesh, state.u, phi_s, state.phi_n, state.g_n)
 
 
 def test_phi_fl_closure():
     state = make_state(amp=0.01)
-    assert np.allclose(state.phi_fl_field(), 0.96)
-    assert np.allclose(state.phi_fields().sum(axis=0), 0.04)
+    phi_s, phi_fl = solid_and_fluid(state.level[3:7])
+    assert np.allclose(phi_fl, 0.96)
+    assert np.allclose(phi_s, 0.04)
 
 
 def test_phi_fields_order():
-    state = make_state()
-    stacked = state.phi_fields()
-    assert stacked.shape == (4, 11)
-    assert np.array_equal(stacked[0], state.phi_n)
-    assert np.array_equal(stacked[3], state.phi_ecm)
+    state = make_state(phi_n=np.full(11, 0.01), phi_ecm=np.full(11, 0.02))
+    assert state.level.shape == (11, 11)
+    # each field reads as a view of its row of the one level array
+    for row, name in enumerate(ROWS):
+        assert np.shares_memory(getattr(state, name), state.level)
+        assert np.array_equal(getattr(state, name), state.level[row])
+    assert np.all(state.level[3] == 0.01)
+    assert np.all(state.level[6] == 0.02)
+
+
+def test_level_shape_checked():
+    with pytest.raises(ValueError, match="want"):
+        MixtureState(np.zeros((7, 11)))
 
 
 def test_negative_fraction_rejected():
@@ -71,6 +88,8 @@ def test_arrays_read_only():
     state = make_state()
     with pytest.raises(ValueError):
         state.u[0] = 1.0
+    with pytest.raises(ValueError):
+        state.level[7, 0] = 1.0
 
 
 def test_initial_state_profile():
@@ -121,7 +140,7 @@ def test_anisotropy_and_xi():
     # strain chosen so r straddles the threshold
     u = (2.0 * params.r_bar / 0.04) * mesh.nodes
     state = make_state(u=u)
-    r = anisotropy_field(state, mesh)
+    r = anisotropy(state, mesh)
     assert np.allclose(r, 2.0 * params.r_bar)
     assert np.all(sample_xi_field(state, params, mesh) == 0)
     state0 = make_state()
@@ -135,5 +154,5 @@ def test_xi_tie_is_isotropic():
     z = np.zeros(11)
     state = make_state(phi_n=np.full(11, 0.5), phi_v=z.copy(), phi_q=z.copy(),
                        phi_ecm=z.copy(), g_n=np.full(11, 2.0 * params.r_bar))
-    assert np.all(anisotropy_field(state, mesh) == params.r_bar)
+    assert np.all(anisotropy(state, mesh) == params.r_bar)
     assert np.all(sample_xi_field(state, params, mesh) == 1)
