@@ -157,10 +157,11 @@ def _sweep(mesh, x, invariants, dt, scenario, params):
     oxygen and one stacked species solve; returns the next iterate.
 
     invariants are the step's last level (7, N), its growth distortions
-    (4, N), the poroelastic.step_invariants, the species diffusivity and
-    the (traction, Darcy flux) data.
+    (4, N), the poroelastic.step_invariants, the (2, 2, N - 1) buffer of
+    the (oxygen, species) edge diffusivities and velocities (filled here
+    but for the species diffusivity) and the (traction, Darcy flux) data.
     """
-    previous, g, lagged, d_eta, (t_b, v_b) = invariants
+    previous, g, lagged, (diffusion, velocity), (t_b, v_b) = invariants
     phi_m = x[3:]
     phi_s, phi_fl = solid_and_fluid(phi_m)
     new = np.empty_like(x)
@@ -175,16 +176,15 @@ def _sweep(mesh, x, invariants, dt, scenario, params):
     v_solid = (new[0] - previous[0]) / dt
     oxygen = adr.build_oxygen_problem(
         mesh, phi_m, phi_fl, x[2], v_solid, v_new, scenario, params)
-    v_eta = element_means(v_solid)
-    w_oxygen, w_species = adr.edge_weights(
-        mesh.h, np.stack([oxygen.diffusion, d_eta]),
-        np.stack([oxygen.velocity, v_eta]))
+    diffusion[0], velocity[0] = oxygen.diffusion, oxygen.velocity
+    velocity[1] = element_means(v_solid)
+    w_oxygen, w_species = adr.edge_weights(mesh.h, diffusion, velocity)
     new[2] = adr.solve_adr(oxygen, w_oxygen, dt, previous[2])
 
     # step 3: populations, gated by the freshest stress and oxygen
     sigma, source = _kinetics(
         mesh, new[0], new[2], phi_m, phi_s, phi_fl, g[0], scenario, params)
-    species = adr.build_species_problem(mesh, sigma, source, d_eta, v_eta)
+    species = adr.build_species_problem(mesh, sigma, source, diffusion[1], velocity[1])
     new[3:] = adr.solve_adr(species, w_species, dt, previous[3:])
     return new
 
@@ -204,8 +204,10 @@ def fixed_point_step(state_n, mesh, dt, scenario, params, start=None):
 
     # per-step invariants of the sweep
     previous, g = state_n.level[:7], state_n.level[7:]
+    edges = np.empty((2, 2, mesh.n_elements))
+    edges[0, 1] = adr.species_diffusion(mesh, params)
     invariants = (previous, g, poroelastic.step_invariants(g, previous[0], params),
-                  adr.species_diffusion(mesh, params), scenario.boundary_data(params))
+                  edges, scenario.boundary_data(params))
 
     x = previous if start is None else start
     accelerator = _Accelerator()

@@ -1,7 +1,8 @@
 """CSV emission: mid-node time series, field maps, diagnostics.
 
 All floating values are written with repr (shortest round-trip form) so
-repeated runs of the same configuration are byte-identical.
+repeated runs of the same configuration are byte-identical. Field maps
+are written one snapshot block at a time, so memory does not grow with T_end.
 """
 
 import os
@@ -21,10 +22,12 @@ def _floats(values):
     return map(repr, np.asarray(values, dtype=float).tolist())
 
 
-def _write(path, lines):
+def _write(path, blocks):
+    """Write each block of lines in turn, every line ending in a newline."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+            for block in blocks:
+                fh.write("\n".join(block) + "\n")
     except OSError as exc:
         raise PorogrowthError(f"cannot write {path}: {exc}") from exc
 
@@ -38,10 +41,31 @@ def make_output_dir(out_dir):
             f"cannot create output directory {out_dir}: {exc}") from exc
 
 
+def _field_blocks(trajectory, name, x_cm, steps):
+    """The header, then one block of lines t_days,x_cm,value per snapshot;
+    steps are the snapshots' indices into the per-step series."""
+    yield ["t_days,x_cm,value"]
+    for t, state, step in zip(trajectory.times, trajectory.states, steps):
+        t_days = repr(float(t / SECONDS_PER_DAY))
+        if name == "xi":
+            xi = trajectory.xi_series[step]
+            values = map(str, np.asarray(xi, dtype=int).tolist())
+        else:
+            values = _floats(getattr(state, name))
+        yield [f"{t_days},{x},{v}" for x, v in zip(x_cm, values)]
+
+
 def emit_outputs(trajectory, config, out_dir):
     """Write the configured CSV files into out_dir; returns their paths."""
     if not trajectory.states:
         raise PorogrowthError("trajectory is empty")
+    names = [n for n in FIELD_NAMES
+             if (config.emit_xi_map if n == "xi" else config.emit_fields)]
+    step_of = {t: i for i, t in enumerate(trajectory.series_times)}
+    steps = [step_of.get(t) for t in trajectory.times]
+    if names and None in steps:
+        t = trajectory.times[steps.index(None)]
+        raise PorogrowthError(f"snapshot time {t} s is not a recorded step")
     make_output_dir(out_dir)
     written = []
 
@@ -51,31 +75,15 @@ def emit_outputs(trajectory, config, out_dir):
         columns += [_floats(series[key]) for key in
                     ("phi_n", "phi_v", "phi_q", "phi_ecm", "phi_fl", "c", "p")]
         columns.append(map(str, series["xi"]))
-        lines = [TIMESERIES_HEADER, *map(",".join, zip(*columns))]
         path = os.path.join(out_dir, "timeseries.csv")
-        _write(path, lines)
+        _write(path, [[TIMESERIES_HEADER, *map(",".join, zip(*columns))]])
         written.append(path)
 
-    if config.emit_fields or config.emit_xi_map:
-        names = [n for n in FIELD_NAMES
-                 if config.emit_fields or n == "xi"]
-        if not config.emit_xi_map:
-            names = [n for n in names if n != "xi"]
-        x_cm = list(_floats(trajectory.mesh.nodes))
-        step_of = {t: i for i, t in enumerate(trajectory.series_times)}
-        for name in names:
-            lines = ["t_days,x_cm,value"]
-            for t, state in zip(trajectory.times, trajectory.states):
-                t_days = repr(float(t / SECONDS_PER_DAY))
-                if name == "xi":
-                    xi = trajectory.xi_series[step_of[t]]
-                    values = map(str, np.asarray(xi, dtype=int).tolist())
-                else:
-                    values = _floats(getattr(state, name))
-                lines.extend(f"{t_days},{x},{v}" for x, v in zip(x_cm, values))
-            path = os.path.join(out_dir, f"field_{name}.csv")
-            _write(path, lines)
-            written.append(path)
+    x_cm = list(_floats(trajectory.mesh.nodes))
+    for name in names:
+        path = os.path.join(out_dir, f"field_{name}.csv")
+        _write(path, _field_blocks(trajectory, name, x_cm, steps))
+        written.append(path)
 
     if config.emit_diagnostics:
         lines = ["step,t_days,fp_iters,fp_residual"]
@@ -84,7 +92,7 @@ def emit_outputs(trajectory, config, out_dir):
                 f"{d.step},{float(d.time / SECONDS_PER_DAY)!r},"
                 f"{d.iterations},{float(d.residual)!r}")
         path = os.path.join(out_dir, "diagnostics.csv")
-        _write(path, lines)
+        _write(path, [lines])
         written.append(path)
 
     return written

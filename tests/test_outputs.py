@@ -1,11 +1,14 @@
+import builtins
 import dataclasses
 import itertools
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from porogrowth import config, coupling, outputs
+from porogrowth.errors import PorogrowthError
 from porogrowth.scenario import SECONDS_PER_DAY, ScenarioConfig
 
 
@@ -168,3 +171,76 @@ def test_every_emit_combination_matches_reference(strided_run, tmp_path, flags):
             block = [int(r.split(",")[2]) for r in rows[k * n:(k + 1) * n]]
             step = round(t / cfg.scenario.dt)
             assert block == trajectory.xi_series[step].tolist()
+
+
+def test_unrecorded_snapshot_time_fails_before_any_file(short_run, tmp_path):
+    # a snapshot time missing from series_times has no xi map: the error
+    # comes before the first file is opened, not halfway through one
+    cfg, trajectory = short_run
+    shifted = dataclasses.replace(
+        trajectory, times=trajectory.times[:-1] + [trajectory.times[-1] + 1.0])
+    with pytest.raises(PorogrowthError, match="snapshot time 10801.0 s"):
+        outputs.emit_outputs(shifted, cfg, str(tmp_path))
+    assert os.listdir(tmp_path) == []   # no field_*.csv, nor any other
+
+
+def test_failed_write_inside_a_file_is_typed(short_run, tmp_path, monkeypatch):
+    # each file object fails on its third write: timeseries.csv is one
+    # write, field_p.csv fails on its second snapshot block
+    class FailingFile:
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.writes += 1
+            if self.writes == 3:
+                raise OSError("no space left on device")
+            return self.fh.write(text)
+
+    def failing_open(*args, **kwargs):
+        return FailingFile(builtins.open(*args, **kwargs))
+
+    monkeypatch.setattr(outputs, "open", failing_open, raising=False)
+    cfg, trajectory = short_run
+    with pytest.raises(PorogrowthError, match="cannot write .*field_p.csv"):
+        outputs.emit_outputs(trajectory, cfg, str(tmp_path))
+
+
+def test_single_snapshot_on_three_nodes_matches_reference(tmp_path):
+    # t_end = 0: the initial state is the only snapshot, so each field
+    # file is its header plus one 3-line block and diagnostics.csv is its
+    # header alone
+    cfg = config.RunConfig(scenario=ScenarioConfig(
+        t_end=0.0, dt=3600.0, node_count=3))
+    trajectory = coupling.run(cfg.scenario, cfg.params)
+    assert trajectory.times == [0.0] and not trajectory.diagnostics
+    written = outputs.emit_outputs(trajectory, cfg, str(tmp_path))
+    expected = reference_csvs(trajectory, cfg)
+    assert sorted(os.path.basename(p) for p in written) == sorted(expected)
+    for name, text in expected.items():
+        assert read(tmp_path / name) == text
+    assert len(read(tmp_path / "field_c.csv").splitlines()) == 1 + 3
+
+
+def test_emission_memory_is_bounded_by_a_block(tmp_path):
+    # the field files are streamed one snapshot block at a time, so the
+    # memory emission allocates stays far below the size of one file
+    cfg = config.preset("perfused-ic2-kg2-cthr")
+    cfg = dataclasses.replace(cfg, scenario=dataclasses.replace(
+        cfg.scenario, t_end=2 * SECONDS_PER_DAY, node_count=401))
+    trajectory = coupling.run(cfg.scenario, cfg.params)
+    tracemalloc.start()
+    try:
+        written = outputs.emit_outputs(trajectory, cfg, str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    largest = max(os.path.getsize(p) for p in written)
+    assert largest > 500_000
+    assert peak < largest / 2
