@@ -51,12 +51,16 @@ def bernoulli(t):
     return out if out.ndim else float(out)
 
 
+#: the column (1, -1) that turns t_e into the rows (t_e, -t_e), exactly
+_SIGNS = np.array([[1.0], [-1.0]])
+
+
 def edge_weights(h, diffusion, velocity):
     """(b_plus, b_minus) = D_e/h (B(t_e), B(-t_e)), t_e = v_e h / D_e, of
     one problem's element data, or of k problems' stacked as (k, N-1)
     rows, from one bernoulli call on the rows (t_1, -t_1, t_2, -t_2, ...)."""
     t_e = velocity * h / diffusion
-    return (diffusion / h)[..., None, :] * bernoulli(np.stack([t_e, -t_e], axis=-2))
+    return (diffusion / h)[..., None, :] * bernoulli(t_e[..., None, :] * _SIGNS)
 
 
 class AdrProblem(NamedTuple):

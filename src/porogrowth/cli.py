@@ -55,7 +55,14 @@ def _apply_overrides(cfg, args):
 def _run_one(cfg, out_dir):
     # an output directory that cannot be made fails before the run
     outputs.make_output_dir(out_dir)
-    trajectory = coupling.run(cfg.scenario, cfg.params)
+    try:
+        trajectory = coupling.run(cfg.scenario, cfg.params)
+    except PorogrowthError as exc:   # keep the steps recorded before it
+        if (partial := getattr(exc, "partial_trajectory", None)) is not None:
+            outputs.emit_outputs(partial, cfg, out_dir)
+            print(f"wrote the initial level and {len(partial.series_times) - 1} "
+                  f"accepted steps to {out_dir}", file=sys.stderr)
+        raise
     written = outputs.emit_outputs(trajectory, cfg, out_dir)
     for path in written:
         print(path)

@@ -7,10 +7,13 @@ leaves the N pressures (derivation in poroelastic). solve_banded solves
 them all with LAPACK gtsv and checks the residual.
 """
 
+import os
+import sys
 from dataclasses import dataclass, field
+from importlib.machinery import PathFinder
+from importlib.util import find_spec, module_from_spec
 
 import numpy as np
-import scipy.linalg
 
 from .errors import SingularSystemError
 
@@ -19,8 +22,23 @@ RESIDUAL_REL = 1e-10
 
 _TINY = np.finfo(float).tiny
 
-#: the LAPACK driver behind solve_banded, fetched once
-_gtsv, = scipy.linalg.get_lapack_funcs(("gtsv",), dtype=np.float64)
+
+def _load_gtsv(linalg_dir):
+    """dgtsv of the module scipy.linalg._flapack in linalg_dir, loaded alone
+    (importing scipy.linalg costs 0.3 s and 25 MB; a later import of it
+    reuses the module), or from get_lapack_funcs if linalg_dir lacks it."""
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules and (spec := PathFinder.find_spec(name, [linalg_dir])):
+        sys.modules[name] = module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    if name in sys.modules:
+        return sys.modules[name].dgtsv
+    import scipy.linalg
+    return scipy.linalg.get_lapack_funcs(("gtsv",), dtype=np.float64)[0]
+
+
+#: the LAPACK driver behind solve_banded, loaded once
+_gtsv = _load_gtsv(os.path.join(find_spec("scipy").submodule_search_locations[0], "linalg"))
 
 
 @dataclass

@@ -341,7 +341,3 @@ def run_suite(name):
     if name not in _SUITES:
         raise ValueError(f"unknown verify suite {name!r}; choose from {SUITE_NAMES}")
     return _SUITES[name]()
-
-
-def run_all():
-    return [run_suite(name) for name in SUITE_NAMES]

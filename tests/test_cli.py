@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from porogrowth import cli
+from porogrowth import cli, config, coupling
+from porogrowth.errors import NonConvergenceError, NonphysicalStateError
 
 
 def run_cli(argv):
@@ -128,6 +129,54 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
                     "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_NUMERICAL
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_failed_run_writes_its_recorded_steps(tmp_path, capsys):
+    # tol = 1e-16 cannot be met in three sweeps: the run fails at step 1,
+    # after recording only the initial level, and that level is written
+    cfg_path = tmp_path / "starved.cfg"
+    cfg_path.write_text("nodes = 21\ntol = 1e-16\nmax_iter = 3\n")
+    out = tmp_path / "o"
+    cfg = config.parse_config(cfg_path.read_text())
+    with pytest.raises(NonConvergenceError) as exc_info:
+        coupling.run(cfg.scenario, cfg.params)
+    recorded = exc_info.value.partial_trajectory.series_times
+    code = run_cli(["simulate", "--config", str(cfg_path), "--out", str(out)])
+    assert code == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == f"wrote the initial level and 0 accepted steps to {out}"
+    assert err[1].startswith("numerical failure: fixed point did not converge")
+    rows = (out / "timeseries.csv").read_text().splitlines()[1:]
+    assert [float(row.split(",")[0]) * 86400.0 for row in rows] == recorded
+
+
+def test_failed_run_keeps_the_full_runs_first_rows(tmp_path, monkeypatch,
+                                                   capsys):
+    # the third step fails: the initial level and the two accepted steps
+    # are written byte for byte as the full run writes them
+    argv = ["simulate", "--preset", "perfused-ic2-kg2-cthr", "--nodes", "21",
+            "--t-end", str(5 * 3600.0)]
+    assert run_cli(argv + ["--out", str(tmp_path / "full")]) == cli.EXIT_OK
+    step = coupling.fixed_point_step
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise NonphysicalStateError("injected failure")
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(coupling, "fixed_point_step", failing)
+    capsys.readouterr()
+    assert run_cli(argv + ["--out", str(tmp_path / "cut")]) == cli.EXIT_NUMERICAL
+    assert capsys.readouterr().err.splitlines() == [
+        f"wrote the initial level and 2 accepted steps to {tmp_path / 'cut'}",
+        "numerical failure: injected failure"]
+    for name, prefix in (("timeseries.csv", 1 + 3), ("diagnostics.csv", 1 + 2),
+                         ("field_p.csv", 1 + 3 * 21), ("field_xi.csv", 1 + 3 * 21)):
+        cut = (tmp_path / "cut" / name).read_text().splitlines()
+        full = (tmp_path / "full" / name).read_text().splitlines()
+        assert cut == full[:prefix], name
 
 
 @pytest.mark.parametrize("below", [False, True])

@@ -570,3 +570,27 @@ def test_non_finite_residual_fails_fast(monkeypatch):
         coupling.run(scenario, ModelParams())
     assert not isinstance(info.value, NonConvergenceError)
     assert len(calls) == 1
+
+
+def test_static_mechanics_rows_never_limit_a_sweep(monkeypatch):
+    # static culture loads nothing: u and p are exactly 0.0 at every step,
+    # so their rows of the convergence test only ever compute
+    # 0 / (0 + 1e-30) = 0, and the 1e-30 floor never decides a sweep
+    sizes = []
+    change = coupling._change
+
+    def spy(dx, x):
+        if dx.ndim == 2:   # a sweep's residual, not the predictor's table
+            sizes.append(np.abs(dx).max(axis=1) / (np.abs(x).max(axis=1) + 1e-30))
+        return change(dx, x)
+
+    monkeypatch.setattr(coupling, "_change", spy)
+    cfg = config.preset("static-ic1-kg1-csat")
+    scenario = dataclasses.replace(cfg.scenario, t_end=24 * 3600.0, node_count=41)
+    trajectory = coupling.run(scenario, cfg.params)
+    assert len(sizes) == sum(d.iterations for d in trajectory.diagnostics)
+    for state in trajectory.states:
+        assert not state.u.any() and not state.p.any()
+    for row in sizes:
+        assert row[0] == row[1] == 0.0
+        assert row[2:].max() > 0.0

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -237,3 +241,39 @@ def test_bad_band_construction():
         BandedMatrix(n=3, data=np.zeros((2, 3)))
     with pytest.raises(ValueError):
         BandedMatrix(n=3, data=np.zeros((3, 4)))
+
+
+def run_fresh(code):
+    """Run code in a fresh interpreter that imports porogrowth from src."""
+    src = os.path.dirname(os.path.dirname(linalg.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_cli_import_leaves_scipy_linalg_unimported():
+    # gtsv comes from scipy.linalg._flapack alone, not the whole package
+    assert run_fresh("import sys, porogrowth.cli\n"
+                     "print('scipy.linalg' in sys.modules)") == "False\n"
+
+
+@pytest.mark.parametrize("first, second", [
+    ("from porogrowth import linalg", "import scipy.linalg"),
+    ("import scipy.linalg", "from porogrowth import linalg")])
+def test_loaded_gtsv_is_scipys_in_either_import_order(first, second):
+    assert run_fresh(
+        f"{first}\n{second}\nimport numpy as np\n"
+        "print(linalg._gtsv is scipy.linalg.get_lapack_funcs(\n"
+        "    ('gtsv',), dtype=np.float64)[0])") == "True\n"
+
+
+def test_gtsv_falls_back_to_get_lapack_funcs(monkeypatch, tmp_path):
+    # no _flapack file where the loader looks: get_lapack_funcs finds the
+    # same routine
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    gtsv = linalg._load_gtsv(str(tmp_path))
+    assert "scipy.linalg._flapack" not in sys.modules
+    assert gtsv is linalg._gtsv
+    assert gtsv is scipy.linalg.get_lapack_funcs(("gtsv",), dtype=np.float64)[0]
