@@ -24,10 +24,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .constitutive import nutrient_diffusivity, oxygen_sink
-from .errors import InvalidProblemError, NonphysicalStateError
+from .errors import InvalidProblemError
 from .linalg import BandedMatrix, solve_banded
 from .mesh import element_means, nodal_means
-from .params import EPS_PHI
 
 
 def bernoulli(t):
@@ -160,12 +159,10 @@ def build_oxygen_problem(mesh, phi_lagged, phi_fl, c_lagged, v_solid,
     """Oxygen transport problem of one fixed-point sweep.
 
     phi_lagged is the stacked (4, N) species array at iterate m, phi_fl
-    its fluid fraction; v_fl = V/phi_fl + (u_new - u_prev)/dt. Zero
-    diffusive flux at the scaffold wall, Dirichlet c_ext at the interface.
+    its fluid fraction, already checked by poroelastic.assemble; v_fl =
+    V/phi_fl + (u_new - u_prev)/dt. Zero diffusive flux at the scaffold
+    wall, Dirichlet c_ext at the interface.
     """
-    if phi_fl.min() <= EPS_PHI:
-        raise NonphysicalStateError(
-            f"lagged fluid fraction below {EPS_PHI}: min = {np.min(phi_fl)}")
     v_fl = nodal_means(v_darcy_new) / phi_fl + v_solid
     d_nodes = nutrient_diffusivity(phi_fl, params)
     d_e, v_e = edge_coefficients(d_nodes, v_fl)

@@ -5,19 +5,19 @@ All functions are pure and accept scalars or numpy arrays alike.
 
 import numpy as np
 
-from .errors import DegenerateDiffusivityError, SingularPermeabilityError
 from .params import EPS_PHI
 
 
 # --- permeability and diffusivity -----------------------------------
 
 def permeability_shape(phi_fl):
-    """Dimensionless permeability shape psi = phi_fl^2 / (1 - phi_fl)."""
+    """Dimensionless permeability shape psi = phi_fl^2 / (1 - phi_fl).
+
+    Singular at phi_fl = 1; the coupling loop passes only element means
+    of a fluid fraction that poroelastic.assemble has checked to lie in
+    (EPS_PHI, 1).
+    """
     phi_fl = np.asarray(phi_fl, dtype=float)
-    if np.any(phi_fl < 0.0):
-        raise SingularPermeabilityError("phi_fl must be nonnegative")
-    if np.any(phi_fl >= 1.0):
-        raise SingularPermeabilityError("permeability singular at phi_fl >= 1")
     out = phi_fl**2 / (1.0 - phi_fl)
     return out if out.ndim else float(out)
 
@@ -31,15 +31,13 @@ def nutrient_diffusivity(phi_fl, params):
     """Effective oxygen diffusivity of the two-phase mixture (cm^2 s^-1).
 
     D = D_fl (3k - 2 phi_fl (k-1)) / (3 + phi_fl (k-1)), k = K_eq Ds/Dfl.
-    Reduces to D_fl at phi_fl = 1 and to K_eq D_s at phi_fl = 0.
+    Reduces to D_fl at phi_fl = 1 and to K_eq D_s at phi_fl = 0. The
+    denominator is at least 3 - phi_fl > 2 for phi_fl in [0, 1), k >= 0.
     """
     phi_fl = np.asarray(phi_fl, dtype=float)
     k = params.k_partition
-    denom = 3.0 + phi_fl * (k - 1.0)
-    if np.any(denom <= 0.0):
-        raise DegenerateDiffusivityError(
-            "diffusivity denominator nonpositive (phi_fl outside [0,1]?)")
-    out = params.D_c_fl * (3.0 * k - 2.0 * phi_fl * (k - 1.0)) / denom
+    out = (params.D_c_fl * (3.0 * k - 2.0 * phi_fl * (k - 1.0))
+           / (3.0 + phi_fl * (k - 1.0)))
     return out if out.ndim else float(out)
 
 

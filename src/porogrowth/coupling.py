@@ -30,7 +30,6 @@ from .params import EPS_PHI
 from .state import (
     ROWS,
     MixtureState,
-    StepDiagnostics,
     Trajectory,
     indicator_r,
     initial_state,
@@ -268,38 +267,44 @@ def _advance(state, mesh, dt, scenario, params, start):
         "fixed point failed after 4 time-step bisections", last_report)
 
 
-def _record(trajectory, state, mesh, params):
+def _record(trajectory, t, state, mesh, params, snapshot):
+    """Append the accepted level at time t to the per-step series, and to
+    the snapshots with its xi map when snapshot is true."""
     mid = mesh.mid_node()
     column = state.level[:, mid]
     xi = sample_xi_field(state, params, mesh)
+    trajectory.series_times.append(t)
     series = trajectory.mid_series
     for key, value in zip(ROWS[1:7], column[1:7].tolist()):
         series[key].append(value)
     series["phi_fl"].append(float(solid_and_fluid(column[3:7])[1]))
     series["xi"].append(int(xi[mid]))
-    trajectory.xi_series.append(xi)
+    if snapshot:
+        trajectory.times.append(t)
+        trajectory.states.append(state)
+        trajectory.xi_maps.append(xi)
 
 
 def run(scenario, params):
     """Full simulation over [0, t_end]; returns a Trajectory.
 
-    Snapshots are kept every output_stride steps (plus the first and
-    last); the mid-node series and xi map are recorded at every step.
-    Each step's fixed point starts from a backward-difference
-    extrapolation of the last HISTORY levels (see _predict), whose table
-    _push updates in place once the step is accepted. A step
-    failure aborts with the partial trajectory attached to the raised
-    error.
+    Snapshots, each with its xi map, are kept every output_stride steps
+    (plus the first and last); the mid-node series and the fixed-point
+    report are recorded at every step. Each step's fixed point starts
+    from a backward-difference extrapolation of the last HISTORY levels
+    (see _predict), whose table _push updates in place once the step is
+    accepted. A step failure aborts with the partial trajectory attached
+    to the raised error.
     """
     mesh = build_mesh(scenario.length, scenario.node_count)
     state = initial_state(mesh, params, scenario)
     trajectory = Trajectory(
-        mesh=mesh, times=[0.0], states=[state], series_times=[0.0],
+        mesh=mesh, times=[], states=[], xi_maps=[], series_times=[],
         mid_series={k: [] for k in
                     ("phi_n", "phi_v", "phi_q", "phi_ecm", "phi_fl",
                      "c", "p", "xi")},
-        xi_series=[], diagnostics=[])
-    _record(trajectory, state, mesh, params)
+        diagnostics=[])
+    _record(trajectory, 0.0, state, mesh, params, snapshot=True)
     table = np.empty((HISTORY, 7, mesh.node_count))
     depth = _push(table, 0, state.level[:7])
 
@@ -311,14 +316,7 @@ def run(scenario, params):
             exc.partial_trajectory = trajectory
             raise
         depth = _push(table, depth, state.level[:7])
-        t = step * scenario.dt
-        trajectory.series_times.append(t)
-        trajectory.diagnostics.append(StepDiagnostics(
-            step=step, time=t, iterations=report.iterations,
-            residual=report.residuals[-1]))
-        _record(trajectory, state, mesh, params)
-        if step % scenario.output_stride == 0 or step == scenario.n_steps:
-            if t > trajectory.times[-1]:
-                trajectory.times.append(t)
-                trajectory.states.append(state)
+        trajectory.diagnostics.append(report)
+        _record(trajectory, step * scenario.dt, state, mesh, params,
+                step % scenario.output_stride == 0 or step == scenario.n_steps)
     return trajectory

@@ -21,14 +21,6 @@ class NonphysicalStateError(PorogrowthError):
     """A state failed a physical admissibility check mid-solve."""
 
 
-class SingularPermeabilityError(PorogrowthError):
-    """Permeability evaluated at phi_fl >= 1 where it is singular."""
-
-
-class DegenerateDiffusivityError(PorogrowthError):
-    """Effective nutrient diffusivity denominator became nonpositive."""
-
-
 class InvalidProblemError(PorogrowthError):
     """An ADR problem definition is inconsistent (mismatched row shapes)."""
 

@@ -41,14 +41,13 @@ def make_output_dir(out_dir):
             f"cannot create output directory {out_dir}: {exc}") from exc
 
 
-def _field_blocks(trajectory, name, x_cm, steps):
-    """The header, then one block of lines t_days,x_cm,value per snapshot;
-    steps are the snapshots' indices into the per-step series."""
+def _field_blocks(trajectory, name, x_cm):
+    """The header, then one block of lines t_days,x_cm,value per snapshot."""
     yield ["t_days,x_cm,value"]
-    for t, state, step in zip(trajectory.times, trajectory.states, steps):
+    for t, state, xi in zip(trajectory.times, trajectory.states,
+                            trajectory.xi_maps):
         t_days = repr(float(t / SECONDS_PER_DAY))
         if name == "xi":
-            xi = trajectory.xi_series[step]
             values = map(str, np.asarray(xi, dtype=int).tolist())
         else:
             values = _floats(getattr(state, name))
@@ -61,11 +60,6 @@ def emit_outputs(trajectory, config, out_dir):
         raise PorogrowthError("trajectory is empty")
     names = [n for n in FIELD_NAMES
              if (config.emit_xi_map if n == "xi" else config.emit_fields)]
-    step_of = {t: i for i, t in enumerate(trajectory.series_times)}
-    steps = [step_of.get(t) for t in trajectory.times]
-    if names and None in steps:
-        t = trajectory.times[steps.index(None)]
-        raise PorogrowthError(f"snapshot time {t} s is not a recorded step")
     make_output_dir(out_dir)
     written = []
 
@@ -82,15 +76,16 @@ def emit_outputs(trajectory, config, out_dir):
     x_cm = list(_floats(trajectory.mesh.nodes))
     for name in names:
         path = os.path.join(out_dir, f"field_{name}.csv")
-        _write(path, _field_blocks(trajectory, name, x_cm, steps))
+        _write(path, _field_blocks(trajectory, name, x_cm))
         written.append(path)
 
     if config.emit_diagnostics:
         lines = ["step,t_days,fp_iters,fp_residual"]
-        for d in trajectory.diagnostics:
+        for step, (t, d) in enumerate(
+                zip(trajectory.series_times[1:], trajectory.diagnostics), 1):
             lines.append(
-                f"{d.step},{float(d.time / SECONDS_PER_DAY)!r},"
-                f"{d.iterations},{float(d.residual)!r}")
+                f"{step},{float(t / SECONDS_PER_DAY)!r},"
+                f"{d.iterations},{float(d.residuals[-1])!r}")
         path = os.path.join(out_dir, "diagnostics.csv")
         _write(path, [lines])
         written.append(path)

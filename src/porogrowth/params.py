@@ -52,7 +52,6 @@ class ModelParams:
     k_apo: float = 3.858e-7
     k_qui: float = 3.858e-7
     k_deg: float = 7.7e-7
-    k_g0: float = 5.8e-6
     k_g1: float = 1.0e-7
     k_g2: float = 1.0e-5
     E: float = 20.0          # expansion coefficient (-)
@@ -77,8 +76,8 @@ class ModelParams:
                 raise ConfigError(f"parameter {f.name} must be finite, got {value}")
         nonneg = (
             "c_0", "c_sat", "c_thr", "c_apo", "D_c_s", "R_n", "R_v",
-            "R_q", "K_half", "beta", "k_apo", "k_qui", "k_deg", "k_g0",
-            "k_g1", "k_g2", "k_GAG", "K_sat", "tau_m",
+            "R_q", "K_half", "beta", "k_apo", "k_qui", "k_deg", "k_g1",
+            "k_g2", "k_GAG", "K_sat", "tau_m",
         )
         for name in nonneg:
             if getattr(self, name) < 0.0:

@@ -104,26 +104,17 @@ def sample_xi_field(state, params, mesh):
 
 
 @dataclass
-class StepDiagnostics:
-    """Per-step fixed-point bookkeeping."""
-
-    step: int
-    time: float
-    iterations: int
-    residual: float
-
-
-@dataclass
 class Trajectory:
-    """Sampled states plus per-step series recorded by the time loop."""
+    """What the time loop records: the snapshots, each with its xi map,
+    and per accepted step the mid-node series and the fixed-point report."""
 
     mesh: Mesh1D
     times: list              # snapshot times (s), strictly increasing
     states: list             # MixtureState snapshots (first = IC)
+    xi_maps: list            # xi map of each snapshot (sample_xi_field)
     series_times: list       # every accepted step, including t = 0
     mid_series: dict         # field name -> per-step value at the mid node
-    xi_series: list          # per-step nodal xi arrays
-    diagnostics: list        # StepDiagnostics per accepted step
+    diagnostics: list        # FixedPointReport of step k at index k - 1
 
     def __post_init__(self):
         if any(b <= a for a, b in zip(self.times, self.times[1:])):

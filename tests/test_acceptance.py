@@ -88,7 +88,8 @@ def test_criterion_3_frozen_kinetics_conservation():
 
 def test_criterion_4_static_stays_isotropic_and_cells_vanish(preset_runs):
     trajectory, _ = preset_runs["static-ic1-kg1-csat"]
-    for step, xi in enumerate(trajectory.xi_series):
+    # the presets keep a snapshot, and its xi map, at every step
+    for step, xi in enumerate(trajectory.xi_maps):
         assert np.all(xi == 1), f"anisotropy appeared at step {step}"
     phi_n_mid = np.asarray(trajectory.mid_series["phi_n"])
     t_days = np.asarray(trajectory.series_times) / SECONDS_PER_DAY
@@ -110,7 +111,7 @@ def test_criterion_6_perfused_pressure_linear_and_anisotropic(preset_runs):
     state = day_state(trajectory, 20)
     residual = rel_l2_fit_residual(trajectory.mesh, state.p, degree=1)
     assert residual < 1e-2, f"linear misfit {residual}"
-    for step, xi in enumerate(trajectory.xi_series[1:], start=1):
+    for step, xi in enumerate(trajectory.xi_maps[1:], start=1):
         assert np.all(xi == 0), f"isotropic node at step {step}"
     # the primitive form: the perfusion stress pushes r past the
     # threshold everywhere after the very first step

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from porogrowth import adr, constitutive
-from porogrowth.errors import InvalidProblemError, NonphysicalStateError
+from porogrowth.errors import InvalidProblemError
 from porogrowth.mesh import build_mesh, element_means, nodal_means
 from porogrowth.params import EPS_PHI, ModelParams
 from porogrowth.scenario import ScenarioConfig
@@ -324,17 +324,6 @@ def test_build_oxygen_problem():
     assert np.allclose(problem.reaction, uptake / (PARAMS.c_0 + PARAMS.K_half),
                        rtol=1e-14)
     assert np.all(problem.source == 0.0)
-
-
-def test_build_oxygen_problem_rejects_vanishing_fluid():
-    n = 5
-    mesh = build_mesh(0.01, n)
-    scenario = ScenarioConfig()
-    phi = np.full((4, n), 0.25)  # phi_fl = 0
-    with pytest.raises(NonphysicalStateError):
-        adr.build_oxygen_problem(mesh, phi, 1.0 - phi.sum(axis=0),
-                                 np.zeros(n), np.zeros(n), np.zeros(n - 1),
-                                 scenario, PARAMS)
 
 
 def test_build_species_problem():

@@ -70,6 +70,7 @@ def test_emit_flags():
 
 @pytest.mark.parametrize("text,fragment", [
     ("bogus_key = 1", "unknown key"),
+    ("k_g0 = 5.8e-6", "unknown key"),
     ("dt 3600", "expected 'key = value'"),
     ("dt =", "no value"),
     ("nodes = ten", "integer"),

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from porogrowth import constitutive as con
 from porogrowth import poroelastic
-from porogrowth.errors import SingularPermeabilityError
 from porogrowth.mesh import build_mesh
 from porogrowth.params import ModelParams
 from porogrowth.state import indicator_r, nodal_strain
@@ -31,12 +30,6 @@ def test_permeability_monotone_in_phi_fl():
     phi = np.linspace(0.05, 0.95, 50)
     psi = con.permeability_shape(phi)
     assert np.all(np.diff(psi) > 0.0)
-
-
-@pytest.mark.parametrize("phi", [-0.1, 1.0, 1.2])
-def test_permeability_singular_or_negative(phi):
-    with pytest.raises(SingularPermeabilityError):
-        con.permeability_shape(phi)
 
 
 # --- diffusivity --------------------------------------------------------

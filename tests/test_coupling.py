@@ -9,7 +9,7 @@ from porogrowth.errors import NonConvergenceError, NonphysicalStateError
 from porogrowth.mesh import build_mesh
 from porogrowth.params import EPS_PHI, ModelParams
 from porogrowth.scenario import ScenarioConfig
-from porogrowth.state import initial_state
+from porogrowth.state import initial_state, sample_xi_field
 
 from conftest import sg_weights
 
@@ -85,6 +85,27 @@ def test_output_stride_thins_snapshots():
     assert len(trajectory.series_times) == 6
 
 
+def test_xi_maps_are_the_snapshots_maps():
+    scenario = short_scenario(culture_mode="perfused", output_stride=2)
+    params = ModelParams()
+    trajectory = coupling.run(scenario, params)
+    assert len(trajectory.xi_maps) == len(trajectory.states) == 4
+    for xi, state in zip(trajectory.xi_maps, trajectory.states):
+        assert np.array_equal(
+            xi, sample_xi_field(state, params, trajectory.mesh))
+
+
+def test_mid_xi_series_is_the_mid_entry_of_each_map():
+    # with a snapshot at every step, the time series' xi column is the
+    # mid-node entry of each step's map
+    trajectory = coupling.run(short_scenario(culture_mode="perfused"),
+                              ModelParams())
+    mid = trajectory.mesh.mid_node()
+    assert trajectory.times == trajectory.series_times
+    assert trajectory.mid_series["xi"] == [
+        int(xi[mid]) for xi in trajectory.xi_maps]
+
+
 def test_nonconvergence_raises_with_report():
     scenario = short_scenario(culture_mode="perfused", max_iter=2, tol=1e-14)
     mesh = build_mesh(scenario.length, scenario.node_count)
@@ -134,8 +155,7 @@ def test_run_attaches_recorded_prefix_on_failure_mid_run(monkeypatch, tmp_path):
     assert partial.mid_series.keys() == full.mid_series.keys()
     for key, values in partial.mid_series.items():
         assert values == full.mid_series[key][:3], key
-    assert len(partial.xi_series) == 3
-    for a, b in zip(partial.xi_series, full.xi_series):
+    for a, b in zip(partial.xi_maps, full.xi_maps[:3], strict=True):
         assert np.array_equal(a, b)
     assert partial.diagnostics == full.diagnostics[:2]
     written = outputs.emit_outputs(
@@ -158,7 +178,7 @@ def test_auto_dt_halving_retries_with_substeps():
     trajectory = coupling.run(
         dataclasses.replace(static, auto_dt_halving=True), params)
     assert trajectory.series_times == [0.0, 3600.0]
-    assert trajectory.diagnostics[0].residual < static.tol
+    assert trajectory.diagnostics[0].residuals[-1] < static.tol
     # a perfused step with max_iter = 4 fails at every bisection depth and
     # raises only once the 4-bisection budget is spent, with its report
     perfused = short_scenario(culture_mode="perfused", t_end=3600.0,
@@ -548,11 +568,13 @@ def test_diagnostics_recorded_per_step():
     scenario = short_scenario()
     trajectory = coupling.run(scenario, ModelParams())
     assert len(trajectory.diagnostics) == 5
-    for i, d in enumerate(trajectory.diagnostics, start=1):
-        assert d.step == i
-        assert d.time == pytest.approx(i * 3600.0)
+    # step i's report is diagnostics[i - 1], at series_times[i]
+    assert trajectory.series_times == [i * 3600.0 for i in range(6)]
+    for d in trajectory.diagnostics:
+        assert d.converged
         assert 1 <= d.iterations <= scenario.max_iter
-        assert d.residual < scenario.tol
+        assert len(d.residuals) == d.iterations
+        assert d.residuals[-1] < scenario.tol
 
 
 def test_non_finite_residual_fails_fast(monkeypatch):

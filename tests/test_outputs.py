@@ -118,10 +118,10 @@ def reference_csvs(trajectory, cfg):
         if not (cfg.emit_xi_map if name == "xi" else cfg.emit_fields):
             continue
         lines = ["t_days,x_cm,value"]
-        for t, state in zip(trajectory.times, trajectory.states):
+        for t, state, xi in zip(trajectory.times, trajectory.states,
+                                trajectory.xi_maps, strict=True):
             if name == "xi":
-                step = trajectory.series_times.index(t)
-                values = [str(int(v)) for v in trajectory.xi_series[step]]
+                values = [str(int(v)) for v in xi]
             else:
                 values = [fmt(v) for v in getattr(state, name)]
             for x, value in zip(trajectory.mesh.nodes, values):
@@ -129,9 +129,10 @@ def reference_csvs(trajectory, cfg):
         files[f"field_{name}.csv"] = lines
     if cfg.emit_diagnostics:
         lines = ["step,t_days,fp_iters,fp_residual"]
-        for d in trajectory.diagnostics:
-            lines.append(f"{d.step},{fmt(d.time / SECONDS_PER_DAY)},"
-                         f"{d.iterations},{fmt(d.residual)}")
+        for step, d in enumerate(trajectory.diagnostics, start=1):
+            t = step * cfg.scenario.dt
+            lines.append(f"{step},{fmt(t / SECONDS_PER_DAY)},"
+                         f"{d.iterations},{fmt(d.residuals[-1])}")
         files["diagnostics.csv"] = lines
     return {name: "\n".join(lines) + "\n" for name, lines in files.items()}
 
@@ -139,16 +140,16 @@ def reference_csvs(trajectory, cfg):
 @pytest.fixture(scope="module")
 def strided_run():
     # snapshots at steps 0, 2, 4 and the final step 5; the xi maps are
-    # replaced by one distinct map per step, so a block taken from the
-    # wrong step shows
+    # replaced by one distinct map per snapshot, so a block taken from
+    # the wrong snapshot shows
     cfg = config.RunConfig(scenario=ScenarioConfig(
         t_end=5 * 3600.0, dt=3600.0, node_count=21, output_stride=2,
         culture_mode="perfused"))
     trajectory = coupling.run(cfg.scenario, cfg.params)
     nodes = np.arange(trajectory.mesh.node_count)
-    xi_series = [np.where(nodes >= 3 * step, 1, 0)
-                 for step in range(len(trajectory.series_times))]
-    return cfg, dataclasses.replace(trajectory, xi_series=xi_series)
+    xi_maps = [np.where(nodes >= 3 * k, 1, 0)
+               for k in range(len(trajectory.times))]
+    return cfg, dataclasses.replace(trajectory, xi_maps=xi_maps)
 
 
 @pytest.mark.parametrize("flags", itertools.product((False, True), repeat=4))
@@ -164,24 +165,12 @@ def test_every_emit_combination_matches_reference(strided_run, tmp_path, flags):
     for name, text in expected.items():
         assert read(tmp_path / name) == text
     if cfg.emit_xi_map:
-        # each field_xi block is the xi map of its snapshot's step
+        # each field_xi block is the xi map of its snapshot
         n = trajectory.mesh.node_count
         rows = read(tmp_path / "field_xi.csv").splitlines()[1:]
-        for k, t in enumerate(trajectory.times):
+        for k, xi in enumerate(trajectory.xi_maps):
             block = [int(r.split(",")[2]) for r in rows[k * n:(k + 1) * n]]
-            step = round(t / cfg.scenario.dt)
-            assert block == trajectory.xi_series[step].tolist()
-
-
-def test_unrecorded_snapshot_time_fails_before_any_file(short_run, tmp_path):
-    # a snapshot time missing from series_times has no xi map: the error
-    # comes before the first file is opened, not halfway through one
-    cfg, trajectory = short_run
-    shifted = dataclasses.replace(
-        trajectory, times=trajectory.times[:-1] + [trajectory.times[-1] + 1.0])
-    with pytest.raises(PorogrowthError, match="snapshot time 10801.0 s"):
-        outputs.emit_outputs(shifted, cfg, str(tmp_path))
-    assert os.listdir(tmp_path) == []   # no field_*.csv, nor any other
+            assert block == xi.tolist()
 
 
 def test_failed_write_inside_a_file_is_typed(short_run, tmp_path, monkeypatch):

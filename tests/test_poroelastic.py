@@ -152,12 +152,15 @@ def test_mms_quadratic_exact():
 
 
 def test_rejects_vanishing_fluid_fraction():
+    # the one gate on a sweep's lagged fluid fraction, both sides of
+    # (EPS_PHI, 1): no fluid (phi_fl = 0) and no solid (phi_fl = 1)
     mesh = build_mesh(0.01, 11)
-    phi = np.full((4, 11), 0.25)
-    with pytest.raises(NonphysicalStateError):
-        poroelastic.assemble(
-            mesh, *lagged(phi, np.zeros((4, 11)), np.zeros(11), PARAMS),
-            3600.0, 0.0, 0.0, PARAMS)
+    for fraction in (0.25, 0.0):
+        phi = np.full((4, 11), fraction)
+        with pytest.raises(NonphysicalStateError, match="out of range"):
+            poroelastic.assemble(
+                mesh, *lagged(phi, np.zeros((4, 11)), np.zeros(11), PARAMS),
+                3600.0, 0.0, 0.0, PARAMS)
 
 
 def test_bandwidth_and_bc_record():
