@@ -7,7 +7,7 @@ and discretized with linear finite elements (exponential-fitting
 stabilization for the transport equations).
 """
 
-from .config import RunConfig, parse_config, preset, render
+from .config import RunConfig, parse_config, preset
 from .coupling import FixedPointReport, fixed_point_step, run
 from .mesh import Mesh1D, build_mesh
 from .params import ModelParams
@@ -27,7 +27,6 @@ __all__ = [
     "initial_state",
     "parse_config",
     "preset",
-    "render",
     "run",
     "sample_xi_field",
 ]

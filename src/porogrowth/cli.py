@@ -24,9 +24,9 @@ def _default_out():
 
 
 def _load_config(args):
-    if getattr(args, "preset", None):
+    if args.preset:
         cfg = config_mod.preset(args.preset)
-    elif getattr(args, "config", None):
+    elif args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 text = fh.read()
@@ -39,13 +39,8 @@ def _load_config(args):
 
 
 def _apply_overrides(cfg, args):
-    scenario_kwargs = {}
-    if getattr(args, "nodes", None) is not None:
-        scenario_kwargs["node_count"] = args.nodes
-    if getattr(args, "dt", None) is not None:
-        scenario_kwargs["dt"] = args.dt
-    if getattr(args, "t_end", None) is not None:
-        scenario_kwargs["t_end"] = args.t_end
+    scenario_kwargs = {name: value for name in ("node_count", "dt", "t_end")
+                       if (value := getattr(args, name)) is not None}
     if not scenario_kwargs:
         return cfg
     scenario = dataclasses.replace(cfg.scenario, **scenario_kwargs)
@@ -102,26 +97,27 @@ def build_parser():
         description="1D poroelastic mixture simulator of scaffold tissue growth")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="run one scenario, emit CSV files")
+    # run options shared by simulate and sweep; dests are ScenarioConfig fields
+    run_opts = argparse.ArgumentParser(add_help=False)
+    run_opts.add_argument("--out", default=_default_out(), help="output directory")
+    run_opts.add_argument("--nodes", dest="node_count", metavar="NODES", type=int,
+                          help="override node count")
+    run_opts.add_argument("--dt", type=float, help="override time step (s)")
+    run_opts.add_argument("--t-end", dest="t_end", type=float,
+                          help="override final time (s)")
+
+    sim = sub.add_parser("simulate", parents=[run_opts],
+                         help="run one scenario, emit CSV files")
     group = sim.add_mutually_exclusive_group()
     group.add_argument("--preset", help="named preset, e.g. static-ic1-kg1-csat")
     group.add_argument("--config", help="path to a key = value config file")
-    sim.add_argument("--out", default=_default_out(), help="output directory")
-    sim.add_argument("--nodes", type=int, help="override node count")
-    sim.add_argument("--dt", type=float, help="override time step (s)")
-    sim.add_argument("--t-end", dest="t_end", type=float,
-                     help="override final time (s)")
     sim.set_defaults(func=cmd_simulate)
 
-    sweep = sub.add_parser("sweep", help="run preset families into one tree")
+    sweep = sub.add_parser("sweep", parents=[run_opts],
+                           help="run preset families into one tree")
     sweep.add_argument("--all-presets", action="store_true",
                        help="run all 16 presets")
     sweep.add_argument("presets", nargs="*", help="explicit preset names")
-    sweep.add_argument("--out", default=_default_out(), help="output directory")
-    sweep.add_argument("--nodes", type=int, help="override node count")
-    sweep.add_argument("--dt", type=float, help="override time step (s)")
-    sweep.add_argument("--t-end", dest="t_end", type=float,
-                       help="override final time (s)")
     sweep.set_defaults(func=cmd_sweep)
 
     ver = sub.add_parser("verify", help="run self-check oracle suites")

@@ -112,6 +112,4 @@ def growth_distortion_step(g, phi, net_rate, dt):
     the constituent is present (phi > EPS_PHI), forward Euler in time.
     (Model G0 holds g at its configured constants and never calls this.)
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
     return g + np.where(phi > EPS_PHI, net_rate * dt / 3.0, 0.0)

@@ -29,6 +29,7 @@ from .mesh import build_mesh, element_means
 from .params import EPS_PHI
 from .state import (
     ROWS,
+    SERIES_KEYS,
     MixtureState,
     Trajectory,
     indicator_r,
@@ -300,9 +301,7 @@ def run(scenario, params):
     state = initial_state(mesh, params, scenario)
     trajectory = Trajectory(
         mesh=mesh, times=[], states=[], xi_maps=[], series_times=[],
-        mid_series={k: [] for k in
-                    ("phi_n", "phi_v", "phi_q", "phi_ecm", "phi_fl",
-                     "c", "p", "xi")},
+        mid_series={k: [] for k in SERIES_KEYS},
         diagnostics=[])
     _record(trajectory, 0.0, state, mesh, params, snapshot=True)
     table = np.empty((HISTORY, 7, mesh.node_count))

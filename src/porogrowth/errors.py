@@ -9,10 +9,6 @@ class InvalidDomainError(PorogrowthError):
     """Mesh construction rejected (nonpositive length, too few nodes)."""
 
 
-class InvalidInitialConditionError(PorogrowthError):
-    """Initial profiles violate the fluid-fraction closure."""
-
-
 class ClosureViolationError(PorogrowthError):
     """Fluid fraction left the admissible open interval (0, 1)."""
 

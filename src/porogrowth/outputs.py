@@ -11,10 +11,11 @@ import numpy as np
 
 from .errors import PorogrowthError
 from .scenario import SECONDS_PER_DAY
+from .state import SERIES_KEYS
 
 FIELD_NAMES = ("p", "c", "xi", "u")
 
-TIMESERIES_HEADER = "t_days,phi_n,phi_v,phi_q,phi_ecm,phi_fl,c,p,xi"
+TIMESERIES_HEADER = "t_days," + ",".join(SERIES_KEYS)
 
 
 def _floats(values):
@@ -66,9 +67,8 @@ def emit_outputs(trajectory, config, out_dir):
     if config.emit_timeseries:
         series = trajectory.mid_series
         columns = [_floats(np.divide(trajectory.series_times, SECONDS_PER_DAY))]
-        columns += [_floats(series[key]) for key in
-                    ("phi_n", "phi_v", "phi_q", "phi_ecm", "phi_fl", "c", "p")]
-        columns.append(map(str, series["xi"]))
+        columns += [map(str, series[key]) if key == "xi" else _floats(series[key])
+                    for key in SERIES_KEYS]
         path = os.path.join(out_dir, "timeseries.csv")
         _write(path, [[TIMESERIES_HEADER, *map(",".join, zip(*columns))]])
         written.append(path)

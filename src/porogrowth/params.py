@@ -77,30 +77,33 @@ class ModelParams:
         nonneg = (
             "c_0", "c_sat", "c_thr", "c_apo", "D_c_s", "R_n", "R_v",
             "R_q", "K_half", "beta", "k_apo", "k_qui", "k_deg", "k_g1",
-            "k_g2", "k_GAG", "K_sat", "tau_m",
+            "k_g2", "E", "k_GAG", "K_sat",
         )
         for name in nonneg:
             if getattr(self, name) < 0.0:
                 raise ConfigError(f"parameter {name} must be nonnegative")
         # K_ref = 0 drops the Darcy term from the continuity rows; the
-        # equal-order (u, p) pair then gives a node-to-node oscillating p
-        if self.K_ref <= 0.0:
-            raise ConfigError("parameter K_ref must be positive")
+        # equal-order (u, p) pair then gives a node-to-node oscillating p;
+        # mu, tau_m and V_cell are divisors (tau_m = inf is allowed)
+        for name in ("K_ref", "mu", "tau_m", "V_cell"):
+            if getattr(self, name) <= 0.0:
+                raise ConfigError(f"parameter {name} must be positive")
         # below sqrt(tiny), the harmonic edge mean 2 d d / (d + d) of a
         # diffusivity underflows towards 0
         for name in ("D_c_fl", "D_eta"):
             if getattr(self, name) < _D_MIN:
                 raise ConfigError(f"parameter {name} must be positive and at "
                                   f"least {_D_MIN:.3g}, got {getattr(self, name)}")
-        if self.mu <= 0.0:
-            raise ConfigError("shear modulus mu must be positive")
         if self.lam + 2.0 * self.mu <= 0.0:
             raise ConfigError("aggregate modulus lam + 2 mu must be positive")
         if not 0.0 < self.K_eq <= 1.0:
             raise ConfigError("K_eq must lie in (0, 1]")
         if not 0.0 < self.phi_ecm_max < 1.0:
             raise ConfigError("phi_ecm_max must lie in (0, 1)")
-        sphere = (4.0 / 3.0) * math.pi * self.R_cell**3
+        try:
+            sphere = (4.0 / 3.0) * math.pi * self.R_cell**3
+        except OverflowError:   # R_cell above ~5e102: no finite V_cell fits
+            sphere = math.inf
         if abs(self.V_cell - sphere) / self.V_cell >= 1e-3:
             raise ConfigError(
                 "V_cell inconsistent with R_cell: "

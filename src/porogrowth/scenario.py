@@ -13,6 +13,16 @@ IC_AMPLITUDES = {
 
 SECONDS_PER_DAY = 86400.0
 
+#: allowed values of each enumerated ScenarioConfig field
+_CHOICES = {
+    "culture_mode": ("static", "perfused"),
+    "ic_profile": tuple(IC_AMPLITUDES),
+    "c_ext_mode": ("saturation", "threshold"),
+    "h_c_threshold": ("thr", "apo"),
+    "growth_model": ("G0", "G1"),
+    "darcy_dirichlet_side": ("left", "right"),
+}
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -48,17 +58,14 @@ class ScenarioConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
-        if self.culture_mode not in ("static", "perfused"):
-            raise ConfigError(f"unknown culture_mode {self.culture_mode!r}")
-        if self.ic_profile not in IC_AMPLITUDES:
-            raise ConfigError(f"unknown ic_profile {self.ic_profile!r}")
+        for name, allowed in _CHOICES.items():
+            if (value := getattr(self, name)) not in allowed:
+                raise ConfigError(f"unknown {name} {value!r}")
         if isinstance(self.growth_rate, str):
             if self.growth_rate not in ("kg1", "kg2"):
                 raise ConfigError(f"unknown growth_rate {self.growth_rate!r}")
         elif self.growth_rate < 0.0:
             raise ConfigError("explicit growth_rate must be nonnegative")
-        if self.c_ext_mode not in ("saturation", "threshold"):
-            raise ConfigError(f"unknown c_ext_mode {self.c_ext_mode!r}")
         if self.length <= 0.0:
             raise ConfigError(f"length must be positive, got {self.length}")
         if self.node_count < 3:
@@ -68,6 +75,8 @@ class ScenarioConfig:
         if self.t_end < 0.0:
             raise ConfigError("t_end must be nonnegative")
         n_steps = self.t_end / self.dt
+        if not math.isfinite(n_steps):
+            raise ConfigError(f"t_end / dt must be finite, got {n_steps}")
         if abs(n_steps - round(n_steps)) > 1e-9 * max(1.0, n_steps):
             raise ConfigError("t_end must be an integral number of dt steps")
         if self.tol <= 0.0:
@@ -76,13 +85,6 @@ class ScenarioConfig:
             raise ConfigError("max_iter must be at least 1")
         if self.output_stride < 1:
             raise ConfigError("output_stride must be at least 1")
-        if self.h_c_threshold not in ("thr", "apo"):
-            raise ConfigError(f"unknown h_c_threshold {self.h_c_threshold!r}")
-        if self.growth_model not in ("G0", "G1"):
-            raise ConfigError(f"unknown growth_model {self.growth_model!r}")
-        if self.darcy_dirichlet_side not in ("left", "right"):
-            raise ConfigError(
-                f"unknown darcy_dirichlet_side {self.darcy_dirichlet_side!r}")
         a_n, a_eta = self.amplitudes()
         if a_n + 3.0 * a_eta >= 1.0:
             raise ConfigError(

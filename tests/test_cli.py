@@ -101,6 +101,23 @@ def test_zero_diffusivity_is_config_error(tmp_path, capsys, line):
     assert not os.path.exists(tmp_path / "o")
 
 
+def test_zero_maturation_time_is_config_error(tmp_path):
+    # tau_m = 0 divided by zero in the kinetics: a traceback and exit 1
+    cfg_path = tmp_path / "tau.cfg"
+    cfg_path.write_text("nodes = 5\nT_end = 3600\ntau_m = 0\n")
+    out = tmp_path / "o"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "porogrowth.cli", "simulate", "--config",
+         str(cfg_path), "--out", str(out)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == cli.EXIT_CONFIG
+    assert "Traceback" not in proc.stderr
+    assert "tau_m must be positive" in proc.stderr
+    assert not out.exists()
+
+
 def test_retired_viscosity_key_names_permeability(tmp_path, capsys):
     # mu_fl was accepted but read by no computation
     cfg_path = tmp_path / "visc.cfg"

@@ -1,9 +1,11 @@
+import dataclasses
+
 import pytest
 
 from porogrowth import config
 from porogrowth.errors import ConfigError
 from porogrowth.params import ModelParams
-from porogrowth.scenario import SECONDS_PER_DAY
+from porogrowth.scenario import IC_AMPLITUDES, SECONDS_PER_DAY
 
 
 def test_empty_input_is_runnable_default():
@@ -86,6 +88,12 @@ def test_emit_flags():
     ("k_g = nan", "growth_rate must be finite"),
     ("dt = inf", "dt must be finite"),
     ("K_half = -inf", "K_half must be finite"),
+    ("tau_m = 0", "tau_m must be positive"),
+    ("V_cell = 0", "V_cell must be positive"),
+    ("E = -20", "E must be nonnegative"),
+    ("R_cell = -5e-4\nV_cell = -5.236e-10", "V_cell must be positive"),
+    ("T_end = 1e300\ndt = 1e-10", "t_end / dt must be finite"),
+    ("R_cell = 1e300", "V_cell inconsistent with R_cell"),
 ])
 def test_bad_input_raises_config_error(text, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -97,24 +105,65 @@ def test_error_names_offending_line():
         config.parse_config("dt = 3600\n# fine\nwhat = 1\n")
 
 
-def test_render_round_trip():
-    cfg = config.parse_config(
-        "culture_mode = perfused\nk_g = 3e-6\nmu = 1900\nstride = 7\n"
-        "emit_diagnostics = false")
-    again = config.parse_config(config.render(cfg))
-    assert again == cfg
+# a non-default value of each scenario and emit key: (text, field value);
+# each parameter key takes its default scaled by 1 + 1e-4, which keeps
+# V_cell and R_cell consistent
+NON_DEFAULT = {
+    "culture_mode": ("perfused", "perfused"),
+    "ic_profile": ("IC2", "IC2"),
+    "k_g": ("3e-6", 3e-6),
+    "c_ext": ("cthr", "threshold"),
+    "L": ("0.02", 0.02),
+    "nodes": ("51", 51),
+    "T_end": ("7200", 7200.0),
+    "dt": ("1800", 1800.0),
+    "tol": ("1e-9", 1e-9),
+    "max_iter": ("7", 7),
+    "stride": ("4", 4),
+    "h_r_convention": ("inverted", True),
+    "h_c_threshold": ("apo", "apo"),
+    "growth_model": ("G1", "G1"),
+    "g_initial": ("0.25", 0.25),
+    "boundary_flux_convention": ("right", "right"),
+    "auto_dt_halving": ("yes", True),
+    "emit_timeseries": ("false", False),
+    "emit_fields": ("off", False),
+    "emit_xi_map": ("no", False),
+    "emit_diagnostics": ("0", False),
+}
 
 
-def test_render_round_trip_default():
-    cfg = config.RunConfig()
-    assert config.parse_config(config.render(cfg)) == cfg
+@pytest.mark.parametrize("key", sorted(config._KEYS))
+def test_every_key_sets_its_field(key):
+    group, name, _ = config._KEYS[key]
+    default = config.RunConfig()
+    if group == "params":
+        value = getattr(default.params, name) * (1.0 + 1e-4)
+        text = repr(value)
+    else:
+        text, value = NON_DEFAULT[key]
+    cfg = config.parse_config(f"{key} = {text}")
+    if group == "emit":
+        want = dataclasses.replace(default, **{name: value})
+    else:
+        part = dataclasses.replace(getattr(default, group), **{name: value})
+        want = dataclasses.replace(default, **{group: part})
+    assert want != default
+    assert cfg == want
 
 
 def test_preset_names_complete():
-    assert len(config.PRESET_NAMES) == 16
     assert len(set(config.PRESET_NAMES)) == 16
+    c_ext = {"csat": "saturation", "cthr": "threshold"}
     for name in config.PRESET_NAMES:
-        assert config.PRESET_PATTERN.match(name)
+        mode, ic, kg, cext = name.split("-")
+        assert mode in ("static", "perfused")
+        assert ic.upper() in IC_AMPLITUDES
+        assert kg in ("kg1", "kg2")
+        assert cext in c_ext
+        s = config.preset(name).scenario
+        assert (s.culture_mode, s.ic_profile, s.growth_rate, s.c_ext_mode) == (
+            mode, ic.upper(), kg, c_ext[cext])
 
 
 def test_preset_construction():

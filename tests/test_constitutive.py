@@ -285,10 +285,3 @@ def test_growth_model_g1_forward_euler():
     assert out[0] == pytest.approx(1e-4)
     assert out[1] == 0.0  # absent constituent never grows
     assert out[2] == pytest.approx(1e-4)
-
-
-def test_growth_model_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        con.growth_distortion_step(np.zeros(2), np.zeros(2), 0.0, -1.0)
-    with pytest.raises(ValueError):
-        con.growth_distortion_step(np.zeros(2), np.zeros(2), 0.0, 0.0)

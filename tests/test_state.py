@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from porogrowth.errors import ClosureViolationError, InvalidInitialConditionError
+from porogrowth.errors import ClosureViolationError
 from porogrowth.mesh import build_mesh
 from porogrowth.params import ModelParams
 from porogrowth.scenario import ScenarioConfig
@@ -116,7 +116,7 @@ def test_initial_state_rejects_saturating_amplitudes():
     # amplitudes that saturate the mixture (phi_fl = 0 at x = 0) never
     # survive ScenarioConfig validation, so use a bare stand-in
     big = SimpleNamespace(amplitudes=lambda: (0.75, 0.125), g_initial=0.0)
-    with pytest.raises(InvalidInitialConditionError):
+    with pytest.raises(ClosureViolationError):
         initial_state(mesh, ModelParams(), big)
 
 
