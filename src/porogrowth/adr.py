@@ -47,7 +47,7 @@ def bernoulli(t):
         if large.any():
             tl = t[large]
             out[large] = tl / np.expm1(tl)
-    return out if out.ndim else float(out)
+    return out
 
 
 #: the column (1, -1) that turns t_e into the rows (t_e, -t_e), exactly

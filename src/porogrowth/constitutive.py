@@ -1,6 +1,6 @@
 """Pointwise closures: permeability, diffusivity, switches, kinetics.
 
-All functions are pure and accept scalars or numpy arrays alike.
+All functions are pure and act elementwise on numpy arrays.
 """
 
 import numpy as np
@@ -17,9 +17,7 @@ def permeability_shape(phi_fl):
     of a fluid fraction that poroelastic.assemble has checked to lie in
     (EPS_PHI, 1).
     """
-    phi_fl = np.asarray(phi_fl, dtype=float)
-    out = phi_fl**2 / (1.0 - phi_fl)
-    return out if out.ndim else float(out)
+    return phi_fl**2 / (1.0 - phi_fl)
 
 
 def permeability(phi_fl, params):
@@ -34,11 +32,9 @@ def nutrient_diffusivity(phi_fl, params):
     Reduces to D_fl at phi_fl = 1 and to K_eq D_s at phi_fl = 0. The
     denominator is at least 3 - phi_fl > 2 for phi_fl in [0, 1), k >= 0.
     """
-    phi_fl = np.asarray(phi_fl, dtype=float)
     k = params.k_partition
-    out = (params.D_c_fl * (3.0 * k - 2.0 * phi_fl * (k - 1.0))
-           / (3.0 + phi_fl * (k - 1.0)))
-    return out if out.ndim else float(out)
+    return (params.D_c_fl * (3.0 * k - 2.0 * phi_fl * (k - 1.0))
+            / (3.0 + phi_fl * (k - 1.0)))
 
 
 # --- switches ---------------------------------------------------------
@@ -46,19 +42,16 @@ def nutrient_diffusivity(phi_fl, params):
 def switch_Hr(r, r_bar, inverted=False):
     """Anisotropy switch: 1 in the anisotropic regime r > r_bar, else 0.
 
-    The tie r = r_bar stays isotropic (0), matching xi = 1 at equality.
-    `inverted` flips the convention for sensitivity studies.
+    The tie r = r_bar stays isotropic (0). `inverted` flips the
+    convention for sensitivity studies.
     """
-    h = np.where(np.asarray(r, dtype=float) > r_bar, 1, 0)
-    if inverted:
-        h = 1 - h
-    return h if h.ndim else int(h)
+    h = np.where(r > r_bar, 1, 0)
+    return 1 - h if inverted else h
 
 
 def switch_Hc(c, threshold):
     """Nutrient-sufficiency switch: 1 for c > threshold, else 0."""
-    h = np.where(np.asarray(c, dtype=float) > threshold, 1, 0)
-    return h if h.ndim else int(h)
+    return np.where(c > threshold, 1, 0)
 
 
 # --- population kinetics ---------------------------------------------
@@ -100,7 +93,7 @@ def oxygen_sink(phi_n, phi_v, phi_q, c, params):
     concentration; the sink itself is Q_c = Q_hat * c.
     """
     uptake = params.R_n * phi_n + params.R_v * phi_v + params.R_q * phi_q
-    return -uptake / (np.asarray(c, dtype=float) + params.K_half)
+    return -uptake / (c + params.K_half)
 
 
 # --- growth distortions ----------------------------------------------

@@ -41,11 +41,14 @@ from .state import (
 
 @dataclass
 class FixedPointReport:
-    """Residual history of one time step's fixed-point iteration."""
+    """Residual of each sweep of one time step's fixed-point iteration."""
 
-    iterations: int = 0
     residuals: list = field(default_factory=list)
-    converged: bool = False
+
+    @property
+    def iterations(self):
+        """Number of sweeps made."""
+        return len(self.residuals)
 
 
 #: extrapolation cap of the secant acceleration (safeguard)
@@ -215,57 +218,49 @@ def fixed_point_step(state_n, mesh, dt, scenario, params, start=None):
         new = _sweep(mesh, x, invariants, dt, scenario, params)
         residual = float(_change(new - x, x))
         report.residuals.append(residual)
-        report.iterations += 1
         if not math.isfinite(residual):
             raise NonphysicalStateError(
                 f"non-finite fixed-point residual {residual} "
                 f"in sweep {report.iterations}")
         if residual < scenario.tol:
-            x = new
-            report.converged = True
             break
         x = accelerator.push(x, new)
-    if not report.converged:
+    else:
         raise NonConvergenceError(
             f"fixed point did not converge in {scenario.max_iter} sweeps "
-            f"(last residual {report.residuals[-1]})", report)
+            f"(last residual {residual})", report)
 
     # growth distortions update once per accepted step
     if scenario.growth_model == "G1":
-        phi = x[3:]
-        sigma, source = _kinetics(mesh, x[0], x[2], phi, *solid_and_fluid(phi),
-                                  g[0], scenario, params)
+        phi = new[3:]
+        sigma, source = _kinetics(mesh, new[0], new[2], phi,
+                                  *solid_and_fluid(phi), g[0], scenario, params)
         safe_phi = np.where(phi > EPS_PHI, phi, 1.0)
         g = growth_distortion_step(
             g, phi, (source - sigma * phi) / safe_phi, dt)
 
-    return MixtureState(np.concatenate((x, g))), report
+    return MixtureState(np.concatenate((new, g))), report
 
 
 def _advance(state, mesh, dt, scenario, params, start):
-    """One nominal step from the start iterate, optionally bisecting dt
-    on nonconvergence. Each sub-step of a bisection starts from its own
-    previous level: the history of the nominal steps does not match its
-    spacing.
-    """
-    try:
-        return fixed_point_step(state, mesh, dt, scenario, params, start=start)
-    except NonConvergenceError:
-        if not scenario.auto_dt_halving:
-            raise
-    last_report = None
-    for bisection in range(1, 5):
-        sub_dt = dt / 2**bisection
+    """One step of length dt from the start iterate; on nonconvergence,
+    with auto_dt_halving, depth k = 1..4 retries it as 2^k sub-steps of
+    dt / 2^k, each from its own previous level (the history of the
+    nominal steps does not match their spacing)."""
+    for depth in range(5):
+        current = state
         try:
-            current = state
-            for _ in range(2**bisection):
-                current, last_report = fixed_point_step(
-                    current, mesh, sub_dt, scenario, params)
-            return current, last_report
+            for _ in range(2**depth):
+                current, report = fixed_point_step(
+                    current, mesh, dt / 2**depth, scenario, params, start=start)
+            return current, report
         except NonConvergenceError as exc:
-            last_report = exc.report
+            if not scenario.auto_dt_halving:
+                raise
+            report = exc.report
+        start = None
     raise NonConvergenceError(
-        "fixed point failed after 4 time-step bisections", last_report)
+        "fixed point failed after 4 time-step bisections", report)
 
 
 def _record(trajectory, t, state, mesh, params, snapshot):

@@ -9,12 +9,9 @@ class InvalidDomainError(PorogrowthError):
     """Mesh construction rejected (nonpositive length, too few nodes)."""
 
 
-class ClosureViolationError(PorogrowthError):
-    """Fluid fraction left the admissible open interval (0, 1)."""
-
-
 class NonphysicalStateError(PorogrowthError):
-    """A state failed a physical admissibility check mid-solve."""
+    """A state or residual is not physical: not finite, a negative
+    concentration or fraction, or a fluid fraction outside (0, 1)."""
 
 
 class InvalidProblemError(PorogrowthError):

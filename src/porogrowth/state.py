@@ -4,7 +4,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClosureViolationError
+from .constitutive import switch_Hr
+from .errors import NonphysicalStateError
 from .mesh import Mesh1D, nodal_means
 
 #: roundoff slack granted to the nonnegativity checks
@@ -45,16 +46,16 @@ class MixtureState:
                 f"level has shape {level.shape}, want ({len(ROWS)}, N)")
         finite = np.isfinite(level).all(axis=1)
         if not finite.all():
-            raise ClosureViolationError(
+            raise NonphysicalStateError(
                 f"field {ROWS[finite.argmin()]} is not finite")
         low = level[2:7].min(axis=1)
         if low.min() < -NEG_TOL:
             k = (low < -NEG_TOL).argmax()
-            raise ClosureViolationError(
+            raise NonphysicalStateError(
                 f"{ROWS[2 + k]} has negative entries: min = {low[k]}")
         _, fl = solid_and_fluid(level[3:7])
         if fl.min() <= 0.0 or fl.max() >= 1.0:
-            raise ClosureViolationError(
+            raise NonphysicalStateError(
                 f"fluid fraction out of (0, 1): range [{fl.min()}, {fl.max()}]")
         level.flags.writeable = False
         self.level = level
@@ -93,14 +94,11 @@ def indicator_r(mesh, u, phi_s, phi_n, g_n):
 
 
 def sample_xi_field(state, params, mesh):
-    """Binary isotropy map of one state: 1 where r <= r_bar, else 0 (r
-    from indicator_r).
-
-    The tie r = r_bar maps to 1 (isotropic set kept closed).
-    """
+    """Binary isotropy map of one state: xi = 1 - H_r(r), 1 where the
+    state is isotropic (r from indicator_r, H_r from switch_Hr)."""
     phi_s, _ = solid_and_fluid(state.level[3:7])
     r = indicator_r(mesh, state.u, phi_s, state.phi_n, state.g_n)
-    return np.where(r <= params.r_bar, 1, 0)
+    return 1 - switch_Hr(r, params.r_bar)
 
 
 @dataclass

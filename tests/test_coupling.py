@@ -30,7 +30,6 @@ def test_zero_data_fixed_point_converges_in_two_sweeps(frozen_params):
     state0 = initial_state(mesh, params, scenario)
     state1, report = coupling.fixed_point_step(
         state0, mesh, scenario.dt, scenario, params)
-    assert report.converged
     assert report.iterations == 2
     assert report.residuals[-1] < 1e-12  # second sweep only moves roundoff
     # no mechanics and no oxygen drift
@@ -114,9 +113,7 @@ def test_nonconvergence_raises_with_report():
     with pytest.raises(NonConvergenceError) as exc_info:
         coupling.fixed_point_step(state0, mesh, scenario.dt, scenario, params)
     report = exc_info.value.report
-    assert report.iterations == 2
-    assert not report.converged
-    assert len(report.residuals) == 2
+    assert len(report.residuals) == scenario.max_iter
 
 
 def test_run_attaches_partial_trajectory_on_failure():
@@ -188,8 +185,51 @@ def test_auto_dt_halving_retries_with_substeps():
                        ) as info:
         coupling.run(perfused, params)
     report = info.value.report
-    assert report is not None and not report.converged
-    assert report.iterations == 4
+    assert report is not None
+    assert len(report.residuals) == perfused.max_iter
+
+
+def test_nonphysical_state_in_bisection_propagates_at_once(monkeypatch):
+    # the nominal attempt does not converge; the first sub-step of the
+    # first bisection finds a nonphysical state, which no deeper
+    # bisection retries
+    calls = []
+
+    def failing(state, mesh, dt, *args, **kwargs):
+        calls.append(dt)
+        if len(calls) == 1:
+            raise NonConvergenceError("injected nonconvergence")
+        raise NonphysicalStateError("injected failure")
+
+    monkeypatch.setattr(coupling, "fixed_point_step", failing)
+    scenario = short_scenario(t_end=3600.0, auto_dt_halving=True)
+    with pytest.raises(NonphysicalStateError, match="injected failure"):
+        coupling.run(scenario, ModelParams())
+    assert calls == [3600.0, 1800.0]
+
+
+def test_only_the_nominal_attempt_starts_from_the_prediction(monkeypatch):
+    # a static step that needs more than 5 sweeps: the nominal attempt
+    # takes the predicted start, and every bisection sub-step starts from
+    # its own previous level (start=None)
+    predicted, attempts = [], []
+    predict, step = coupling._predict, coupling.fixed_point_step
+
+    def spy_predict(table):
+        predicted.append(predict(table))
+        return predicted[-1]
+
+    def spy_step(state, mesh, dt, scenario, params, start=None):
+        attempts.append((dt, start))
+        return step(state, mesh, dt, scenario, params, start=start)
+
+    monkeypatch.setattr(coupling, "_predict", spy_predict)
+    monkeypatch.setattr(coupling, "fixed_point_step", spy_step)
+    scenario = short_scenario(t_end=3600.0, max_iter=5, auto_dt_halving=True)
+    coupling.run(scenario, ModelParams())
+    assert len(predicted) == 1 and len(attempts) > 1
+    assert attempts[0][0] == 3600.0 and attempts[0][1] is predicted[0]
+    assert all(dt < 3600.0 and start is None for dt, start in attempts[1:])
 
 
 def test_growth_model_g1_accumulates_distortion():
@@ -571,7 +611,6 @@ def test_diagnostics_recorded_per_step():
     # step i's report is diagnostics[i - 1], at series_times[i]
     assert trajectory.series_times == [i * 3600.0 for i in range(6)]
     for d in trajectory.diagnostics:
-        assert d.converged
         assert 1 <= d.iterations <= scenario.max_iter
         assert len(d.residuals) == d.iterations
         assert d.residuals[-1] < scenario.tol

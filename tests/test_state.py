@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from porogrowth.errors import ClosureViolationError
+from porogrowth.errors import NonphysicalStateError
 from porogrowth.mesh import build_mesh
 from porogrowth.params import ModelParams
 from porogrowth.scenario import ScenarioConfig
@@ -59,7 +59,7 @@ def test_level_shape_checked():
 
 
 def test_negative_fraction_rejected():
-    with pytest.raises(ClosureViolationError):
+    with pytest.raises(NonphysicalStateError):
         make_state(phi_n=np.full(11, -1e-6))
 
 
@@ -70,7 +70,7 @@ def test_non_finite_field_rejected(bad):
                  "g_n", "g_v", "g_q", "g_ecm"):
         values = np.full(11, 0.01)
         values[4] = bad
-        with pytest.raises(ClosureViolationError, match=name):
+        with pytest.raises(NonphysicalStateError, match=name):
             make_state(**{name: values})
 
 
@@ -80,7 +80,7 @@ def test_tiny_negative_roundoff_tolerated():
 
 
 def test_saturated_solid_rejected():
-    with pytest.raises(ClosureViolationError):
+    with pytest.raises(NonphysicalStateError):
         make_state(amp=0.25)  # phi_fl = 0
 
 
@@ -116,7 +116,7 @@ def test_initial_state_rejects_saturating_amplitudes():
     # amplitudes that saturate the mixture (phi_fl = 0 at x = 0) never
     # survive ScenarioConfig validation, so use a bare stand-in
     big = SimpleNamespace(amplitudes=lambda: (0.75, 0.125), g_initial=0.0)
-    with pytest.raises(ClosureViolationError):
+    with pytest.raises(NonphysicalStateError):
         initial_state(mesh, ModelParams(), big)
 
 
