@@ -173,19 +173,13 @@ def build_oxygen_problem(mesh, phi_lagged, phi_fl, c_lagged, v_solid,
         source=np.zeros(mesh.node_count), bc_right=scenario.c_ext(params))
 
 
-def species_diffusion(mesh, params):
-    """Species element diffusivity: the harmonic edge mean of D_eta."""
-    d = params.D_eta
-    return np.full(mesh.n_elements, 2.0 * d * d / (d + d))
-
-
 def build_species_problem(mesh, sigma, source, diffusion, velocity):
     """Stacked population-balance problem of the (n, v, q, ecm) species.
 
     sigma / source are the (4, N) nodal consumption diagonals and
     production rows already evaluated from lagged fractions and the
-    fresh oxygen/stress fields. All species share the diffusivity
-    (species_diffusion) and the element solid velocity as advection;
+    fresh oxygen/stress fields. All species share the element data:
+    edge_coefficients of the constant D_eta and of the solid velocity;
     both ends are zero-diffusive-flux (phases leave only by advection).
     """
     return AdrProblem(mesh=mesh, diffusion=diffusion, velocity=velocity,

@@ -5,11 +5,11 @@ lagged fractions and growth terms, (2) the oxygen solve with the fresh
 displacement and Darcy flux, (3) one stacked species solve of the four
 population balances with the fresh oxygen and stress-derived switches
 but lagged sources. A sweep sums the lagged fractions once, for all
-three, and after (1) weighs the edges of both transports with one
-Bernoulli call; the old-level strain, H_A g_n and the species
-diffusivity are computed once per step. Convergence is the max over all
-fields of the relative infinity-norm change between sweeps. Growth
-distortions update once per accepted step, after convergence.
+three, reads the step's old level itself, and after (1) takes the edge
+data of both transports from adr.edge_coefficients and weighs them with
+one Bernoulli call. Convergence is the max over all fields of the
+relative infinity-norm change between sweeps. Growth distortions update
+once per accepted step, after convergence.
 """
 
 import math
@@ -155,23 +155,20 @@ def _kinetics(mesh, u, c, phi, phi_s, phi_fl, g_n, scenario, params):
         phi, phi_fl, c, h_r, h_c, scenario.k_g(params), params)
 
 
-def _sweep(mesh, x, invariants, dt, scenario, params):
-    """One fixed-point sweep on the (7, N) iterate: the poroelastic, the
-    oxygen and one stacked species solve; returns the next iterate.
-
-    invariants are the step's last level (7, N), its growth distortions
-    (4, N), the poroelastic.step_invariants, the (2, 2, N - 1) buffer of
-    the (oxygen, species) edge diffusivities and velocities (filled here
-    but for the species diffusivity) and the (traction, Darcy flux) data.
+def _sweep(mesh, x, level, dt, scenario, params):
+    """One fixed-point sweep on the (7, N) iterate x from the step's last
+    accepted (11, N) level: the poroelastic, the oxygen and one stacked
+    species solve; returns the next iterate.
     """
-    previous, g, lagged, (diffusion, velocity), (t_b, v_b) = invariants
+    previous, g = level[:7], level[7:]
     phi_m = x[3:]
     phi_s, phi_fl = solid_and_fluid(phi_m)
     new = np.empty_like(x)
 
     # step 1: poroelastic solve with lagged coefficients
     system = poroelastic.assemble(
-        mesh, phi_m, phi_fl, lagged, dt, t_b, v_b, params,
+        mesh, phi_m, phi_fl, g, previous[0], dt,
+        *scenario.boundary_data(params), params,
         dirichlet_side=scenario.darcy_dirichlet_side)
     new[0], new[1], v_new = poroelastic.solve(mesh, *system)
 
@@ -179,8 +176,10 @@ def _sweep(mesh, x, invariants, dt, scenario, params):
     v_solid = (new[0] - previous[0]) / dt
     oxygen = adr.build_oxygen_problem(
         mesh, phi_m, phi_fl, x[2], v_solid, v_new, scenario, params)
+    diffusion, velocity = np.empty((2, 2, mesh.n_elements))
     diffusion[0], velocity[0] = oxygen.diffusion, oxygen.velocity
-    velocity[1] = element_means(v_solid)
+    diffusion[1], velocity[1] = adr.edge_coefficients(
+        np.full(mesh.node_count, params.D_eta), v_solid)
     w_oxygen, w_species = adr.edge_weights(mesh.h, diffusion, velocity)
     new[2] = adr.solve_adr(oxygen, w_oxygen, dt, previous[2])
 
@@ -204,18 +203,11 @@ def fixed_point_step(state_n, mesh, dt, scenario, params, start=None):
     the closure.
     """
     report = FixedPointReport()
-
-    # per-step invariants of the sweep
-    previous, g = state_n.level[:7], state_n.level[7:]
-    edges = np.empty((2, 2, mesh.n_elements))
-    edges[0, 1] = adr.species_diffusion(mesh, params)
-    invariants = (previous, g, poroelastic.step_invariants(g, previous[0], params),
-                  edges, scenario.boundary_data(params))
-
-    x = previous if start is None else start
+    level = state_n.level
+    x = level[:7] if start is None else start
     accelerator = _Accelerator()
     for _ in range(scenario.max_iter):
-        new = _sweep(mesh, x, invariants, dt, scenario, params)
+        new = _sweep(mesh, x, level, dt, scenario, params)
         residual = float(_change(new - x, x))
         report.residuals.append(residual)
         if not math.isfinite(residual):
@@ -231,6 +223,7 @@ def fixed_point_step(state_n, mesh, dt, scenario, params, start=None):
             f"(last residual {residual})", report)
 
     # growth distortions update once per accepted step
+    g = level[7:]
     if scenario.growth_model == "G1":
         phi = new[3:]
         sigma, source = _kinetics(mesh, new[0], new[2], phi,
@@ -246,18 +239,21 @@ def _advance(state, mesh, dt, scenario, params, start):
     """One step of length dt from the start iterate; on nonconvergence,
     with auto_dt_halving, depth k = 1..4 retries it as 2^k sub-steps of
     dt / 2^k, each from its own previous level (the history of the
-    nominal steps does not match their spacing)."""
+    nominal steps does not match their spacing). Its report, returned or
+    raised after depth 4, holds the residual of every sweep of every attempt."""
+    report = FixedPointReport()
     for depth in range(5):
         current = state
         try:
             for _ in range(2**depth):
-                current, report = fixed_point_step(
+                current, attempt = fixed_point_step(
                     current, mesh, dt / 2**depth, scenario, params, start=start)
+                report.residuals += attempt.residuals
             return current, report
         except NonConvergenceError as exc:
             if not scenario.auto_dt_halving:
                 raise
-            report = exc.report
+            report.residuals += exc.report.residuals
         start = None
     raise NonConvergenceError(
         "fixed point failed after 4 time-step bisections", report)

@@ -29,7 +29,7 @@ class NonConvergenceError(PorogrowthError):
     and decide on a time-step bisection retry.
     """
 
-    def __init__(self, message, report=None):
+    def __init__(self, message, report):
         super().__init__(message)
         self.report = report
 

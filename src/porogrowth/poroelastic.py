@@ -35,26 +35,19 @@ from .mesh import element_means
 from .params import EPS_PHI
 
 
-def step_invariants(g_lagged, u_prev, params):
-    """assemble's data fixed for a time step: H_A g_n, the (4, N) growth
-    distortions and the element increments of u_prev (last level)."""
-    return params.H_A * g_lagged[0], g_lagged, u_prev[1:] - u_prev[:-1]
-
-
-def assemble(mesh, phi_lagged, phi_fl, invariants, dt, t_b, v_b, params,
+def assemble(mesh, phi_lagged, phi_fl, g_lagged, u_prev, dt, t_b, v_b, params,
              forcing_u=None, forcing_p=None, dirichlet_side="left"):
     """Assemble one sweep's condensed pressure system.
 
     phi_lagged is the stacked (4, N) species array, phi_fl its fluid
-    fraction, invariants the step_invariants of the step. dt = None
-    drops the strain-rate coupling (steady mode). dirichlet_side picks
-    which end carries p = 0; the Darcy velocity datum v_b applies at the
-    opposite end. Returns (matrix, rhs, k_e, w_e, load): the pressure
-    BandedMatrix and rhs, and per element the permeability, the
-    compliance h / a_e and the load T_e + g_e.
+    fraction, g_lagged the (4, N) growth distortions, u_prev the last
+    level's displacement. dt = None drops the strain-rate coupling (steady
+    mode). dirichlet_side picks which end carries p = 0; the Darcy velocity
+    datum v_b applies at the opposite end. Returns (matrix, rhs, k_e, w_e,
+    load): the pressure BandedMatrix and rhs, and per element the
+    permeability, the compliance h / a_e and the load T_e + g_e.
     """
     n, h = mesh.node_count, mesh.h
-    ha_g_n, g_lagged, du_prev = invariants
     if phi_fl.min() <= EPS_PHI or phi_fl.max() >= 1.0:
         raise NonphysicalStateError(
             f"lagged fluid fraction out of range: [{np.min(phi_fl)}, {np.max(phi_fl)}]")
@@ -62,7 +55,7 @@ def assemble(mesh, phi_lagged, phi_fl, invariants, dt, t_b, v_b, params,
     if not a_e.all():
         raise SingularSystemError("zero skeleton stiffness H_A phi_s on an element")
     k_e = permeability(element_means(phi_fl), params)
-    growth = (ha_g_n * phi_lagged[0]
+    growth = (params.H_A * g_lagged[0] * phi_lagged[0]
               + params.H_B * (g_lagged[1:] * phi_lagged[1:]).sum(axis=0))
     load = element_means(growth) + t_b
     if forcing_u is not None:
@@ -81,7 +74,7 @@ def assemble(mesh, phi_lagged, phi_fl, invariants, dt, t_b, v_b, params,
     diag[:-1] = k_h + coupling
     diag[1:] += k_h + coupling
     upper[:] = lower[:] = coupling - k_h
-    strain = 0.5 * inv_dt * (du_prev - w_e * load)
+    strain = 0.5 * inv_dt * (u_prev[1:] - u_prev[:-1] - w_e * load)
     rhs[:-1] = strain
     rhs[1:] += strain
     if forcing_p is not None:

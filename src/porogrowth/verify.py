@@ -15,8 +15,8 @@ from .linalg import BandedMatrix, solve_banded
 from .mesh import build_mesh, element_means
 from .params import ModelParams
 
-SUITE_NAMES = ("linalg", "darcy", "sg-exact", "mms-adr", "mms-poro",
-               "positivity")
+MMS_NODE_COUNTS = (33, 65, 129, 257)
+POSITIVITY_TRIALS = 200
 
 
 class SuiteResult:
@@ -95,8 +95,8 @@ def _solve_adr(problem, dt, previous):
         problem.mesh.h, problem.diffusion, problem.velocity), dt, previous)
 
 
-def suite_linalg(rng=None):
-    rng = np.random.default_rng(20240901) if rng is None else rng
+def suite_linalg():
+    rng = np.random.default_rng(20240901)
     result = SuiteResult("linalg")
 
     # condensed poroelastic solve against dense elimination of the full
@@ -113,9 +113,8 @@ def suite_linalg(rng=None):
         u_prev = rng.uniform(-1e-4, 1e-4, size=n)
         f_u, f_p = rng.uniform(-1.0, 1.0, size=(2, n)) if forced else (None,) * 2
         data = (mesh, phi, g, u_prev, dt, params.T_b, params.V_b, params)
-        lagged = poroelastic.step_invariants(g, u_prev, params)
         u, p, _ = poroelastic.solve(mesh, *poroelastic.assemble(
-            mesh, phi, 1.0 - phi.sum(axis=0), lagged, *data[4:],
+            mesh, phi, 1.0 - phi.sum(axis=0), *data[2:],
             forcing_u=f_u, forcing_p=f_p, dirichlet_side=side))
         x_ref = dense_gaussian_elimination(
             *saddle_point_system(*data, side, f_u, f_p))
@@ -139,12 +138,11 @@ def suite_linalg(rng=None):
     return result
 
 
-def _uniform_mixture(u_prev, params, phi_eta=0.025):
+def _uniform_mixture(u_prev):
     """The lagged poroelastic.assemble data of a uniform mixture:
-    phi_s = 4 * phi_eta, zero growth."""
-    phi = np.full((4, u_prev.size), phi_eta)
-    return (phi, 1.0 - phi.sum(axis=0),
-            poroelastic.step_invariants(np.zeros_like(phi), u_prev, params))
+    each phi_eta = 0.025 (phi_s = 0.1), zero growth."""
+    phi = np.full((4, u_prev.size), 0.025)
+    return phi, 1.0 - phi.sum(axis=0), np.zeros_like(phi), u_prev
 
 
 def suite_darcy():
@@ -154,7 +152,7 @@ def suite_darcy():
     mesh = build_mesh(0.01, 101)
     v_b = 5e-3
     system = poroelastic.assemble(
-        mesh, *_uniform_mixture(np.zeros(mesh.node_count), params), None,
+        mesh, *_uniform_mixture(np.zeros(mesh.node_count)), None,
         0.0, v_b, params)
     _, p, v = poroelastic.solve(mesh, *system)
     k = float(system[2][0])
@@ -211,7 +209,7 @@ def _fit_order(h_list, e_list):
     return float(np.polyfit(np.log(h_list), np.log(e_list), 1)[0])
 
 
-def suite_mms_adr(node_counts=(33, 65, 129, 257)):
+def suite_mms_adr():
     """Transient diffusion with w*(x,t) = exp(-t) cos(pi x / L)."""
     result = SuiteResult("mms-adr")
     length = 0.01
@@ -219,7 +217,7 @@ def suite_mms_adr(node_counts=(33, 65, 129, 257)):
     dt = 1.0e-6
     n_steps = 2000  # keeps the O(dt) error below the finest spatial error
     errors, hs = [], []
-    for n in node_counts:
+    for n in MMS_NODE_COUNTS:
         mesh = build_mesh(length, n)
         omega = np.pi / length
         w0 = np.cos(omega * mesh.nodes)
@@ -245,14 +243,14 @@ def suite_mms_adr(node_counts=(33, 65, 129, 257)):
     return result
 
 
-def suite_mms_poro(node_counts=(33, 65, 129, 257)):
+def suite_mms_poro():
     """Manufactured u* = sin(pi x/L), p* = x (L - x) with forcing."""
     result = SuiteResult("mms-poro")
     params = ModelParams()
     length = 0.01
     dt = 1.0e6  # weak strain-rate coupling keeps the p-error constant small
     err_u, err_p, hs = [], [], []
-    for n in node_counts:
+    for n in MMS_NODE_COUNTS:
         mesh = build_mesh(length, n)
         x = mesh.nodes
         omega = np.pi / length
@@ -265,7 +263,7 @@ def suite_mms_poro(node_counts=(33, 65, 129, 257)):
         t_b = a * omega * np.cos(omega * length)
         v_b = k * length
         system = poroelastic.assemble(
-            mesh, *_uniform_mixture(u_exact, params), dt, t_b, v_b, params,
+            mesh, *_uniform_mixture(u_exact), dt, t_b, v_b, params,
             forcing_u=forcing_u, forcing_p=forcing_p)
         u, p, _ = poroelastic.solve(mesh, *system)
         err_u.append(_l2_norm(mesh, u - u_exact) / _l2_norm(mesh, u_exact))
@@ -280,13 +278,13 @@ def suite_mms_poro(node_counts=(33, 65, 129, 257)):
     return result
 
 
-def suite_positivity(rng=None, trials=200):
+def suite_positivity():
     """Randomized nonnegative-data problems stay nonnegative."""
-    rng = np.random.default_rng(77) if rng is None else rng
+    rng = np.random.default_rng(77)
     result = SuiteResult("positivity")
     mesh = build_mesh(1.0, 41)
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(POSITIVITY_TRIALS):
         d = np.full(mesh.n_elements, 10.0 ** rng.uniform(-6.0, -2.0))
         peclet = 10.0 ** rng.uniform(-2.0, 4.0) * rng.choice([-1.0, 1.0])
         v = np.full(mesh.n_elements, peclet * d[0] / mesh.h)
@@ -304,7 +302,7 @@ def suite_positivity(rng=None, trials=200):
             source=source, bc_left=bcs[0], bc_right=bcs[1])
         w = _solve_adr(problem, float(rng.uniform(0.1, 100.0)), prev)
         worst = min(worst, float(np.min(w)))
-    result.check(f"min value over {trials} random problems >= -1e-12",
+    result.check(f"min value over {POSITIVITY_TRIALS} random problems >= -1e-12",
                  worst >= -1e-12, f"worst {worst:.3e}")
 
     # steady maximum principle with f = 0, sigma = 0
@@ -335,6 +333,7 @@ _SUITES = {
     "mms-poro": suite_mms_poro,
     "positivity": suite_positivity,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name):

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from porogrowth import adr, poroelastic
+from porogrowth import adr
 from porogrowth.params import ModelParams
 
 
@@ -34,8 +34,8 @@ def sg_weights(problem):
                             problem.velocity)
 
 
-def lagged(phi, g, u_prev, params):
+def lagged(phi, g, u_prev):
     """The lagged-state arguments of poroelastic.assemble: the species,
-    their fluid fraction and the step invariants."""
-    return (phi, 1.0 - phi.sum(axis=0),
-            poroelastic.step_invariants(g, u_prev, params))
+    their fluid fraction, the growth distortions and the last level's
+    displacement."""
+    return phi, 1.0 - phi.sum(axis=0), g, u_prev

@@ -237,9 +237,10 @@ def test_species_budget_with_kinetics_and_advection():
         rng.integers(0, 2, size=n), PARAMS.k_g2, PARAMS)
     assert sigma.min() > 0.0 and source.max() > 0.0
     # solid velocity of both signs, inflow at one end, outflow at the other
-    v_eta = element_means(1e-8 * np.cos(3.0 * np.pi * mesh.nodes / mesh.length))
+    d_eta, v_eta = adr.edge_coefficients(
+        np.full(n, PARAMS.D_eta),
+        1e-8 * np.cos(3.0 * np.pi * mesh.nodes / mesh.length))
     assert v_eta.min() < 0.0 < v_eta.max()
-    d_eta = adr.species_diffusion(mesh, PARAMS)
     # the weights as a sweep takes them, stacked with an oxygen row
     _, weights = adr.edge_weights(
         mesh.h, np.stack([np.full(n - 1, 1e-5), d_eta]),
@@ -276,9 +277,9 @@ def test_oxygen_budget_with_consumption_and_advection():
     v_e = oxygen.velocity
     assert v_e.min() < 0.0 < v_e.max()
     # the weights as a sweep takes them, stacked with a species row
+    d_eta, v_eta = adr.edge_coefficients(np.full(n, PARAMS.D_eta), v_solid)
     w_oxygen, _ = adr.edge_weights(
-        mesh.h, np.stack([oxygen.diffusion, adr.species_diffusion(mesh, PARAMS)]),
-        np.stack([v_e, element_means(v_solid)]))
+        mesh.h, np.stack([oxygen.diffusion, d_eta]), np.stack([v_e, v_eta]))
     c = adr.solve_adr(oxygen, w_oxygen, dt, c_prev)
     b_plus, b_minus = w_oxygen
     m = mesh.lumped_masses[:-1]
@@ -331,12 +332,12 @@ def test_build_species_problem():
     rng = np.random.default_rng(12)
     sigma = np.full((4, n), PARAMS.k_deg)
     source = rng.uniform(0.0, 1e-7, size=(4, n))
-    diffusion = adr.species_diffusion(mesh, PARAMS)
-    assert diffusion.shape == (n - 1,)
+    # one diffusivity and one advection, the element solid velocity,
+    # shared by the four stacked species rows
+    diffusion, velocity = adr.edge_coefficients(
+        np.full(n, PARAMS.D_eta), 1e-5 * mesh.nodes / mesh.length / 3600.0)
+    assert diffusion.shape == velocity.shape == (n - 1,)
     assert np.allclose(diffusion, PARAMS.D_eta)
-    # one advection, the element solid velocity, shared by the four
-    # stacked species rows
-    velocity = element_means(1e-5 * mesh.nodes / mesh.length / 3600.0)
     problem = adr.build_species_problem(mesh, sigma, source, diffusion,
                                         velocity)
     assert problem.bc_left is None and problem.bc_right is None
@@ -404,7 +405,7 @@ def test_transport_data_valid_by_construction(d_c_fl, d_c_s, k_eq, d_eta, phi):
         np.zeros(n), np.zeros(n - 1), ScenarioConfig(), params)
     species = adr.build_species_problem(
         mesh, np.zeros((4, n)), np.zeros((4, n)),
-        adr.species_diffusion(mesh, params), np.zeros(n - 1))
+        *adr.edge_coefficients(np.full(n, params.D_eta), np.zeros(n)))
     for problem in (oxygen, species):
         assert problem.diffusion.shape == (n - 1,)
         assert np.all(np.isfinite(problem.diffusion))

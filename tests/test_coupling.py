@@ -6,7 +6,7 @@ import pytest
 
 from porogrowth import adr, config, coupling, outputs
 from porogrowth.errors import NonConvergenceError, NonphysicalStateError
-from porogrowth.mesh import build_mesh
+from porogrowth.mesh import build_mesh, element_means
 from porogrowth.params import EPS_PHI, ModelParams
 from porogrowth.scenario import ScenarioConfig
 from porogrowth.state import initial_state, sample_xi_field
@@ -164,29 +164,68 @@ def test_run_attaches_recorded_prefix_on_failure_mid_run(monkeypatch, tmp_path):
         assert len(fh.read().splitlines()) == 1 + 2
 
 
-def test_auto_dt_halving_retries_with_substeps():
+def test_auto_dt_halving_retries_with_substeps(monkeypatch):
     params = ModelParams()
-    # a static step that needs more than 5 sweeps fails without halving
-    # and completes through bisection with it
+    sweeps = []
+    sweep = coupling._sweep
+
+    def counting(*args):
+        sweeps.append(1)
+        return sweep(*args)
+
+    monkeypatch.setattr(coupling, "_sweep", counting)
+    # a static step that needs more than 5 sweeps fails without halving,
+    # with the nominal attempt's own report, and completes through
+    # bisection with it, reporting every sweep of every attempt
     static = short_scenario(t_end=3600.0, max_iter=5)
     with pytest.raises(NonConvergenceError,
-                       match="did not converge in 5 sweeps"):
+                       match="did not converge in 5 sweeps") as info:
         coupling.run(static, params)
+    assert len(info.value.report.residuals) == static.max_iter
+    sweeps.clear()
     trajectory = coupling.run(
         dataclasses.replace(static, auto_dt_halving=True), params)
     assert trajectory.series_times == [0.0, 3600.0]
-    assert trajectory.diagnostics[0].residuals[-1] < static.tol
+    report = trajectory.diagnostics[0]
+    assert report.residuals[-1] < static.tol
+    assert report.iterations == len(sweeps) > static.max_iter
     # a perfused step with max_iter = 4 fails at every bisection depth and
-    # raises only once the 4-bisection budget is spent, with its report
+    # raises only once the 4-bisection budget is spent, with the report
+    # of all its sweeps
     perfused = short_scenario(culture_mode="perfused", t_end=3600.0,
                               max_iter=4, auto_dt_halving=True)
+    sweeps.clear()
     with pytest.raises(NonConvergenceError,
                        match="fixed point failed after 4 time-step bisections"
                        ) as info:
         coupling.run(perfused, params)
-    report = info.value.report
-    assert report is not None
-    assert len(report.residuals) == perfused.max_iter
+    assert len(info.value.report.residuals) == len(sweeps) > perfused.max_iter
+
+
+def test_bisected_step_reports_all_30_sweeps(monkeypatch):
+    # the one-hour max_iter = 5 static step with halving (the workflow's
+    # bisection config): the nominal attempt and the first dt/2 sub-step
+    # fail after 5 sweeps each, the four dt/4 sub-steps pass; the step's
+    # report holds all 30 residuals in the order they were made
+    attempts = []
+    step = coupling.fixed_point_step
+
+    def spy(state, mesh, dt, *args, **kwargs):
+        try:
+            result = step(state, mesh, dt, *args, **kwargs)
+        except NonConvergenceError as exc:
+            attempts.append((dt, exc.report))
+            raise
+        attempts.append((dt, result[1]))
+        return result
+
+    monkeypatch.setattr(coupling, "fixed_point_step", spy)
+    cfg = config.parse_config("max_iter = 5\nT_end = 3600\nauto_dt_halving = true\n")
+    trajectory = coupling.run(cfg.scenario, cfg.params)
+    assert [dt for dt, _ in attempts] == [3600.0, 1800.0] + [900.0] * 4
+    report, = trajectory.diagnostics
+    assert report.iterations == 30
+    assert report.residuals == [r for _, a in attempts for r in a.residuals]
 
 
 def test_nonphysical_state_in_bisection_propagates_at_once(monkeypatch):
@@ -198,7 +237,8 @@ def test_nonphysical_state_in_bisection_propagates_at_once(monkeypatch):
     def failing(state, mesh, dt, *args, **kwargs):
         calls.append(dt)
         if len(calls) == 1:
-            raise NonConvergenceError("injected nonconvergence")
+            raise NonConvergenceError("injected nonconvergence",
+                                      coupling.FixedPointReport([1.0]))
         raise NonphysicalStateError("injected failure")
 
     monkeypatch.setattr(coupling, "fixed_point_step", failing)
@@ -445,17 +485,20 @@ def test_kinked_history_truncates_the_series(kink):
 
 def record_starts(monkeypatch):
     """Spy on the sweeps: one (start, previous, dt) per fixed_point_step
-    call, taken from its first sweep. The start is copied: it may be a
+    call, taken from its first sweep, with previous the iterate rows of
+    the call's level. A call differs from the one before in its level or
+    its dt (a bisection's first sub-step starts from the level of the
+    failed attempt, with half its dt). The start is copied: it may be a
     view of the predictor's table, which the next accepted level
     overwrites."""
-    starts = []
+    starts, last = [], [None, None]
     sweep = coupling._sweep
 
-    def spy(mesh, x, invariants, dt, *args):
-        previous = invariants[0]
-        if not starts or starts[-1][1] is not previous:
-            starts.append((x.copy(), previous, dt))
-        return sweep(mesh, x, invariants, dt, *args)
+    def spy(mesh, x, level, dt, *args):
+        if last[0] is not level or last[1] != dt:
+            last[:] = level, dt
+            starts.append((x.copy(), level[:7], dt))
+        return sweep(mesh, x, level, dt, *args)
 
     monkeypatch.setattr(coupling, "_sweep", spy)
     return starts
@@ -577,6 +620,37 @@ def test_sweep_matches_standalone_adr_operator(frozen_params):
     expected = adr.solve_adr(problem, sg_weights(problem), scenario.dt,
                              state0.phi_n)
     assert np.allclose(state1.phi_n, expected, rtol=1e-13)
+
+
+def test_species_edge_data_of_a_sweep_bitwise(monkeypatch):
+    # the species problem of every sweep carries the harmonic edge mean
+    # of the constant D_eta and the element mean of the sweep's solid
+    # velocity (u_new - u_prev) / dt, bit for bit
+    problems, sweeps = [], []
+    build, sweep = adr.build_species_problem, coupling._sweep
+
+    def spy_build(*args):
+        problems.append(build(*args))
+        return problems[-1]
+
+    def spy_sweep(mesh, x, level, dt, *args):
+        sweeps.append((level[0], dt, sweep(mesh, x, level, dt, *args)))
+        return sweeps[-1][2]
+
+    monkeypatch.setattr(adr, "build_species_problem", spy_build)
+    monkeypatch.setattr(coupling, "_sweep", spy_sweep)
+    cfg = config.preset("perfused-ic2-kg2-cthr")
+    scenario = dataclasses.replace(cfg.scenario, node_count=41,
+                                   t_end=2 * cfg.scenario.dt)
+    coupling.run(scenario, cfg.params)
+    assert len(problems) == len(sweeps) > 2
+    d = cfg.params.D_eta
+    diffusion = np.full(scenario.node_count - 1, 2.0 * d * d / (d + d))
+    for problem, (u_prev, dt, new) in zip(problems, sweeps):
+        velocity = element_means((new[0] - u_prev) / dt)
+        assert velocity.any()
+        assert problem.diffusion.tobytes() == diffusion.tobytes()
+        assert problem.velocity.tobytes() == velocity.tobytes()
 
 
 def test_one_bernoulli_call_per_sweep(monkeypatch):

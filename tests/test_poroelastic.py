@@ -25,7 +25,7 @@ def uniform_inputs(n, phi_eta=0.025, g=0.0):
 def assemble_uniform(mesh, t_b=0.0, v_b=0.0, dt=3600.0, phi_eta=0.025,
                      g=0.0, **kwargs):
     phi, g_fields, u_prev = uniform_inputs(mesh.node_count, phi_eta, g)
-    return poroelastic.assemble(mesh, *lagged(phi, g_fields, u_prev, PARAMS),
+    return poroelastic.assemble(mesh, *lagged(phi, g_fields, u_prev),
                                 dt, t_b, v_b, PARAMS, **kwargs)
 
 
@@ -45,7 +45,7 @@ def test_darcy_linear_pressure():
     mesh = build_mesh(0.01, n)
     phi, g, u_prev = uniform_inputs(n)
     v_b = PARAMS.V_b
-    system = poroelastic.assemble(mesh, *lagged(phi, g, u_prev, PARAMS),
+    system = poroelastic.assemble(mesh, *lagged(phi, g, u_prev),
                                   None, 0.0, v_b, PARAMS)
     u, p, v = poroelastic.solve(mesh, *system)
     k = permeability(0.9, PARAMS)
@@ -63,7 +63,7 @@ def test_traction_only_uniform_strain():
     mesh = build_mesh(0.01, n)
     phi, g, u_prev = uniform_inputs(n)
     t_b = PARAMS.T_b
-    system = poroelastic.assemble(mesh, *lagged(phi, g, u_prev, PARAMS),
+    system = poroelastic.assemble(mesh, *lagged(phi, g, u_prev),
                                   None, t_b, 0.0, PARAMS)
     u, p, v = poroelastic.solve(mesh, *system)
     ux = t_b / (PARAMS.H_A * 0.1)
@@ -79,7 +79,7 @@ def test_growth_prestress_displaces_free_end():
     phi, _, u_prev = uniform_inputs(n)
     g = np.zeros((4, n))
     g[0] = 1e-3
-    system = poroelastic.assemble(mesh, *lagged(phi, g, u_prev, PARAMS),
+    system = poroelastic.assemble(mesh, *lagged(phi, g, u_prev),
                                   None, 0.0, 0.0, PARAMS)
     u, p, v = poroelastic.solve(mesh, *system)
     ux = 1e-3 * 0.025 / 0.1
@@ -94,10 +94,10 @@ def test_dirichlet_side_swap_mirrors_pressure():
     mesh = build_mesh(0.01, n)
     phi, g, u_prev = uniform_inputs(n)
     _, p_left, _ = poroelastic.solve(mesh, *poroelastic.assemble(
-        mesh, *lagged(phi, g, u_prev, PARAMS), None, 0.0, PARAMS.V_b,
+        mesh, *lagged(phi, g, u_prev), None, 0.0, PARAMS.V_b,
         PARAMS, dirichlet_side="left"))
     _, p_right, _ = poroelastic.solve(mesh, *poroelastic.assemble(
-        mesh, *lagged(phi, g, u_prev, PARAMS), None, 0.0, PARAMS.V_b,
+        mesh, *lagged(phi, g, u_prev), None, 0.0, PARAMS.V_b,
         PARAMS, dirichlet_side="right"))
     # v_b is the outward-normal flux at the flux-carrying end in both
     # orientations, so the pressure profile simply reflects
@@ -110,7 +110,7 @@ def test_consolidation_step_couples_fields():
     n = 101
     mesh = build_mesh(0.01, n)
     phi, g, u_prev = uniform_inputs(n)
-    system = poroelastic.assemble(mesh, *lagged(phi, g, u_prev, PARAMS),
+    system = poroelastic.assemble(mesh, *lagged(phi, g, u_prev),
                                   1.0, PARAMS.T_b, 0.0, PARAMS)
     u, p, v = poroelastic.solve(mesh, *system)
     assert np.max(np.abs(p)) > 1e-4 * PARAMS.T_b
@@ -142,7 +142,7 @@ def test_mms_quadratic_exact():
         t_b = h_a * a * (L - 2.0 * L) + b * 0.0  # a u'(L) - p*(L)
         v_b = -k * b * (L - 2.0 * L)
         system = poroelastic.assemble(
-            mesh, *lagged(phi, g, u_prev, PARAMS), None, t_b, v_b, PARAMS,
+            mesh, *lagged(phi, g, u_prev), None, t_b, v_b, PARAMS,
             forcing_u=f_u, forcing_p=f_p)
         u, p, _ = poroelastic.solve(mesh, *system)
         err = np.max(np.abs(u - a * x * (L - x))) + np.max(np.abs(p - b * x * (L - x)))
@@ -159,7 +159,7 @@ def test_rejects_vanishing_fluid_fraction():
         phi = np.full((4, 11), fraction)
         with pytest.raises(NonphysicalStateError, match="out of range"):
             poroelastic.assemble(
-                mesh, *lagged(phi, np.zeros((4, 11)), np.zeros(11), PARAMS),
+                mesh, *lagged(phi, np.zeros((4, 11)), np.zeros(11)),
                 3600.0, 0.0, 0.0, PARAMS)
 
 
@@ -191,7 +191,7 @@ def test_zero_skeleton_stiffness_raises():
     for dt in (3600.0, None):
         with pytest.raises(SingularSystemError, match="stiffness"):
             poroelastic.assemble(
-                mesh, *lagged(phi, np.zeros((4, 11)), np.zeros(11), params),
+                mesh, *lagged(phi, np.zeros((4, 11)), np.zeros(11)),
                 dt, 0.0, 0.0, params)
 
 
@@ -257,7 +257,7 @@ def test_assemble_equals_elementwise_reference(side, dt, forced):
     forcing_u = rng.uniform(-1.0, 1.0, size=n) if forced else None
     forcing_p = rng.uniform(-1.0, 1.0, size=n) if forced else None
     system = poroelastic.assemble(
-        mesh, *lagged(phi, g, u_prev, PARAMS), dt, PARAMS.T_b, PARAMS.V_b,
+        mesh, *lagged(phi, g, u_prev), dt, PARAMS.T_b, PARAMS.V_b,
         PARAMS,
         forcing_u=forcing_u, forcing_p=forcing_p, dirichlet_side=side)
     u, p, v = poroelastic.solve(mesh, *system)
