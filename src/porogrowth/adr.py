@@ -1,13 +1,13 @@
 """1D advection-diffusion-reaction solver with exponential fitting.
 
 A problem holds one transported field, or k fields stacked as (k, N)
-rows that share the diffusivity, the velocity and the boundary
-conditions and differ only in reaction, source and previous field (the
-four species of the mixture). Stacked rows are assembled in one pass
-and solved as one block-diagonal system. Each boundary end is None
-(zero diffusive flux: only the advective flux w v n crosses it) or a
-float, the Dirichlet value. The assembly takes its edge weights from
-edge_weights, which weighs several problems with one Bernoulli call.
+rows that share the edge data and the boundary conditions and differ
+only in reaction, source and previous field (the four species). Stacked
+rows are assembled in one pass and solved as one block-diagonal system.
+Each boundary end is None (zero diffusive flux: only the advective flux
+w v n crosses it) or a float, the Dirichlet value. Each problem carries
+its edge weights; sweep_edges forms those of a sweep's oxygen and
+species problems with one Bernoulli call.
 
 The edge flux between nodes i and i+1 is the Scharfetter-Gummel form
 
@@ -65,14 +65,14 @@ def edge_weights(h, diffusion, velocity):
 class AdrProblem(NamedTuple):
     """One linear transport problem on the mesh, or k stacked ones.
 
-    diffusion (> 0) and velocity live on elements, reaction (sigma >= 0)
-    and source on nodes: both (N,), or both (k, N) for k problems
-    sharing the element data. bc_left and bc_right are None (zero
-    diffusive flux) or the Dirichlet value, shared by the rows.
+    weights (the edge_weights pair) and velocity live on elements,
+    reaction (sigma >= 0) and source on nodes: both (N,), or both (k, N)
+    for k problems sharing the element data. bc_left and bc_right are
+    None (zero diffusive flux) or the Dirichlet value, shared by the rows.
     """
 
     mesh: object
-    diffusion: np.ndarray
+    weights: np.ndarray
     velocity: np.ndarray
     reaction: np.ndarray
     source: np.ndarray
@@ -87,13 +87,26 @@ def edge_coefficients(nodal_diffusion, nodal_velocity):
     return 2.0 * d[:-1] * d[1:] / (d[:-1] + d[1:]), element_means(nodal_velocity)
 
 
-def assemble_adr(problem, weights, dt, previous_field):
+def sweep_edges(mesh, phi_fl, v_solid, v_darcy, params):
+    """(weights, velocity) of a sweep's transports, stacked as (oxygen,
+    species): edge_coefficients of the nutrient diffusivity and the fluid
+    velocity V / phi_fl + v_solid, and of D_eta and v_solid, weighed by
+    one edge_weights call."""
+    diffusion, velocity = np.empty((2, 2, mesh.n_elements))
+    diffusion[0], velocity[0] = edge_coefficients(
+        nutrient_diffusivity(phi_fl, params),
+        nodal_means(v_darcy) / phi_fl + v_solid)
+    diffusion[1], velocity[1] = edge_coefficients(
+        np.full(mesh.node_count, params.D_eta), v_solid)
+    return edge_weights(mesh.h, diffusion, velocity), velocity
+
+
+def assemble_adr(problem, dt, previous_field):
     """Tridiagonal system of one backward-Euler step with lumped mass.
 
-    weights are edge_weights of the problem's diffusion and velocity.
-    dt = None selects steady mode (no mass term). previous_field has
-    the shape of problem.reaction and problem.source, else
-    InvalidProblemError. Returns (matrix, rhs): the diagonals are
+    dt = math.inf is steady mode: 1 / dt = 0 drops the mass term.
+    previous_field has the shape of problem.reaction and problem.source,
+    else InvalidProblemError. Returns (matrix, rhs): the diagonals are
     assembled in place in the LAPACK band storage of a tridiagonal
     BandedMatrix, block diagonal over the rows of a stacked problem with
     zeros at the block seams; rhs has the shape of previous_field.
@@ -109,7 +122,7 @@ def assemble_adr(problem, weights, dt, previous_field):
     rows = prev.shape[:-1]
 
     v_e = problem.velocity
-    b_plus, b_minus = weights   # multiplying w_{i+1} and w_i in the flux
+    b_plus, b_minus = problem.weights   # multiplying w_{i+1} and w_i
 
     matrix = BandedMatrix(n=prev.size)
     # views of the (3, k, N) band; entries never written are the seams
@@ -123,7 +136,7 @@ def assemble_adr(problem, weights, dt, previous_field):
     diag[..., 1:] += b_plus
     lower[:] = -b_minus
 
-    inv_dt = 0.0 if dt is None else 1.0 / dt
+    inv_dt = 1.0 / dt
     m = mesh.lumped_masses
     diag += m * (inv_dt + problem.reaction)
     rhs += m * (inv_dt * prev + problem.source)
@@ -143,44 +156,40 @@ def assemble_adr(problem, weights, dt, previous_field):
     return matrix, rhs
 
 
-def solve_adr(problem, weights, dt, previous_field):
+def solve_adr(problem, dt, previous_field):
     """Assemble and solve one step; returns the nodal field(s).
 
     The rows of a stacked problem are solved together as one
     block-diagonal system.
     """
-    return solve_banded(*assemble_adr(problem, weights, dt, previous_field))
+    return solve_banded(*assemble_adr(problem, dt, previous_field))
 
 
 # --- problem builders used by the coupling loop ----------------------
 
-def build_oxygen_problem(mesh, phi_lagged, phi_fl, c_lagged, v_solid,
-                         v_darcy_new, scenario, params):
+def build_oxygen_problem(mesh, phi_lagged, c_lagged, weights, velocity,
+                         scenario, params):
     """Oxygen transport problem of one fixed-point sweep.
 
-    phi_lagged is the stacked (4, N) species array at iterate m, phi_fl
-    its fluid fraction, already checked by poroelastic.assemble; v_fl =
-    V/phi_fl + (u_new - u_prev)/dt. Zero diffusive flux at the scaffold
-    wall, Dirichlet c_ext at the interface.
+    phi_lagged is the stacked (4, N) species array at iterate m, weights
+    and velocity the oxygen row of sweep_edges. Zero diffusive flux at
+    the scaffold wall, Dirichlet c_ext at the interface.
     """
-    v_fl = nodal_means(v_darcy_new) / phi_fl + v_solid
-    d_nodes = nutrient_diffusivity(phi_fl, params)
-    d_e, v_e = edge_coefficients(d_nodes, v_fl)
     q_hat = oxygen_sink(phi_lagged[0], phi_lagged[1], phi_lagged[2],
                         c_lagged, params)
     return AdrProblem(
-        mesh=mesh, diffusion=d_e, velocity=v_e, reaction=-q_hat,
+        mesh=mesh, weights=weights, velocity=velocity, reaction=-q_hat,
         source=np.zeros(mesh.node_count), bc_right=scenario.c_ext(params))
 
 
-def build_species_problem(mesh, sigma, source, diffusion, velocity):
+def build_species_problem(mesh, sigma, source, weights, velocity):
     """Stacked population-balance problem of the (n, v, q, ecm) species.
 
     sigma / source are the (4, N) nodal consumption diagonals and
     production rows already evaluated from lagged fractions and the
-    fresh oxygen/stress fields. All species share the element data:
-    edge_coefficients of the constant D_eta and of the solid velocity;
-    both ends are zero-diffusive-flux (phases leave only by advection).
+    fresh oxygen/stress fields. All species share the element data, the
+    species row of sweep_edges; both ends are zero-diffusive-flux
+    (phases leave only by advection).
     """
-    return AdrProblem(mesh=mesh, diffusion=diffusion, velocity=velocity,
+    return AdrProblem(mesh=mesh, weights=weights, velocity=velocity,
                       reaction=sigma, source=source)

@@ -6,8 +6,8 @@ displacement and Darcy flux, (3) one stacked species solve of the four
 population balances with the fresh oxygen and stress-derived switches
 but lagged sources. A sweep sums the lagged fractions once, for all
 three, reads the step's old level itself, and after (1) takes the edge
-data of both transports from adr.edge_coefficients and weighs them with
-one Bernoulli call. Convergence is the max over all fields of the
+weights and velocities of both transport problems from one
+adr.sweep_edges call. Convergence is the max over all fields of the
 relative infinity-norm change between sweeps. Growth distortions update
 once per accepted step, after convergence.
 """
@@ -29,7 +29,6 @@ from .mesh import build_mesh, element_means
 from .params import EPS_PHI
 from .state import (
     ROWS,
-    SERIES_KEYS,
     MixtureState,
     Trajectory,
     indicator_r,
@@ -173,21 +172,17 @@ def _sweep(mesh, x, level, dt, scenario, params):
     new[0], new[1], v_new = poroelastic.solve(mesh, *system)
 
     # step 2: oxygen with the fresh displacement and Darcy flux
-    v_solid = (new[0] - previous[0]) / dt
+    weights, velocity = adr.sweep_edges(
+        mesh, phi_fl, (new[0] - previous[0]) / dt, v_new, params)
     oxygen = adr.build_oxygen_problem(
-        mesh, phi_m, phi_fl, x[2], v_solid, v_new, scenario, params)
-    diffusion, velocity = np.empty((2, 2, mesh.n_elements))
-    diffusion[0], velocity[0] = oxygen.diffusion, oxygen.velocity
-    diffusion[1], velocity[1] = adr.edge_coefficients(
-        np.full(mesh.node_count, params.D_eta), v_solid)
-    w_oxygen, w_species = adr.edge_weights(mesh.h, diffusion, velocity)
-    new[2] = adr.solve_adr(oxygen, w_oxygen, dt, previous[2])
+        mesh, phi_m, x[2], weights[0], velocity[0], scenario, params)
+    new[2] = adr.solve_adr(oxygen, dt, previous[2])
 
     # step 3: populations, gated by the freshest stress and oxygen
     sigma, source = _kinetics(
         mesh, new[0], new[2], phi_m, phi_s, phi_fl, g[0], scenario, params)
-    species = adr.build_species_problem(mesh, sigma, source, diffusion[1], velocity[1])
-    new[3:] = adr.solve_adr(species, w_species, dt, previous[3:])
+    species = adr.build_species_problem(mesh, sigma, source, weights[1], velocity[1])
+    new[3:] = adr.solve_adr(species, dt, previous[3:])
     return new
 
 
@@ -262,7 +257,7 @@ def _advance(state, mesh, dt, scenario, params, start):
 def _record(trajectory, t, state, mesh, params, snapshot):
     """Append the accepted level at time t to the per-step series, and to
     the snapshots with its xi map when snapshot is true."""
-    mid = mesh.mid_node()
+    mid = mesh.mid_node
     column = state.level[:, mid]
     xi = sample_xi_field(state, params, mesh)
     trajectory.series_times.append(t)
@@ -290,10 +285,7 @@ def run(scenario, params):
     """
     mesh = build_mesh(scenario.length, scenario.node_count)
     state = initial_state(mesh, params, scenario)
-    trajectory = Trajectory(
-        mesh=mesh, times=[], states=[], xi_maps=[], series_times=[],
-        mid_series={k: [] for k in SERIES_KEYS},
-        diagnostics=[])
+    trajectory = Trajectory(mesh)
     _record(trajectory, 0.0, state, mesh, params, snapshot=True)
     table = np.empty((HISTORY, 7, mesh.node_count))
     depth = _push(table, 0, state.level[:7])

@@ -20,6 +20,8 @@ class Mesh1D:
     nodes: np.ndarray = field(repr=False)
     #: control-volume sizes: h at interior nodes, h/2 at the ends
     lumped_masses: np.ndarray = field(repr=False)
+    #: index of the node nearest x = L/2, the node of the time series
+    mid_node: int
 
     @property
     def h(self):
@@ -28,10 +30,6 @@ class Mesh1D:
     @property
     def n_elements(self):
         return self.node_count - 1
-
-    def mid_node(self):
-        """Index of the node nearest x = L/2."""
-        return int(np.argmin(np.abs(self.nodes - 0.5 * self.length)))
 
 
 def element_means(v):
@@ -61,4 +59,5 @@ def build_mesh(length, node_count):
     for a in (nodes, masses):
         a.flags.writeable = False
     return Mesh1D(length=float(length), node_count=int(node_count),
-                  nodes=nodes, lumped_masses=masses)
+                  nodes=nodes, lumped_masses=masses,
+                  mid_node=int(np.argmin(np.abs(nodes - 0.5 * length))))

@@ -41,11 +41,11 @@ def assemble(mesh, phi_lagged, phi_fl, g_lagged, u_prev, dt, t_b, v_b, params,
 
     phi_lagged is the stacked (4, N) species array, phi_fl its fluid
     fraction, g_lagged the (4, N) growth distortions, u_prev the last
-    level's displacement. dt = None drops the strain-rate coupling (steady
-    mode). dirichlet_side picks which end carries p = 0; the Darcy velocity
-    datum v_b applies at the opposite end. Returns (matrix, rhs, k_e, w_e,
-    load): the pressure BandedMatrix and rhs, and per element the
-    permeability, the compliance h / a_e and the load T_e + g_e.
+    level's displacement. dt = math.inf drops the strain-rate coupling
+    (steady mode). dirichlet_side picks which end carries p = 0; the Darcy
+    velocity datum v_b applies at the opposite end. Returns (matrix, rhs,
+    k_e, w_e, load): the pressure BandedMatrix and rhs, and per element
+    the permeability, the compliance h / a_e and the load T_e + g_e.
     """
     n, h = mesh.node_count, mesh.h
     if phi_fl.min() <= EPS_PHI or phi_fl.max() >= 1.0:
@@ -63,7 +63,7 @@ def assemble(mesh, phi_lagged, phi_fl, g_lagged, u_prev, dt, t_b, v_b, params,
         f_u = mesh.lumped_masses * np.asarray(forcing_u, dtype=float)
         load -= np.cumsum(f_u[:0:-1])[::-1]
     w_e = h / a_e
-    inv_dt = 0.0 if dt is None else 1.0 / dt
+    inv_dt = 1.0 / dt
 
     matrix = BandedMatrix(n=n)
     upper, diag, lower = matrix.data[0, 1:], matrix.data[1], matrix.data[2, :-1]

@@ -1,6 +1,6 @@
 """Nodal mixture state, initial conditions and the isotropy map."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -107,9 +107,10 @@ class Trajectory:
     and per accepted step the mid-node series and the fixed-point report."""
 
     mesh: Mesh1D
-    times: list              # snapshot times (s), strictly increasing
-    states: list             # MixtureState snapshots (first = IC)
-    xi_maps: list            # xi map of each snapshot (sample_xi_field)
-    series_times: list       # every accepted step, including t = 0
-    mid_series: dict         # field name -> per-step value at the mid node
-    diagnostics: list        # FixedPointReport of step k at index k - 1
+    times: list = field(default_factory=list)         # snapshot times (s)
+    states: list = field(default_factory=list)        # MixtureStates, IC first
+    xi_maps: list = field(default_factory=list)       # sample_xi_field maps
+    series_times: list = field(default_factory=list)  # every step, from t = 0
+    mid_series: dict = field(                         # name -> mid-node values
+        default_factory=lambda: {k: [] for k in SERIES_KEYS})
+    diagnostics: list = field(default_factory=list)   # each step's report

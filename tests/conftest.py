@@ -3,7 +3,6 @@ import math
 
 import pytest
 
-from porogrowth import adr
 from porogrowth.params import ModelParams
 
 
@@ -25,13 +24,6 @@ def frozen_kinetics_params(**overrides):
 @pytest.fixture
 def frozen_params():
     return frozen_kinetics_params()
-
-
-def sg_weights(problem):
-    """Edge weights of a transport problem from its own element data,
-    as adr.solve_adr and adr.assemble_adr take them."""
-    return adr.edge_weights(problem.mesh.h, problem.diffusion,
-                            problem.velocity)
 
 
 def lagged(phi, g, u_prev):

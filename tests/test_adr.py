@@ -12,8 +12,6 @@ from porogrowth.mesh import build_mesh, element_means, nodal_means
 from porogrowth.params import EPS_PHI, ModelParams
 from porogrowth.scenario import ScenarioConfig
 
-from conftest import sg_weights
-
 PARAMS = ModelParams()
 
 
@@ -98,10 +96,11 @@ def test_bernoulli_positive_and_decreasing(t):
 def uniform_problem(n=21, d=1e-5, v=0.0, sigma=0.0, source=0.0,
                     bc_left=None, bc_right=None):
     mesh = build_mesh(0.01, n)
+    velocity = np.full(mesh.n_elements, v)
     return adr.AdrProblem(
         mesh=mesh,
-        diffusion=np.full(mesh.n_elements, d),
-        velocity=np.full(mesh.n_elements, v),
+        weights=adr.edge_weights(mesh.h, np.full(mesh.n_elements, d), velocity),
+        velocity=velocity,
         reaction=np.full(n, sigma),
         source=np.full(n, source),
         bc_left=bc_left,
@@ -111,8 +110,7 @@ def uniform_problem(n=21, d=1e-5, v=0.0, sigma=0.0, source=0.0,
 
 def test_zero_velocity_reduces_to_centered_diffusion():
     problem = uniform_problem(n=11, d=2e-5)
-    matrix, rhs = adr.assemble_adr(problem, sg_weights(problem), None,
-                                   np.zeros(11))
+    matrix, rhs = adr.assemble_adr(problem, math.inf, np.zeros(11))
     upper, diag, lower = matrix.data[0, 1:], matrix.data[1], matrix.data[2, :-1]
     g = 2e-5 / problem.mesh.h
     assert np.allclose(upper, -g, rtol=1e-14)
@@ -127,7 +125,7 @@ def test_constant_field_is_steady_without_reaction():
     n = 31
     problem = uniform_problem(n=n, d=1e-5, v=3e-3)
     w0 = np.full(n, 0.7)
-    w1 = adr.solve_adr(problem, sg_weights(problem), 3600.0, w0)
+    w1 = adr.solve_adr(problem, 3600.0, w0)
     assert np.allclose(w1, 0.7, rtol=1e-12)
 
 
@@ -143,7 +141,7 @@ def test_lumped_mass_conservation():
     total0 = m @ w0
     w = w0
     for _ in range(5):
-        w = adr.solve_adr(problem, sg_weights(problem), 600.0, w)
+        w = adr.solve_adr(problem, 600.0, w)
         assert m @ w == pytest.approx(total0, rel=1e-12)
 
 
@@ -153,16 +151,17 @@ def test_steady_exactness_constant_coefficients():
     n, L = 17, 0.01
     d, v = 1e-5, 5e-3  # cell Peclet vh/d = 0.3125
     mesh = build_mesh(L, n)
+    velocity = np.full(n - 1, v)
     problem = adr.AdrProblem(
         mesh=mesh,
-        diffusion=np.full(n - 1, d),
-        velocity=np.full(n - 1, v),
+        weights=adr.edge_weights(mesh.h, np.full(n - 1, d), velocity),
+        velocity=velocity,
         reaction=np.zeros(n),
         source=np.zeros(n),
         bc_left=0.0,
         bc_right=1.0,
     )
-    w = adr.solve_adr(problem, sg_weights(problem), None, np.zeros(n))
+    w = adr.solve_adr(problem, math.inf, np.zeros(n))
     x = mesh.nodes
     exact = np.expm1(v * x / d) / np.expm1(v * L / d)
     assert np.max(np.abs(w - exact)) < 1e-12
@@ -174,15 +173,14 @@ def test_positivity_high_peclet():
     rng = np.random.default_rng(9)
     problem = uniform_problem(n=n, d=1e-7, v=0.05, sigma=1e-4)
     w0 = rng.uniform(0.0, 1.0, size=n)
-    w = adr.solve_adr(problem, sg_weights(problem), 100.0, w0)
+    w = adr.solve_adr(problem, 100.0, w0)
     assert np.min(w) >= -1e-13
 
 
 def test_dirichlet_rows_replaced():
     n = 11
     problem = uniform_problem(n=n, bc_left=0.25, bc_right=0.75)
-    matrix, rhs = adr.assemble_adr(problem, sg_weights(problem), 10.0,
-                                   np.zeros(n))
+    matrix, rhs = adr.assemble_adr(problem, 10.0, np.zeros(n))
     upper, diag, lower = matrix.data[0, 1:], matrix.data[1], matrix.data[2, :-1]
     assert diag[0] == 1.0 and upper[0] == 0.0 and rhs[0] == 0.25
     assert diag[-1] == 1.0 and lower[-1] == 0.0 and rhs[-1] == 0.75
@@ -196,6 +194,31 @@ def test_edge_coefficients():
     assert np.allclose(v_e, [1.5, 3.0])  # arithmetic means
 
 
+def test_sweep_edges_rows_equal_separate_weights_bitwise():
+    # each row of a sweep's stacked edge data is edge_weights of that
+    # transport's own edge_coefficients, bit for bit: weighing both rows
+    # with one bernoulli call changes no bit; the cell Peclet numbers of
+    # both rows fall on both sides of the series crossover |t| = 1e-2
+    rng = np.random.default_rng(8)
+    n = 41
+    mesh = build_mesh(0.01, n)
+    phi_fl = rng.uniform(0.5, 0.99, size=n)
+    v_solid = rng.uniform(-1e-7, 1e-7, size=n)
+    v_darcy = rng.uniform(-2e-3, 2e-3, size=n - 1)
+    weights, velocity = adr.sweep_edges(mesh, phi_fl, v_solid, v_darcy, PARAMS)
+    assert weights.shape == (2, 2, n - 1) and velocity.shape == (2, n - 1)
+    rows = ((constitutive.nutrient_diffusivity(phi_fl, PARAMS),
+             nodal_means(v_darcy) / phi_fl + v_solid),
+            (np.full(n, PARAMS.D_eta), v_solid))
+    for row, nodal in enumerate(rows):
+        d_e, v_e = adr.edge_coefficients(*nodal)
+        t = np.abs(v_e * mesh.h / d_e)
+        assert t.min() < 1e-2 <= t.max()
+        assert velocity[row].tobytes() == v_e.tobytes()
+        assert (weights[row].tobytes()
+                == adr.edge_weights(mesh.h, d_e, v_e).tobytes())
+
+
 def test_problem_validation():
     # reaction, source and previous field must share one shape; the
     # element data need no check (see test_transport_data_valid_by_construction)
@@ -203,7 +226,7 @@ def test_problem_validation():
     ne, n = mesh.n_elements, mesh.node_count
 
     def problem(reaction, source):
-        return adr.AdrProblem(mesh=mesh, diffusion=np.ones(ne),
+        return adr.AdrProblem(mesh=mesh, weights=weights,
                               velocity=np.zeros(ne), reaction=reaction,
                               source=source)
 
@@ -215,11 +238,9 @@ def test_problem_validation():
             (np.zeros((4, n)), np.zeros(n), np.zeros((4, n))),
             (np.zeros((4, n)), np.zeros((4, n)), np.zeros(n))):
         with pytest.raises(InvalidProblemError, match="want one shape"):
-            adr.assemble_adr(problem(reaction, source), weights, 1.0,
-                             previous)
+            adr.assemble_adr(problem(reaction, source), 1.0, previous)
     matrix, rhs = adr.assemble_adr(
-        problem(np.zeros((4, n)), np.zeros((4, n))), weights, 1.0,
-        np.ones((4, n)))
+        problem(np.zeros((4, n)), np.zeros((4, n))), 1.0, np.ones((4, n)))
     assert matrix.n == 4 * n and rhs.shape == (4, n)
 
 
@@ -245,8 +266,8 @@ def test_species_budget_with_kinetics_and_advection():
     _, weights = adr.edge_weights(
         mesh.h, np.stack([np.full(n - 1, 1e-5), d_eta]),
         np.stack([np.full(n - 1, 1e-3), v_eta]))
-    species = adr.build_species_problem(mesh, sigma, source, d_eta, v_eta)
-    phi = adr.solve_adr(species, weights, dt, previous)
+    species = adr.build_species_problem(mesh, sigma, source, weights, v_eta)
+    phi = adr.solve_adr(species, dt, previous)
     m = mesh.lumped_masses
     for eta in range(4):
         terms = [m @ (phi[eta] - previous[eta]) / dt, m @ (sigma[eta] * phi[eta]),
@@ -270,18 +291,17 @@ def test_oxygen_budget_with_consumption_and_advection():
     # solid velocity of both signs on top of a nonzero Darcy flux
     v_solid = 2e-4 * np.cos(3.0 * np.pi * mesh.nodes / mesh.length)
     assert v_solid.min() < 0.0 < v_solid.max()
+    # the edge data as a sweep takes them, stacked with a species row
+    weights, velocity = adr.sweep_edges(
+        mesh, 1.0 - phi.sum(axis=0), v_solid, np.full(n - 1, 1e-4), PARAMS)
     oxygen = adr.build_oxygen_problem(
-        mesh, phi, 1.0 - phi.sum(axis=0), c_prev, v_solid,
-        np.full(n - 1, 1e-4), ScenarioConfig(culture_mode="perfused"), PARAMS)
+        mesh, phi, c_prev, weights[0], velocity[0],
+        ScenarioConfig(culture_mode="perfused"), PARAMS)
     assert oxygen.reaction.min() > 0.0 and oxygen.bc_right is not None
     v_e = oxygen.velocity
     assert v_e.min() < 0.0 < v_e.max()
-    # the weights as a sweep takes them, stacked with a species row
-    d_eta, v_eta = adr.edge_coefficients(np.full(n, PARAMS.D_eta), v_solid)
-    w_oxygen, _ = adr.edge_weights(
-        mesh.h, np.stack([oxygen.diffusion, d_eta]), np.stack([v_e, v_eta]))
-    c = adr.solve_adr(oxygen, w_oxygen, dt, c_prev)
-    b_plus, b_minus = w_oxygen
+    c = adr.solve_adr(oxygen, dt, c_prev)
+    b_plus, b_minus = oxygen.weights
     m = mesh.lumped_masses[:-1]
     terms = [m @ (c[:-1] - c_prev[:-1]) / dt, m @ (oxygen.reaction[:-1] * c[:-1]),
              -v_e[0] * c[0], b_minus[-1] * c[-2] - b_plus[-1] * c[-1]]
@@ -291,7 +311,7 @@ def test_oxygen_budget_with_consumption_and_advection():
 # --- coupled-problem builders ---------------------------------------------
 
 def test_interpolate_flux_to_nodes():
-    # the oxygen builder averages the element Darcy flux onto nodes
+    # the oxygen edge data average the element Darcy flux onto nodes
     flux = np.array([1.0, 3.0, 5.0])
     v = nodal_means(flux)
     assert np.array_equal(v, [1.0, 2.0, 4.0, 5.0])
@@ -299,10 +319,8 @@ def test_interpolate_flux_to_nodes():
     mesh = build_mesh(1.0, 4)
     phi, v_darcy = np.full((4, 4), 0.01), flux * 1e-4
     phi_fl = 1.0 - phi.sum(axis=0)
-    problem = adr.build_oxygen_problem(
-        mesh, phi, phi_fl, np.full(4, PARAMS.c_0), np.zeros(4), v_darcy,
-        ScenarioConfig(), PARAMS)
-    assert np.array_equal(problem.velocity,
+    _, velocity = adr.sweep_edges(mesh, phi_fl, np.zeros(4), v_darcy, PARAMS)
+    assert np.array_equal(velocity[0],
                           element_means(nodal_means(v_darcy) / phi_fl))
 
 
@@ -313,8 +331,11 @@ def test_build_oxygen_problem():
     phi = np.full((4, n), 0.01)
     c = np.full(n, PARAMS.c_0)
     v_darcy = np.full(n - 1, 2e-4)
-    problem = adr.build_oxygen_problem(mesh, phi, 1.0 - phi.sum(axis=0), c,
-                                       np.zeros(n), v_darcy, scenario, PARAMS)
+    weights, velocity = (oxygen for oxygen, _ in adr.sweep_edges(
+        mesh, 1.0 - phi.sum(axis=0), np.zeros(n), v_darcy, PARAMS))
+    problem = adr.build_oxygen_problem(mesh, phi, c, weights, velocity,
+                                       scenario, PARAMS)
+    assert problem.weights is weights and problem.velocity is velocity
     assert problem.bc_left is None
     assert problem.bc_right == PARAMS.c_sat
     # fluid velocity is V / phi_fl with no solid motion
@@ -338,15 +359,15 @@ def test_build_species_problem():
         np.full(n, PARAMS.D_eta), 1e-5 * mesh.nodes / mesh.length / 3600.0)
     assert diffusion.shape == velocity.shape == (n - 1,)
     assert np.allclose(diffusion, PARAMS.D_eta)
-    problem = adr.build_species_problem(mesh, sigma, source, diffusion,
+    weights = adr.edge_weights(mesh.h, diffusion, velocity)
+    problem = adr.build_species_problem(mesh, sigma, source, weights,
                                         velocity)
     assert problem.bc_left is None and problem.bc_right is None
-    assert problem.diffusion is diffusion and problem.velocity is velocity
+    assert problem.weights is weights and problem.velocity is velocity
     assert np.array_equal(problem.reaction, sigma)
     assert np.array_equal(problem.source, source)
     # mis-shaped stacked rows are rejected by the shape check of the
     # assembly, before any band is written
-    weights = sg_weights(problem)
     for bad_sigma, bad_source in (
             (np.zeros((4, n + 1)), np.zeros((4, n + 1))),
             (sigma, source[:3]),
@@ -354,11 +375,11 @@ def test_build_species_problem():
             (np.zeros((0, n)), np.zeros((0, n))),
             (sigma[None], source[None])):
         bad = adr.build_species_problem(mesh, bad_sigma, bad_source,
-                                        diffusion, velocity)
+                                        weights, velocity)
         with pytest.raises(InvalidProblemError):
-            adr.solve_adr(bad, weights, 3600.0, np.zeros((4, n)))
+            adr.solve_adr(bad, 3600.0, np.zeros((4, n)))
     with pytest.raises(InvalidProblemError):   # previous field unstacked
-        adr.solve_adr(problem, weights, 3600.0, np.zeros(n))
+        adr.solve_adr(problem, 3600.0, np.zeros(n))
 
 
 #: diffusivity magnitudes (cm^2 s^-1) drawn by the property test below;
@@ -394,22 +415,17 @@ def lagged_species(draw):
 @settings(max_examples=200, deadline=None)
 def test_transport_data_valid_by_construction(d_c_fl, d_c_s, k_eq, d_eta, phi):
     # ModelParams checks the constants, the lagged fluid fraction lies in
-    # (EPS_PHI, 1) as poroelastic.assemble demands: every element of the
-    # built problems then carries a finite, positive diffusivity, so the
-    # assembly needs no check of its own
+    # (EPS_PHI, 1) as poroelastic.assemble demands: every element of a
+    # sweep's two transports then carries finite, positive edge weights,
+    # so the assembly needs no check of its own
     params = ModelParams(D_c_fl=d_c_fl, D_c_s=d_c_s, K_eq=k_eq, D_eta=d_eta)
     n = phi.shape[1]
     mesh = build_mesh(0.01, n)
-    oxygen = adr.build_oxygen_problem(
-        mesh, phi, 1.0 - phi.sum(axis=0), np.full(n, params.c_0),
-        np.zeros(n), np.zeros(n - 1), ScenarioConfig(), params)
-    species = adr.build_species_problem(
-        mesh, np.zeros((4, n)), np.zeros((4, n)),
-        *adr.edge_coefficients(np.full(n, params.D_eta), np.zeros(n)))
-    for problem in (oxygen, species):
-        assert problem.diffusion.shape == (n - 1,)
-        assert np.all(np.isfinite(problem.diffusion))
-        assert np.all(problem.diffusion > 0.0)
+    weights, _ = adr.sweep_edges(mesh, 1.0 - phi.sum(axis=0), np.zeros(n),
+                                 np.zeros(n - 1), params)
+    assert weights.shape == (2, 2, n - 1)
+    assert np.all(np.isfinite(weights))
+    assert np.all(weights > 0.0)
 
 
 # --- stacked rows -----------------------------------------------------------
@@ -431,7 +447,7 @@ BC_PAIRS = {
 @pytest.mark.parametrize("bcs", sorted(BC_PAIRS))
 @pytest.mark.parametrize("transient", (True, False))
 def test_stacked_solve_equals_scalar_solves_bitwise(peclet, bcs, transient):
-    # transient=False is the steady mode dt = None (no mass term)
+    # transient=False is the steady mode dt = math.inf (no mass term)
     rng = np.random.default_rng(sorted(PECLET_RANGES).index(peclet))
     n, k = 41, 4
     mesh = build_mesh(0.01, n)
@@ -446,17 +462,17 @@ def test_stacked_solve_equals_scalar_solves_bitwise(peclet, bcs, transient):
     bc_left, bc_right = BC_PAIRS[bcs]
 
     def problem(sigma, f):
-        return adr.AdrProblem(mesh=mesh, diffusion=diffusion,
+        return adr.AdrProblem(mesh=mesh, weights=weights,
                               velocity=velocity, reaction=sigma, source=f,
                               bc_left=bc_left, bc_right=bc_right)
 
-    dt = 600.0 if transient else None
+    dt = 600.0 if transient else math.inf
     weights = adr.edge_weights(mesh.h, diffusion, velocity)
-    stacked = adr.solve_adr(problem(reaction, source), weights, dt, previous)
+    stacked = adr.solve_adr(problem(reaction, source), dt, previous)
     assert stacked.shape == (k, n)
     for eta in range(k):
-        scalar = adr.solve_adr(problem(reaction[eta], source[eta]), weights,
-                               dt, previous[eta])
+        scalar = adr.solve_adr(problem(reaction[eta], source[eta]), dt,
+                               previous[eta])
         assert stacked[eta].tobytes() == scalar.tobytes()
 
 
@@ -473,23 +489,22 @@ def test_stacked_band_is_block_diagonal_of_scalar_bands(bcs, transient):
     bc_left, bc_right = BC_PAIRS[bcs]
 
     def problem(sigma, f):
-        return adr.AdrProblem(mesh=mesh, diffusion=diffusion,
+        return adr.AdrProblem(mesh=mesh, weights=weights,
                               velocity=velocity, reaction=sigma, source=f,
                               bc_left=bc_left, bc_right=bc_right)
 
     reaction = rng.uniform(0.0, 1e-4, size=(k, n))
     source = rng.uniform(0.0, 1e-6, size=(k, n))
     previous = rng.uniform(0.0, 0.2, size=(k, n))
-    dt = 600.0 if transient else None
+    dt = 600.0 if transient else math.inf
     weights = adr.edge_weights(mesh.h, diffusion, velocity)
-    matrix, rhs = adr.assemble_adr(problem(reaction, source), weights, dt,
-                                   previous)
+    matrix, rhs = adr.assemble_adr(problem(reaction, source), dt, previous)
     assert (matrix.n, matrix.data.shape) == (k * n, (3, k * n))
     assert rhs.shape == (k, n)
     blocks = []
     for eta in range(k):
         scalar, scalar_rhs = adr.assemble_adr(
-            problem(reaction[eta], source[eta]), weights, dt, previous[eta])
+            problem(reaction[eta], source[eta]), dt, previous[eta])
         blocks.append(scalar.to_dense())
         assert np.array_equal(rhs[eta], scalar_rhs)
     assert np.array_equal(matrix.to_dense(), scipy.linalg.block_diag(*blocks))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -102,7 +104,7 @@ def test_stress_axial_value():
     phi = np.repeat([[0.01], [0.02], [0.03], [0.04]], n, axis=1)
     g = np.repeat([[1e-4], [2e-4], [3e-4], [4e-4]], n, axis=1)
     u, p, _ = poroelastic.solve(mesh, *poroelastic.assemble(
-        mesh, *lagged(phi, g, np.zeros(n)), None, PARAMS.T_b, 0.0,
+        mesh, *lagged(phi, g, np.zeros(n)), math.inf, PARAMS.T_b, 0.0,
         PARAMS))
     t_xx, _, tau_max = uniaxial_stresses(phi, g, nodal_strain(mesh, u), p, PARAMS)
     assert np.allclose(t_xx, PARAMS.T_b, rtol=1e-10, atol=0.0)

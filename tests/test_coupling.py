@@ -11,8 +11,6 @@ from porogrowth.params import EPS_PHI, ModelParams
 from porogrowth.scenario import ScenarioConfig
 from porogrowth.state import initial_state, sample_xi_field
 
-from conftest import sg_weights
-
 
 def short_scenario(**overrides):
     kwargs = dict(t_end=5 * 3600.0, dt=3600.0, node_count=41)
@@ -99,7 +97,7 @@ def test_mid_xi_series_is_the_mid_entry_of_each_map():
     # mid-node entry of each step's map
     trajectory = coupling.run(short_scenario(culture_mode="perfused"),
                               ModelParams())
-    mid = trajectory.mesh.mid_node()
+    mid = trajectory.mesh.mid_node
     assert trajectory.times == trajectory.series_times
     assert trajectory.mid_series["xi"] == [
         int(xi[mid]) for xi in trajectory.xi_maps]
@@ -612,20 +610,21 @@ def test_sweep_matches_standalone_adr_operator(frozen_params):
     n = mesh.node_count
     problem = adr.AdrProblem(
         mesh=mesh,
-        diffusion=np.full(n - 1, params.D_eta),
+        weights=adr.edge_weights(mesh.h, np.full(n - 1, params.D_eta),
+                                 np.zeros(n - 1)),
         velocity=np.zeros(n - 1),
         reaction=np.zeros(n),
         source=np.zeros(n),
     )
-    expected = adr.solve_adr(problem, sg_weights(problem), scenario.dt,
-                             state0.phi_n)
+    expected = adr.solve_adr(problem, scenario.dt, state0.phi_n)
     assert np.allclose(state1.phi_n, expected, rtol=1e-13)
 
 
 def test_species_edge_data_of_a_sweep_bitwise(monkeypatch):
-    # the species problem of every sweep carries the harmonic edge mean
-    # of the constant D_eta and the element mean of the sweep's solid
-    # velocity (u_new - u_prev) / dt, bit for bit
+    # the species problem of every sweep carries the edge weights of the
+    # harmonic edge mean of the constant D_eta and of the element mean of
+    # the sweep's solid velocity (u_new - u_prev) / dt, and that velocity,
+    # bit for bit
     problems, sweeps = [], []
     build, sweep = adr.build_species_problem, coupling._sweep
 
@@ -646,10 +645,12 @@ def test_species_edge_data_of_a_sweep_bitwise(monkeypatch):
     assert len(problems) == len(sweeps) > 2
     d = cfg.params.D_eta
     diffusion = np.full(scenario.node_count - 1, 2.0 * d * d / (d + d))
+    h = problems[0].mesh.h
     for problem, (u_prev, dt, new) in zip(problems, sweeps):
         velocity = element_means((new[0] - u_prev) / dt)
         assert velocity.any()
-        assert problem.diffusion.tobytes() == diffusion.tobytes()
+        weights = adr.edge_weights(h, diffusion, velocity)
+        assert problem.weights.tobytes() == weights.tobytes()
         assert problem.velocity.tobytes() == velocity.tobytes()
 
 

@@ -17,10 +17,10 @@ def test_uniform_spacing():
 
 def test_mid_node():
     mesh = build_mesh(2.0, 5)
-    assert mesh.mid_node() == 2
+    assert mesh.mid_node == 2
     # even node count: a nearest node to L/2 is still within h/2 of it
     mesh = build_mesh(1.0, 4)
-    assert abs(mesh.nodes[mesh.mid_node()] - 0.5) <= mesh.h / 2
+    assert abs(mesh.nodes[mesh.mid_node] - 0.5) <= mesh.h / 2
 
 
 def test_lumped_masses_sum_to_length():

@@ -105,7 +105,7 @@ def test_initial_state_profile():
     assert np.all(state.u == 0.0)
     assert np.all(state.g_n == 0.0)
     # mid-node seeding value A_n * exp(-2.5)
-    mid = mesh.mid_node()
+    mid = mesh.mid_node
     assert state.phi_n[mid] == pytest.approx(0.005 * np.exp(-2.5))
 
 
