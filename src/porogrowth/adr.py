@@ -15,8 +15,11 @@ The edge flux between nodes i and i+1 is the Scharfetter-Gummel form
 
 with B the Bernoulli function. For v = 0 this is the centered
 three-point diffusion stencil; for constant coefficients in steady state
-it is nodally exact; with lumped mass the system matrix is an M-matrix,
-so nonnegative data produce nonnegative solutions at any Peclet number.
+it is nodally exact. With lumped mass, while every zero-diffusive-flux
+end is an outflow (v n >= 0), the system matrix is an M-matrix, so
+nonnegative data produce nonnegative solutions at any Peclet number; an
+inflow end takes |v| off its column's sum (the species' x = L end in
+most default perfused sweeps) and voids that guarantee.
 """
 
 from typing import NamedTuple
@@ -24,7 +27,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .constitutive import nutrient_diffusivity, oxygen_sink
-from .errors import InvalidProblemError
 from .linalg import BandedMatrix, solve_banded
 from .mesh import element_means, nodal_means
 
@@ -106,19 +108,14 @@ def assemble_adr(problem, dt, previous_field):
 
     dt = math.inf is steady mode: 1 / dt = 0 drops the mass term.
     previous_field has the shape of problem.reaction and problem.source,
-    else InvalidProblemError. Returns (matrix, rhs): the diagonals are
-    assembled in place in the LAPACK band storage of a tridiagonal
-    BandedMatrix, block diagonal over the rows of a stacked problem with
-    zeros at the block seams; rhs has the shape of previous_field.
+    (N,) or (k, N). Returns (matrix, rhs): the diagonals are assembled in
+    place in the LAPACK band storage of a tridiagonal BandedMatrix, block
+    diagonal over the rows of a stacked problem with zeros at the block
+    seams; rhs has the shape of previous_field.
     """
     mesh = problem.mesh
     n = mesh.node_count
     prev = np.asarray(previous_field, dtype=float)
-    if not np.shape(problem.reaction) == np.shape(problem.source) == prev.shape:
-        raise InvalidProblemError(
-            f"reaction, source and previous field have shapes "
-            f"{np.shape(problem.reaction)}, {np.shape(problem.source)}, "
-            f"{prev.shape}; want one shape")
     rows = prev.shape[:-1]
 
     v_e = problem.velocity

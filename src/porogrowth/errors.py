@@ -5,17 +5,9 @@ class PorogrowthError(Exception):
     """Base class for all simulator errors."""
 
 
-class InvalidDomainError(PorogrowthError):
-    """Mesh construction rejected (nonpositive length, too few nodes)."""
-
-
 class NonphysicalStateError(PorogrowthError):
     """A state or residual is not physical: not finite, a negative
     concentration or fraction, or a fluid fraction outside (0, 1)."""
-
-
-class InvalidProblemError(PorogrowthError):
-    """An ADR problem definition is inconsistent (mismatched row shapes)."""
 
 
 class SingularSystemError(PorogrowthError):

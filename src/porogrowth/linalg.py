@@ -47,19 +47,16 @@ class BandedMatrix:
 
     data[1 + i - j, j] holds A[i, j]: data[0, 1:] is the upper, data[1]
     the main and data[2, :-1] the lower diagonal; data[0, 0] and
-    data[2, -1] lie outside the matrix and are never read.
+    data[2, -1] lie outside the matrix and are never read. n >= 2 (gtsv
+    rejects the empty off-diagonals of n = 1); data is zeros if not given.
     """
 
     n: int
     data: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.n < 2:   # gtsv rejects the empty off-diagonals of n = 1
-            raise ValueError("matrix dimension must be at least 2")
         if self.data is None:
             self.data = np.zeros((3, self.n))
-        elif self.data.shape != (3, self.n):
-            raise ValueError("band storage has wrong shape")
 
     def to_dense(self):
         return (np.diag(self.data[0, 1:], 1) + np.diag(self.data[1])
@@ -93,9 +90,6 @@ def solve_banded(matrix, b):
     above the one of the whole system).
     """
     b = np.asarray(b, dtype=float)
-    if b.ndim not in (1, 2) or b.size != matrix.n:
-        raise ValueError(f"rhs has shape {b.shape}, want ({matrix.n},) "
-                         "or (k, m) with k m = n")
     blocks = (-1, b.shape[-1])
     band = matrix.data
     a_norm = matrix.row_sums(np.abs(band)).reshape(blocks).max(axis=1)

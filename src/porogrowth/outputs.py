@@ -57,8 +57,6 @@ def _field_blocks(trajectory, name, x_cm):
 
 def emit_outputs(trajectory, config, out_dir):
     """Write the configured CSV files into out_dir; returns their paths."""
-    if not trajectory.states:
-        raise PorogrowthError("trajectory is empty")
     names = [n for n in FIELD_NAMES
              if (config.emit_xi_map if n == "xi" else config.emit_fields)]
     make_output_dir(out_dir)

@@ -22,8 +22,10 @@ SHEAR_THRESHOLD_STRESS = 0.1
 #: smallest admissible fluid fraction inside solver coefficients
 EPS_PHI = 1e-6
 
-#: smallest admissible diffusivity: its square is a normal float
+#: admissible diffusivities d: 2 d d in their harmonic edge mean
+#: 2 d d / (d + d) neither underflows below a normal float nor overflows
 _D_MIN = math.sqrt(sys.float_info.min)
+_D_MAX = math.sqrt(sys.float_info.max / 2)
 
 
 @dataclass(frozen=True)
@@ -88,12 +90,11 @@ class ModelParams:
         for name in ("K_ref", "mu", "tau_m", "V_cell"):
             if getattr(self, name) <= 0.0:
                 raise ConfigError(f"parameter {name} must be positive")
-        # below sqrt(tiny), the harmonic edge mean 2 d d / (d + d) of a
-        # diffusivity underflows towards 0
         for name in ("D_c_fl", "D_eta"):
-            if getattr(self, name) < _D_MIN:
-                raise ConfigError(f"parameter {name} must be positive and at "
-                                  f"least {_D_MIN:.3g}, got {getattr(self, name)}")
+            if not _D_MIN <= getattr(self, name) <= _D_MAX:
+                raise ConfigError(f"parameter {name} must be positive and in "
+                                  f"[{_D_MIN:.3g}, {_D_MAX:.3g}], "
+                                  f"got {getattr(self, name)}")
         if self.lam + 2.0 * self.mu <= 0.0:
             raise ConfigError("aggregate modulus lam + 2 mu must be positive")
         if not 0.0 < self.K_eq <= 1.0:

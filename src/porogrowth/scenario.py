@@ -105,8 +105,9 @@ class ScenarioConfig:
         the interface (flux -V_b) and leaving through the
         pressure-Dirichlet end. The fluid pressure then rises linearly
         from that end, the nutrient is delivered at the concentration
-        boundary and both zero-diffusive-flux boundaries are advective
-        outflows, which keeps the transport solves monotone.
+        boundary and the oxygen's zero-diffusive-flux end, the wall, is an
+        advective outflow. The species ride the solid velocity, whose end
+        at x = L is an inflow in most default perfused sweeps (see adr).
         """
         if self.culture_mode == "static":
             return 0.0, 0.0

@@ -41,9 +41,6 @@ class MixtureState:
 
     def __init__(self, level):
         level = np.asarray(level, dtype=float).view()
-        if level.ndim != 2 or level.shape[0] != len(ROWS):
-            raise ValueError(
-                f"level has shape {level.shape}, want ({len(ROWS)}, N)")
         finite = np.isfinite(level).all(axis=1)
         if not finite.all():
             raise NonphysicalStateError(

@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from porogrowth import adr, constitutive
-from porogrowth.errors import InvalidProblemError
 from porogrowth.mesh import build_mesh, element_means, nodal_means
 from porogrowth.params import EPS_PHI, ModelParams
 from porogrowth.scenario import ScenarioConfig
@@ -220,8 +219,10 @@ def test_sweep_edges_rows_equal_separate_weights_bitwise():
 
 
 def test_problem_validation():
-    # reaction, source and previous field must share one shape; the
-    # element data need no check (see test_transport_data_valid_by_construction)
+    # reaction, source and previous field share one shape, (N,) or
+    # (k, N), as both builders form them, so the assembly checks neither
+    # them nor the element data (see test_transport_data_valid_by_construction);
+    # the band and the rhs follow that shape
     mesh = build_mesh(0.01, 11)
     ne, n = mesh.n_elements, mesh.node_count
 
@@ -231,14 +232,9 @@ def test_problem_validation():
                               source=source)
 
     weights = adr.edge_weights(mesh.h, np.ones(ne), np.zeros(ne))
-    for reaction, source, previous in (
-            (np.zeros(n + 1), np.zeros(n), np.zeros(n)),
-            (np.zeros(n), np.zeros(n - 1), np.zeros(n)),
-            (np.zeros(n), np.zeros(n), np.zeros(n + 1)),
-            (np.zeros((4, n)), np.zeros(n), np.zeros((4, n))),
-            (np.zeros((4, n)), np.zeros((4, n)), np.zeros(n))):
-        with pytest.raises(InvalidProblemError, match="want one shape"):
-            adr.assemble_adr(problem(reaction, source), 1.0, previous)
+    matrix, rhs = adr.assemble_adr(
+        problem(np.zeros(n), np.zeros(n)), 1.0, np.ones(n))
+    assert matrix.n == n and rhs.shape == (n,)
     matrix, rhs = adr.assemble_adr(
         problem(np.zeros((4, n)), np.zeros((4, n))), 1.0, np.ones((4, n)))
     assert matrix.n == 4 * n and rhs.shape == (4, n)
@@ -366,20 +362,6 @@ def test_build_species_problem():
     assert problem.weights is weights and problem.velocity is velocity
     assert np.array_equal(problem.reaction, sigma)
     assert np.array_equal(problem.source, source)
-    # mis-shaped stacked rows are rejected by the shape check of the
-    # assembly, before any band is written
-    for bad_sigma, bad_source in (
-            (np.zeros((4, n + 1)), np.zeros((4, n + 1))),
-            (sigma, source[:3]),
-            (sigma[0], source),
-            (np.zeros((0, n)), np.zeros((0, n))),
-            (sigma[None], source[None])):
-        bad = adr.build_species_problem(mesh, bad_sigma, bad_source,
-                                        weights, velocity)
-        with pytest.raises(InvalidProblemError):
-            adr.solve_adr(bad, 3600.0, np.zeros((4, n)))
-    with pytest.raises(InvalidProblemError):   # previous field unstacked
-        adr.solve_adr(problem, 3600.0, np.zeros(n))
 
 
 #: diffusivity magnitudes (cm^2 s^-1) drawn by the property test below;

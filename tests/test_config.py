@@ -82,7 +82,9 @@ def test_emit_flags():
     ("dt = -5", "dt must be positive"),
     ("mu = -1", "mu must be positive"),
     ("nodes = 2", "at least 3 nodes"),
+    ("nodes = 1", "at least 3 nodes"),
     ("L = 0", "length must be positive"),
+    ("L = -1", "length must be positive"),
     ("L = nan", "length must be finite"),
     ("g_initial = nan", "g_initial must be finite"),
     ("k_g = nan", "growth_rate must be finite"),

@@ -73,6 +73,16 @@ def test_zero_horizon_trajectory_is_initial_state_only():
     assert len(trajectory.mid_series["phi_n"]) == 1
 
 
+@pytest.mark.parametrize("mode", ["static", "perfused"])
+def test_smallest_admitted_mesh_runs(mode):
+    # N = 3, the fewest nodes the configuration gate admits: one interior
+    # node, and blocks of 3 rows in every banded solve
+    scenario = short_scenario(culture_mode=mode, node_count=3, t_end=3 * 3600.0)
+    trajectory = coupling.run(scenario, ModelParams())
+    assert len(trajectory.states) == 4
+    assert [state.level.shape for state in trajectory.states] == [(11, 3)] * 4
+
+
 def test_output_stride_thins_snapshots():
     scenario = short_scenario(output_stride=2)
     trajectory = coupling.run(scenario, ModelParams())

@@ -222,27 +222,6 @@ def test_thomas_pivot_underflow():
     assert np.allclose(x, [0.0, 1.0, 0.0], atol=1e-15)
 
 
-def test_rhs_shape_checked():
-    m = random_dominant(np.random.default_rng(2), 10)
-    with pytest.raises(ValueError):
-        solve_banded(m, np.ones(9))
-    with pytest.raises(ValueError):
-        solve_banded(m, np.ones((3, 3)))
-    with pytest.raises(ValueError):
-        solve_banded(m, np.ones((2, 5, 1)))
-
-
-def test_bad_band_construction():
-    with pytest.raises(ValueError):
-        BandedMatrix(n=0)
-    with pytest.raises(ValueError):
-        BandedMatrix(n=1)
-    with pytest.raises(ValueError):
-        BandedMatrix(n=3, data=np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        BandedMatrix(n=3, data=np.zeros((3, 4)))
-
-
 def run_fresh(code):
     """Run code in a fresh interpreter that imports porogrowth from src."""
     src = os.path.dirname(os.path.dirname(linalg.__file__))

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from porogrowth.errors import InvalidDomainError
 from porogrowth.mesh import build_mesh
 
 
@@ -39,9 +38,3 @@ def test_nodes_are_read_only():
     # the masses are built once per mesh and shared by every assembly
     with pytest.raises(ValueError):
         mesh.lumped_masses[0] = 5.0
-
-
-@pytest.mark.parametrize("length,nodes", [(0.0, 11), (-1.0, 11), (1.0, 2), (1.0, 1)])
-def test_invalid_domain_rejected(length, nodes):
-    with pytest.raises(InvalidDomainError):
-        build_mesh(length, nodes)

@@ -58,6 +58,9 @@ def test_inconsistent_cell_volume_rejected():
     # the harmonic edge mean 2 D D / (D + D) underflows to 0
     ("D_eta", 1e-200),
     ("D_c_fl", 1e-200),
+    # ... and 2 D D overflows
+    ("D_eta", 1e300),
+    ("D_c_fl", 1e300),
     # divisors: 1 / tau_m in the kinetics, 1 / V_cell in the R_cell check
     ("tau_m", 0.0),
     ("V_cell", 0.0),

@@ -53,11 +53,6 @@ def test_phi_fields_order():
     assert np.all(state.level[6] == 0.02)
 
 
-def test_level_shape_checked():
-    with pytest.raises(ValueError, match="want"):
-        MixtureState(np.zeros((7, 11)))
-
-
 def test_negative_fraction_rejected():
     with pytest.raises(NonphysicalStateError):
         make_state(phi_n=np.full(11, -1e-6))
