@@ -92,26 +92,29 @@ def edge_coefficients(nodal_diffusion, nodal_velocity):
 def sweep_edges(mesh, phi_fl, v_solid, v_darcy, params):
     """(weights, velocity) of a sweep's transports, stacked as (oxygen,
     species): edge_coefficients of the nutrient diffusivity and the fluid
-    velocity V / phi_fl + v_solid, and of D_eta and v_solid, weighed by
-    one edge_weights call."""
+    velocity V / phi_fl + v_solid, and of D_eta and v_solid (the harmonic
+    mean of the constant D_eta taken once, as a scalar), weighed by one
+    edge_weights call."""
     diffusion, velocity = np.empty((2, 2, mesh.n_elements))
     diffusion[0], velocity[0] = edge_coefficients(
         nutrient_diffusivity(phi_fl, params),
         nodal_means(v_darcy) / phi_fl + v_solid)
-    diffusion[1], velocity[1] = edge_coefficients(
-        np.full(mesh.node_count, params.D_eta), v_solid)
+    d = params.D_eta
+    diffusion[1], velocity[1] = 2.0 * d * d / (d + d), element_means(v_solid)
     return edge_weights(mesh.h, diffusion, velocity), velocity
 
 
-def assemble_adr(problem, dt, previous_field):
+def assemble_adr(problem, dt, previous_field, out=None):
     """Tridiagonal system of one backward-Euler step with lumped mass.
 
     dt = math.inf is steady mode: 1 / dt = 0 drops the mass term.
     previous_field has the shape of problem.reaction and problem.source,
-    (N,) or (k, N). Returns (matrix, rhs): the diagonals are assembled in
-    place in the LAPACK band storage of a tridiagonal BandedMatrix, block
-    diagonal over the rows of a stacked problem with zeros at the block
-    seams; rhs has the shape of previous_field.
+    (N,) or (k, N). out is the (matrix, rhs) pair to assemble into, every
+    entry written (fresh when None). Returns (matrix, rhs): the diagonals
+    are assembled in place in the LAPACK band storage of a tridiagonal
+    BandedMatrix, block diagonal over the rows of a stacked problem with
+    zeros at the block seams, which are never written; rhs has the
+    shape of previous_field.
     """
     mesh = problem.mesh
     n = mesh.node_count
@@ -121,14 +124,14 @@ def assemble_adr(problem, dt, previous_field):
     v_e = problem.velocity
     b_plus, b_minus = problem.weights   # multiplying w_{i+1} and w_i
 
-    matrix = BandedMatrix(n=prev.size)
+    matrix, rhs = out or (BandedMatrix(n=prev.size), np.empty(prev.shape))
     # views of the (3, k, N) band; entries never written are the seams
-    band = matrix.data.reshape((3,) + rows + (n,))
+    band = matrix.data.reshape((3,) + rows + (n,), copy=False)
     upper, diag, lower = band[0, ..., 1:], band[1], band[2, ..., :-1]
-    rhs = np.zeros(rows + (n,))
 
     # flux divergence: row i gains J_{i,i+1} - J_{i-1,i}
-    diag[..., :-1] += b_minus
+    diag[..., :-1] = b_minus
+    diag[..., -1] = 0.0
     upper[:] = -b_plus
     diag[..., 1:] += b_plus
     lower[:] = -b_minus
@@ -136,7 +139,7 @@ def assemble_adr(problem, dt, previous_field):
     inv_dt = 1.0 / dt
     m = mesh.lumped_masses
     diag += m * (inv_dt + problem.reaction)
-    rhs += m * (inv_dt * prev + problem.source)
+    np.multiply(m, inv_dt * prev + problem.source, out=rhs)
 
     # boundary terms
     if problem.bc_left is None:
@@ -153,13 +156,14 @@ def assemble_adr(problem, dt, previous_field):
     return matrix, rhs
 
 
-def solve_adr(problem, dt, previous_field):
-    """Assemble and solve one step; returns the nodal field(s).
+def solve_adr(problem, dt, previous_field, out=None):
+    """Assemble (into out) and solve one step; returns the nodal
+    field(s). The caller checks the residual (linalg.check_residual).
 
     The rows of a stacked problem are solved together as one
     block-diagonal system.
     """
-    return solve_banded(*assemble_adr(problem, dt, previous_field))
+    return solve_banded(*assemble_adr(problem, dt, previous_field, out))
 
 
 # --- problem builders used by the coupling loop ----------------------

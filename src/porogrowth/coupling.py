@@ -7,9 +7,11 @@ population balances with the fresh oxygen and stress-derived switches
 but lagged sources. A sweep sums the lagged fractions once, for all
 three, reads the step's old level itself, and after (1) takes the edge
 weights and velocities of both transport problems from one
-adr.sweep_edges call. Convergence is the max over all fields of the
-relative infinity-norm change between sweeps. Growth distortions update
-once per accepted step, after convergence.
+adr.sweep_edges call. The three systems are assembled into one
+block-diagonal band, allocated once per step attempt, whose residual
+contract each sweep checks once, after (3). Convergence is the max over
+all fields of the relative infinity-norm change between sweeps. Growth
+distortions update once per accepted step, after convergence.
 """
 
 import math
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import adr, poroelastic
+from . import adr, linalg, poroelastic
 from .constitutive import (
     growth_distortion_step,
     kinetics_fields,
@@ -154,11 +156,28 @@ def _kinetics(mesh, u, c, phi, phi_s, phi_fl, g_n, scenario, params):
         phi, phi_fl, c, h_r, h_c, scenario.k_g(params), params)
 
 
-def _sweep(mesh, x, level, dt, scenario, params):
+def _sweep_systems(n):
+    """(band, rhs, views) of a step attempt's sweeps: a tridiagonal
+    BandedMatrix of order 6N and its (6, N) rhs, block diagonal over the
+    unknowns (p, c, phi_n, phi_v, phi_q, phi_ecm), and the (matrix, rhs)
+    views of the pressure, oxygen and species systems. Each assembly
+    writes all of its view; the seams between views stay zero."""
+    band = linalg.BandedMatrix(n=6 * n)
+    rhs = np.empty((6, n))
+    data = band.data
+    views = ((linalg.BandedMatrix(n, data[:, :n]), rhs[0]),
+             (linalg.BandedMatrix(n, data[:, n:2 * n]), rhs[1]),
+             (linalg.BandedMatrix(4 * n, data[:, 2 * n:]), rhs[2:]))
+    return band, rhs, views
+
+
+def _sweep(mesh, x, level, dt, scenario, params, systems):
     """One fixed-point sweep on the (7, N) iterate x from the step's last
     accepted (11, N) level: the poroelastic, the oxygen and one stacked
-    species solve; returns the next iterate.
+    species solve, assembled into the _sweep_systems systems, and one
+    residual check of all three; returns the next iterate.
     """
+    band, rhs, (pressure, oxygen_system, species_system) = systems
     previous, g = level[:7], level[7:]
     phi_m = x[3:]
     phi_s, phi_fl = solid_and_fluid(phi_m)
@@ -168,7 +187,7 @@ def _sweep(mesh, x, level, dt, scenario, params):
     system = poroelastic.assemble(
         mesh, phi_m, phi_fl, g, previous[0], dt,
         *scenario.boundary_data(params), params,
-        dirichlet_side=scenario.darcy_dirichlet_side)
+        dirichlet_side=scenario.darcy_dirichlet_side, out=pressure)
     new[0], new[1], v_new = poroelastic.solve(mesh, *system)
 
     # step 2: oxygen with the fresh displacement and Darcy flux
@@ -176,13 +195,17 @@ def _sweep(mesh, x, level, dt, scenario, params):
         mesh, phi_fl, (new[0] - previous[0]) / dt, v_new, params)
     oxygen = adr.build_oxygen_problem(
         mesh, phi_m, x[2], weights[0], velocity[0], scenario, params)
-    new[2] = adr.solve_adr(oxygen, dt, previous[2])
+    new[2] = adr.solve_adr(oxygen, dt, previous[2], out=oxygen_system)
 
     # step 3: populations, gated by the freshest stress and oxygen
     sigma, source = _kinetics(
         mesh, new[0], new[2], phi_m, phi_s, phi_fl, g[0], scenario, params)
     species = adr.build_species_problem(mesh, sigma, source, weights[1], velocity[1])
-    new[3:] = adr.solve_adr(species, dt, previous[3:])
+    new[3:] = adr.solve_adr(species, dt, previous[3:], out=species_system)
+
+    # the residual contract of the three solves, each block on its own
+    # scale; rows 1-6 of new are the band's unknowns in its block order
+    linalg.check_residual(band, new[1:], rhs)
     return new
 
 
@@ -201,8 +224,9 @@ def fixed_point_step(state_n, mesh, dt, scenario, params, start=None):
     level = state_n.level
     x = level[:7] if start is None else start
     accelerator = _Accelerator()
+    systems = _sweep_systems(mesh.node_count)
     for _ in range(scenario.max_iter):
-        new = _sweep(mesh, x, level, dt, scenario, params)
+        new = _sweep(mesh, x, level, dt, scenario, params, systems)
         residual = float(_change(new - x, x))
         report.residuals.append(residual)
         if not math.isfinite(residual):

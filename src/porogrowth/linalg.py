@@ -4,7 +4,10 @@ Every system of a sweep is tridiagonal: the transport systems by
 construction, and the poroelastic one because its momentum rows
 telescope to a known stress on each element, which eliminates u and
 leaves the N pressures (derivation in poroelastic). solve_banded solves
-them all with LAPACK gtsv and checks the residual.
+them all with LAPACK gtsv; check_residual holds a solution to the
+residual contract, block by block, so that one call checks a whole
+sweep: the sweep assembles its three systems into one block-diagonal
+band and checks it once, after its last solve.
 """
 
 import os
@@ -78,32 +81,44 @@ def solve_banded(matrix, b):
     """Solve the tridiagonal system A x = b by LU with partial pivoting.
 
     LAPACK gtsv, as scipy.linalg.solve_banded calls it but without its
-    per-call wrapper; it leaves matrix.data and b intact for the
-    residual contract, whose |A| and Ax take one slice per diagonal.
+    per-call wrapper; it leaves matrix.data and b intact for
+    check_residual, which the caller runs.
 
     An rhs of shape (k, m) with k m = n declares A block diagonal with
     k blocks of size m; one LAPACK call solves all of them and row i of
     the (k, m) result solves block i. Raises SingularSystemError on
-    (numerically) singular systems, on an all-zero block, or when the
-    residual contract |Ax - b|_inf <= 1e-10 (|A| |x| + |b|) fails in
-    any block, each block with its own |A|, |x| and |b| (a bound never
-    above the one of the whole system).
+    (numerically) singular systems and on a non-finite solution.
     """
     b = np.asarray(b, dtype=float)
-    blocks = (-1, b.shape[-1])
     band = matrix.data
-    a_norm = matrix.row_sums(np.abs(band)).reshape(blocks).max(axis=1)
-    if (a_norm == 0.0).any():
-        raise SingularSystemError("zero matrix block")
     *_, x, info = _gtsv(band[2, :-1], band[1], band[0, 1:], b.ravel())
     if info != 0:
         raise SingularSystemError(f"LAPACK banded solve failed, info = {info}")
     if not np.isfinite(x).all():
         raise SingularSystemError("non-finite solution from banded solve")
-    residual = np.abs(matrix.row_sums(band * x) - b.ravel()).reshape(blocks).max(axis=1)
+    return x.reshape(b.shape)
+
+
+def check_residual(matrix, x, b):
+    """Hold the solution x of A x = b to the residual contract
+    |Ax - b|_inf <= 1e-10 (|A| |x| + |b|), a normwise backward-error
+    test (Rigal & Gaches 1967; Higham 2002, section 7.1).
+
+    b and x of shape (k, m) with k m = n declare A block diagonal with
+    k blocks of size m, and each block is held to the bound of its own
+    |A|, |x| and |b| (a bound never above the one of the whole system).
+    |A| and Ax take one slice per diagonal. Raises SingularSystemError
+    on an all-zero block or when any block fails the contract.
+    """
+    blocks = (-1, b.shape[-1])
+    band = matrix.data
+    a_norm = matrix.row_sums(np.abs(band)).reshape(blocks).max(axis=1)
+    if (a_norm == 0.0).any():
+        raise SingularSystemError("zero matrix block")
+    x, b = x.ravel(), b.ravel()
+    residual = np.abs(matrix.row_sums(band * x) - b).reshape(blocks).max(axis=1)
     scale = (a_norm * np.abs(x).reshape(blocks).max(axis=1)
              + np.abs(b).reshape(blocks).max(axis=1))
     if (residual > RESIDUAL_REL * np.maximum(scale, _TINY)).any():
         raise SingularSystemError(
             f"solve residual {residual} exceeds contract for scale {scale}")
-    return x.reshape(b.shape)

@@ -36,16 +36,18 @@ from .params import EPS_PHI
 
 
 def assemble(mesh, phi_lagged, phi_fl, g_lagged, u_prev, dt, t_b, v_b, params,
-             forcing_u=None, forcing_p=None, dirichlet_side="left"):
+             forcing_u=None, forcing_p=None, dirichlet_side="left", out=None):
     """Assemble one sweep's condensed pressure system.
 
     phi_lagged is the stacked (4, N) species array, phi_fl its fluid
     fraction, g_lagged the (4, N) growth distortions, u_prev the last
     level's displacement. dt = math.inf drops the strain-rate coupling
     (steady mode). dirichlet_side picks which end carries p = 0; the Darcy
-    velocity datum v_b applies at the opposite end. Returns (matrix, rhs,
-    k_e, w_e, load): the pressure BandedMatrix and rhs, and per element
-    the permeability, the compliance h / a_e and the load T_e + g_e.
+    velocity datum v_b applies at the opposite end. out is the (matrix,
+    rhs) pair to assemble into, every entry written (fresh when None).
+    Returns (matrix, rhs, k_e, w_e, load): the pressure BandedMatrix and
+    rhs, and per element the permeability, the compliance h / a_e and
+    the load T_e + g_e.
     """
     n, h = mesh.node_count, mesh.h
     if phi_fl.min() <= EPS_PHI or phi_fl.max() >= 1.0:
@@ -65,17 +67,18 @@ def assemble(mesh, phi_lagged, phi_fl, g_lagged, u_prev, dt, t_b, v_b, params,
     w_e = h / a_e
     inv_dt = 1.0 / dt
 
-    matrix = BandedMatrix(n=n)
+    matrix, rhs = out or (BandedMatrix(n=n), np.empty(n))
     upper, diag, lower = matrix.data[0, 1:], matrix.data[1], matrix.data[2, :-1]
-    rhs = np.zeros(n)
     # element e couples nodes e and e+1, i.e. the slices [:-1] and [1:]
     coupling = 0.25 * inv_dt * w_e
     k_h = k_e / h
     diag[:-1] = k_h + coupling
+    diag[-1] = 0.0
     diag[1:] += k_h + coupling
     upper[:] = lower[:] = coupling - k_h
     strain = 0.5 * inv_dt * (u_prev[1:] - u_prev[:-1] - w_e * load)
     rhs[:-1] = strain
+    rhs[-1] = 0.0
     rhs[1:] += strain
     if forcing_p is not None:
         rhs += mesh.lumped_masses * np.asarray(forcing_p, dtype=float)

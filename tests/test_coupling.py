@@ -4,8 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from porogrowth import adr, config, coupling, outputs
-from porogrowth.errors import NonConvergenceError, NonphysicalStateError
+from porogrowth import adr, config, coupling, linalg, outputs
+from porogrowth.errors import (
+    NonConvergenceError,
+    NonphysicalStateError,
+    SingularSystemError,
+)
+from porogrowth.linalg import RESIDUAL_REL, check_residual
 from porogrowth.mesh import build_mesh, element_means
 from porogrowth.params import EPS_PHI, ModelParams
 from porogrowth.scenario import ScenarioConfig
@@ -740,3 +745,82 @@ def test_static_mechanics_rows_never_limit_a_sweep(monkeypatch):
     for row in sizes:
         assert row[0] == row[1] == 0.0
         assert row[2:].max() > 0.0
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"culture_mode": "perfused"},
+    {"culture_mode": "perfused", "darcy_dirichlet_side": "right"},
+    {"max_iter": 5, "auto_dt_halving": True},   # every step bisects
+], ids=["static", "perfused", "perfused-right", "bisected"])
+def test_shared_band_keeps_no_stale_entry(monkeypatch, overrides):
+    # a step attempt's sweeps share one band and rhs: sweeps 2..k must
+    # equal, bit for bit, the same sweeps made on a fresh band
+    sweep = coupling._sweep
+    reused, last = [], [None]   # (dt, bitwise equal) of sweeps 2..k
+
+    def spy(mesh, x, level, dt, scenario, params, systems):
+        new = sweep(mesh, x, level, dt, scenario, params, systems)
+        if systems is last[0]:
+            fresh = sweep(mesh, x, level, dt, scenario, params,
+                          coupling._sweep_systems(mesh.node_count))
+            reused.append((dt, new.tobytes() == fresh.tobytes()))
+        last[0] = systems
+        return new
+
+    monkeypatch.setattr(coupling, "_sweep", spy)
+    scenario = short_scenario(**overrides)
+    coupling.run(scenario, ModelParams())
+    assert len(reused) > 5 and all(equal for _, equal in reused)
+    if scenario.auto_dt_halving:   # sub-steps of dt / 2^k reuse theirs too
+        assert min(dt for dt, _ in reused) < scenario.dt
+
+
+def test_residual_contract_is_checked_per_block_of_a_sweep(monkeypatch):
+    # a real static sweep: p = 0, so the pressure block's bound is 0 while
+    # the whole band's is about 1e-9. A perturbation of one gtsv result
+    # whose residual lies below the whole band's bound but above its own
+    # block's must fail that sweep, for each of the six blocks in turn
+    cfg = config.preset("static-ic1-kg1-csat")
+    scenario = dataclasses.replace(cfg.scenario, node_count=41)
+    mesh = build_mesh(scenario.length, scenario.node_count)
+    n = mesh.node_count
+    level = initial_state(mesh, cfg.params, scenario).level
+    args = (mesh, level[:7], level, scenario.dt, scenario, cfg.params)
+    systems = coupling._sweep_systems(n)
+    x = coupling._sweep(*args, systems)[1:]
+    band, rhs, _ = systems
+    rows = band.row_sums(np.abs(band.data)).reshape(6, n)
+    block_bound = RESIDUAL_REL * (rows.max(axis=1) * np.abs(x).max(axis=1)
+                                  + np.abs(rhs).max(axis=1))
+    band_bound = RESIDUAL_REL * (rows.max() * np.abs(x).max()
+                                 + np.abs(rhs).max())
+    target = 1e-3 * band_bound
+    mid = n // 2
+    real = linalg._gtsv
+    for block in range(6):
+        assert block_bound[block] < target < band_bound
+        # the perturbed unknown's column of A scales the residual it makes
+        column = np.abs(band.data[:, block * n + mid]).max()
+        error = target / column
+        perturbed_x = x.copy()
+        perturbed_x[block, mid] += error
+        check_residual(band, perturbed_x, rhs.reshape(1, -1))
+        with pytest.raises(SingularSystemError, match="exceeds contract"):
+            check_residual(band, perturbed_x, rhs)
+
+        # gtsv call 0 solves block 0, call 1 block 1, call 2 blocks 2-5
+        calls = []
+
+        def perturbed(*gtsv_args, block=block, error=error):
+            *factors, solution, info = real(*gtsv_args)
+            if len(calls) == min(block, 2):
+                solution[max(block - 2, 0) * n + mid] += error
+            calls.append(1)
+            return (*factors, solution, info)
+
+        monkeypatch.setattr(linalg, "_gtsv", perturbed)
+        with pytest.raises(SingularSystemError, match="exceeds contract"):
+            coupling._sweep(*args, coupling._sweep_systems(n))
+        assert len(calls) == 3
+        monkeypatch.setattr(linalg, "_gtsv", real)

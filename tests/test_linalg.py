@@ -8,7 +8,7 @@ import scipy.linalg
 
 from porogrowth import linalg
 from porogrowth.errors import SingularSystemError
-from porogrowth.linalg import RESIDUAL_REL, BandedMatrix, solve_banded
+from porogrowth.linalg import RESIDUAL_REL, BandedMatrix, check_residual, solve_banded
 from porogrowth.verify import dense_gaussian_elimination
 
 
@@ -112,6 +112,7 @@ def test_residual_contract_is_checked_per_block(monkeypatch):
     packed.data.reshape(3, k, m)[:, 0] *= 1e6
     b[0] *= 1e6
     x = solve_banded(packed, b)
+    check_residual(packed, x, b)   # the unperturbed solution passes
     error = 1e-6
     row_norms = packed.row_sums(np.abs(packed.data)).reshape(k, m)
     block_bound = RESIDUAL_REL * (
@@ -128,16 +129,17 @@ def test_residual_contract_is_checked_per_block(monkeypatch):
         return (*factors, x, info)
 
     monkeypatch.setattr(linalg, "_gtsv", perturbed)
+    x = solve_banded(packed, b)
     with pytest.raises(SingularSystemError):
-        solve_banded(packed, b)
+        check_residual(packed, x, b)
 
 
 def test_zero_block_raises():
     rng = np.random.default_rng(7)
     packed = random_tridiagonal_blocks(rng, 3, 8)
     packed.data.reshape(3, 3, 8)[:, 1] = 0.0
-    with pytest.raises(SingularSystemError):
-        solve_banded(packed, np.ones((3, 8)))
+    with pytest.raises(SingularSystemError, match="zero matrix block"):
+        check_residual(packed, np.ones((3, 8)), np.ones((3, 8)))
 
 
 def tridiagonal(lower, diag, upper):
