@@ -109,12 +109,11 @@ def assemble_adr(problem, dt, previous_field, out=None):
 
     dt = math.inf is steady mode: 1 / dt = 0 drops the mass term.
     previous_field has the shape of problem.reaction and problem.source,
-    (N,) or (k, N). out is the (matrix, rhs) pair to assemble into, every
-    entry written (fresh when None). Returns (matrix, rhs): the diagonals
-    are assembled in place in the LAPACK band storage of a tridiagonal
-    BandedMatrix, block diagonal over the rows of a stacked problem with
-    zeros at the block seams, which are never written; rhs has the
-    shape of previous_field.
+    (N,) or (k, N). out is a zeroed (matrix, rhs) pair to assemble into
+    (fresh when None). Returns (matrix, rhs): the diagonals are assembled
+    in place in the LAPACK band storage of a tridiagonal BandedMatrix,
+    block diagonal over the rows of a stacked problem with zeros at the
+    block seams; rhs has the shape of previous_field.
     """
     mesh = problem.mesh
     n = mesh.node_count
@@ -124,14 +123,13 @@ def assemble_adr(problem, dt, previous_field, out=None):
     v_e = problem.velocity
     b_plus, b_minus = problem.weights   # multiplying w_{i+1} and w_i
 
-    matrix, rhs = out or (BandedMatrix(n=prev.size), np.empty(prev.shape))
+    matrix, rhs = out or (BandedMatrix(n=prev.size), np.zeros(prev.shape))
     # views of the (3, k, N) band; entries never written are the seams
-    band = matrix.data.reshape((3,) + rows + (n,), copy=False)
+    band = matrix.data.reshape((3,) + rows + (n,))
     upper, diag, lower = band[0, ..., 1:], band[1], band[2, ..., :-1]
 
     # flux divergence: row i gains J_{i,i+1} - J_{i-1,i}
-    diag[..., :-1] = b_minus
-    diag[..., -1] = 0.0
+    diag[..., :-1] += b_minus
     upper[:] = -b_plus
     diag[..., 1:] += b_plus
     lower[:] = -b_minus
@@ -139,7 +137,7 @@ def assemble_adr(problem, dt, previous_field, out=None):
     inv_dt = 1.0 / dt
     m = mesh.lumped_masses
     diag += m * (inv_dt + problem.reaction)
-    np.multiply(m, inv_dt * prev + problem.source, out=rhs)
+    rhs += m * (inv_dt * prev + problem.source)
 
     # boundary terms
     if problem.bc_left is None:

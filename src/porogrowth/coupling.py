@@ -8,10 +8,10 @@ but lagged sources. A sweep sums the lagged fractions once, for all
 three, reads the step's old level itself, and after (1) takes the edge
 weights and velocities of both transport problems from one
 adr.sweep_edges call. The three systems are assembled into one
-block-diagonal band, allocated once per step attempt, whose residual
-contract each sweep checks once, after (3). Convergence is the max over
-all fields of the relative infinity-norm change between sweeps. Growth
-distortions update once per accepted step, after convergence.
+block-diagonal band, whose residual contract the sweep checks once,
+after (3). Convergence is the max over all fields of the relative
+infinity-norm change between sweeps. Growth distortions update once per
+accepted step, after convergence.
 """
 
 import math
@@ -157,13 +157,13 @@ def _kinetics(mesh, u, c, phi, phi_s, phi_fl, g_n, scenario, params):
 
 
 def _sweep_systems(n):
-    """(band, rhs, views) of a step attempt's sweeps: a tridiagonal
-    BandedMatrix of order 6N and its (6, N) rhs, block diagonal over the
-    unknowns (p, c, phi_n, phi_v, phi_q, phi_ecm), and the (matrix, rhs)
-    views of the pressure, oxygen and species systems. Each assembly
-    writes all of its view; the seams between views stay zero."""
+    """(band, rhs, views) of one sweep: a zeroed tridiagonal BandedMatrix
+    of order 6N and its (6, N) rhs, block diagonal over the unknowns
+    (p, c, phi_n, phi_v, phi_q, phi_ecm), and the (matrix, rhs) views of
+    the pressure, oxygen and species systems. No assembly writes the
+    seams between views, so they stay zero."""
     band = linalg.BandedMatrix(n=6 * n)
-    rhs = np.empty((6, n))
+    rhs = np.zeros((6, n))
     data = band.data
     views = ((linalg.BandedMatrix(n, data[:, :n]), rhs[0]),
              (linalg.BandedMatrix(n, data[:, n:2 * n]), rhs[1]),
@@ -171,13 +171,14 @@ def _sweep_systems(n):
     return band, rhs, views
 
 
-def _sweep(mesh, x, level, dt, scenario, params, systems):
+def _sweep(mesh, x, level, dt, scenario, params):
     """One fixed-point sweep on the (7, N) iterate x from the step's last
     accepted (11, N) level: the poroelastic, the oxygen and one stacked
-    species solve, assembled into the _sweep_systems systems, and one
+    species solve, assembled into one _sweep_systems band, and one
     residual check of all three; returns the next iterate.
     """
-    band, rhs, (pressure, oxygen_system, species_system) = systems
+    band, rhs, (pressure, oxygen_system, species_system) = _sweep_systems(
+        mesh.node_count)
     previous, g = level[:7], level[7:]
     phi_m = x[3:]
     phi_s, phi_fl = solid_and_fluid(phi_m)
@@ -224,9 +225,8 @@ def fixed_point_step(state_n, mesh, dt, scenario, params, start=None):
     level = state_n.level
     x = level[:7] if start is None else start
     accelerator = _Accelerator()
-    systems = _sweep_systems(mesh.node_count)
     for _ in range(scenario.max_iter):
-        new = _sweep(mesh, x, level, dt, scenario, params, systems)
+        new = _sweep(mesh, x, level, dt, scenario, params)
         residual = float(_change(new - x, x))
         report.residuals.append(residual)
         if not math.isfinite(residual):

@@ -43,8 +43,8 @@ def assemble(mesh, phi_lagged, phi_fl, g_lagged, u_prev, dt, t_b, v_b, params,
     fraction, g_lagged the (4, N) growth distortions, u_prev the last
     level's displacement. dt = math.inf drops the strain-rate coupling
     (steady mode). dirichlet_side picks which end carries p = 0; the Darcy
-    velocity datum v_b applies at the opposite end. out is the (matrix,
-    rhs) pair to assemble into, every entry written (fresh when None).
+    velocity datum v_b applies at the opposite end. out is a zeroed
+    (matrix, rhs) pair to assemble into (fresh when None).
     Returns (matrix, rhs, k_e, w_e, load): the pressure BandedMatrix and
     rhs, and per element the permeability, the compliance h / a_e and
     the load T_e + g_e.
@@ -67,18 +67,16 @@ def assemble(mesh, phi_lagged, phi_fl, g_lagged, u_prev, dt, t_b, v_b, params,
     w_e = h / a_e
     inv_dt = 1.0 / dt
 
-    matrix, rhs = out or (BandedMatrix(n=n), np.empty(n))
+    matrix, rhs = out or (BandedMatrix(n=n), np.zeros(n))
     upper, diag, lower = matrix.data[0, 1:], matrix.data[1], matrix.data[2, :-1]
     # element e couples nodes e and e+1, i.e. the slices [:-1] and [1:]
     coupling = 0.25 * inv_dt * w_e
     k_h = k_e / h
     diag[:-1] = k_h + coupling
-    diag[-1] = 0.0
     diag[1:] += k_h + coupling
     upper[:] = lower[:] = coupling - k_h
     strain = 0.5 * inv_dt * (u_prev[1:] - u_prev[:-1] - w_e * load)
     rhs[:-1] = strain
-    rhs[-1] = 0.0
     rhs[1:] += strain
     if forcing_p is not None:
         rhs += mesh.lumped_masses * np.asarray(forcing_p, dtype=float)

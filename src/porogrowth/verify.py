@@ -32,14 +32,14 @@ class SuiteResult:
         self.lines.append(f"  [{status}] {label}" + (f": {detail}" if detail else ""))
 
 
-def _checked_solve(matrix, rhs):
+def checked_solve(matrix, rhs):
     """solve_banded, held to the residual contract as a sweep holds it."""
     x = solve_banded(matrix, rhs)
     check_residual(matrix, x, rhs)
     return x
 
 
-def _checked_poroelastic(mesh, system):
+def checked_poroelastic(mesh, system):
     """poroelastic.solve, its pressure held to the residual contract."""
     u, p, v = poroelastic.solve(mesh, *system)
     check_residual(system[0], p, system[1])
@@ -122,7 +122,7 @@ def suite_linalg():
         u_prev = rng.uniform(-1e-4, 1e-4, size=n)
         f_u, f_p = rng.uniform(-1.0, 1.0, size=(2, n)) if forced else (None,) * 2
         data = (mesh, phi, g, u_prev, dt, params.T_b, params.V_b, params)
-        u, p, _ = _checked_poroelastic(mesh, poroelastic.assemble(
+        u, p, _ = checked_poroelastic(mesh, poroelastic.assemble(
             mesh, phi, 1.0 - phi.sum(axis=0), *data[2:],
             forcing_u=f_u, forcing_p=f_p, dirichlet_side=side))
         x_ref = dense_gaussian_elimination(
@@ -139,7 +139,7 @@ def suite_linalg():
     banded.data[1] = (np.abs(banded.to_dense()).sum(axis=1)
                       + rng.uniform(1.0, 2.0, size=n))   # dominant
     b = rng.uniform(-1.0, 1.0, size=n)
-    x = _checked_solve(banded, b)
+    x = checked_solve(banded, b)
     x_ref = dense_gaussian_elimination(banded.to_dense(), b)
     err = float(np.max(np.abs(x - x_ref)))
     result.check("tridiagonal (gtsv) vs dense oracle (n=200 dominant)",
@@ -163,7 +163,7 @@ def suite_darcy():
     system = poroelastic.assemble(
         mesh, *_uniform_mixture(np.zeros(mesh.node_count)), math.inf,
         0.0, v_b, params)
-    _, p, v = _checked_poroelastic(mesh, system)
+    _, p, v = checked_poroelastic(mesh, system)
     k = float(system[2][0])
     p_exact = -(v_b / k) * mesh.nodes
     err = float(np.max(np.abs(p - p_exact)) / np.max(np.abs(p_exact)))
@@ -182,7 +182,7 @@ def _steady_unit_step(mesh, d, v):
     problem = adr.AdrProblem(
         mesh=mesh, weights=adr.edge_weights(mesh.h, d_e, v_e), velocity=v_e,
         reaction=zeros, source=zeros, bc_left=0.0, bc_right=1.0)
-    return _checked_solve(*adr.assemble_adr(problem, math.inf, zeros))
+    return checked_solve(*adr.assemble_adr(problem, math.inf, zeros))
 
 
 def suite_sg_exact():
@@ -240,7 +240,7 @@ def suite_mms_adr():
                 mesh=mesh, weights=weights, velocity=v_e,
                 reaction=np.zeros(mesh.node_count), source=forcing,
                 bc_right=float(decay * w0[-1]))
-            w = _checked_solve(*adr.assemble_adr(problem, dt, w))
+            w = checked_solve(*adr.assemble_adr(problem, dt, w))
         exact = np.exp(-n_steps * dt) * w0
         errors.append(_l2_norm(mesh, w - exact) / _l2_norm(mesh, exact))
         hs.append(mesh.h)
@@ -272,7 +272,7 @@ def suite_mms_poro():
         system = poroelastic.assemble(
             mesh, *_uniform_mixture(u_exact), dt, t_b, v_b, params,
             forcing_u=forcing_u, forcing_p=forcing_p)
-        u, p, _ = _checked_poroelastic(mesh, system)
+        u, p, _ = checked_poroelastic(mesh, system)
         err_u.append(_l2_norm(mesh, u - u_exact) / _l2_norm(mesh, u_exact))
         err_p.append(_l2_norm(mesh, p - p_exact) / _l2_norm(mesh, p_exact))
         hs.append(mesh.h)
@@ -307,7 +307,7 @@ def suite_positivity():
         problem = adr.AdrProblem(
             mesh=mesh, weights=adr.edge_weights(mesh.h, d, v), velocity=v,
             reaction=sigma, source=source, bc_left=bcs[0], bc_right=bcs[1])
-        w = _checked_solve(*adr.assemble_adr(
+        w = checked_solve(*adr.assemble_adr(
             problem, float(rng.uniform(0.1, 100.0)), prev))
         worst = min(worst, float(np.min(w)))
     result.check(f"min value over {POSITIVITY_TRIALS} random problems >= -1e-12",
@@ -325,7 +325,7 @@ def suite_positivity():
             reaction=np.zeros(mesh.node_count),
             source=np.zeros(mesh.node_count),
             bc_left=lo, bc_right=hi)
-        w = _checked_solve(*adr.assemble_adr(
+        w = checked_solve(*adr.assemble_adr(
             problem, math.inf, np.zeros(mesh.node_count)))
         violations = max(violations,
                          float(lo - np.min(w)), float(np.max(w) - hi))

@@ -10,6 +10,7 @@ from porogrowth import adr, constitutive
 from porogrowth.mesh import build_mesh, element_means, nodal_means
 from porogrowth.params import EPS_PHI, ModelParams
 from porogrowth.scenario import ScenarioConfig
+from porogrowth.verify import checked_solve
 
 PARAMS = ModelParams()
 
@@ -124,7 +125,7 @@ def test_constant_field_is_steady_without_reaction():
     n = 31
     problem = uniform_problem(n=n, d=1e-5, v=3e-3)
     w0 = np.full(n, 0.7)
-    w1 = adr.solve_adr(problem, 3600.0, w0)
+    w1 = checked_solve(*adr.assemble_adr(problem, 3600.0, w0))
     assert np.allclose(w1, 0.7, rtol=1e-12)
 
 
@@ -140,7 +141,7 @@ def test_lumped_mass_conservation():
     total0 = m @ w0
     w = w0
     for _ in range(5):
-        w = adr.solve_adr(problem, 600.0, w)
+        w = checked_solve(*adr.assemble_adr(problem, 600.0, w))
         assert m @ w == pytest.approx(total0, rel=1e-12)
 
 
@@ -160,7 +161,7 @@ def test_steady_exactness_constant_coefficients():
         bc_left=0.0,
         bc_right=1.0,
     )
-    w = adr.solve_adr(problem, math.inf, np.zeros(n))
+    w = checked_solve(*adr.assemble_adr(problem, math.inf, np.zeros(n)))
     x = mesh.nodes
     exact = np.expm1(v * x / d) / np.expm1(v * L / d)
     assert np.max(np.abs(w - exact)) < 1e-12
@@ -172,7 +173,7 @@ def test_positivity_high_peclet():
     rng = np.random.default_rng(9)
     problem = uniform_problem(n=n, d=1e-7, v=0.05, sigma=1e-4)
     w0 = rng.uniform(0.0, 1.0, size=n)
-    w = adr.solve_adr(problem, 100.0, w0)
+    w = checked_solve(*adr.assemble_adr(problem, 100.0, w0))
     assert np.min(w) >= -1e-13
 
 
@@ -263,7 +264,7 @@ def test_species_budget_with_kinetics_and_advection():
         mesh.h, np.stack([np.full(n - 1, 1e-5), d_eta]),
         np.stack([np.full(n - 1, 1e-3), v_eta]))
     species = adr.build_species_problem(mesh, sigma, source, weights, v_eta)
-    phi = adr.solve_adr(species, dt, previous)
+    phi = checked_solve(*adr.assemble_adr(species, dt, previous))
     m = mesh.lumped_masses
     for eta in range(4):
         terms = [m @ (phi[eta] - previous[eta]) / dt, m @ (sigma[eta] * phi[eta]),
@@ -296,7 +297,7 @@ def test_oxygen_budget_with_consumption_and_advection():
     assert oxygen.reaction.min() > 0.0 and oxygen.bc_right is not None
     v_e = oxygen.velocity
     assert v_e.min() < 0.0 < v_e.max()
-    c = adr.solve_adr(oxygen, dt, c_prev)
+    c = checked_solve(*adr.assemble_adr(oxygen, dt, c_prev))
     b_plus, b_minus = oxygen.weights
     m = mesh.lumped_masses[:-1]
     terms = [m @ (c[:-1] - c_prev[:-1]) / dt, m @ (oxygen.reaction[:-1] * c[:-1]),
@@ -450,11 +451,12 @@ def test_stacked_solve_equals_scalar_solves_bitwise(peclet, bcs, transient):
 
     dt = 600.0 if transient else math.inf
     weights = adr.edge_weights(mesh.h, diffusion, velocity)
-    stacked = adr.solve_adr(problem(reaction, source), dt, previous)
+    stacked = checked_solve(*adr.assemble_adr(
+        problem(reaction, source), dt, previous))
     assert stacked.shape == (k, n)
     for eta in range(k):
-        scalar = adr.solve_adr(problem(reaction[eta], source[eta]), dt,
-                               previous[eta])
+        scalar = checked_solve(*adr.assemble_adr(
+            problem(reaction[eta], source[eta]), dt, previous[eta]))
         assert stacked[eta].tobytes() == scalar.tobytes()
 
 

@@ -10,6 +10,7 @@ from porogrowth import poroelastic
 from porogrowth.mesh import build_mesh
 from porogrowth.params import ModelParams
 from porogrowth.state import indicator_r, nodal_strain
+from porogrowth.verify import checked_poroelastic
 
 from conftest import lagged
 
@@ -103,7 +104,7 @@ def test_stress_axial_value():
     n = mesh.node_count
     phi = np.repeat([[0.01], [0.02], [0.03], [0.04]], n, axis=1)
     g = np.repeat([[1e-4], [2e-4], [3e-4], [4e-4]], n, axis=1)
-    u, p, _ = poroelastic.solve(mesh, *poroelastic.assemble(
+    u, p, _ = checked_poroelastic(mesh, poroelastic.assemble(
         mesh, *lagged(phi, g, np.zeros(n)), math.inf, PARAMS.T_b, 0.0,
         PARAMS))
     t_xx, _, tau_max = uniaxial_stresses(phi, g, nodal_strain(mesh, u), p, PARAMS)

@@ -15,6 +15,7 @@ from porogrowth.mesh import build_mesh, element_means
 from porogrowth.params import EPS_PHI, ModelParams
 from porogrowth.scenario import ScenarioConfig
 from porogrowth.state import initial_state, sample_xi_field
+from porogrowth.verify import checked_solve
 
 
 def short_scenario(**overrides):
@@ -631,7 +632,7 @@ def test_sweep_matches_standalone_adr_operator(frozen_params):
         reaction=np.zeros(n),
         source=np.zeros(n),
     )
-    expected = adr.solve_adr(problem, scenario.dt, state0.phi_n)
+    expected = checked_solve(*adr.assemble_adr(problem, scenario.dt, state0.phi_n))
     assert np.allclose(state1.phi_n, expected, rtol=1e-13)
 
 
@@ -753,27 +754,32 @@ def test_static_mechanics_rows_never_limit_a_sweep(monkeypatch):
     {"culture_mode": "perfused", "darcy_dirichlet_side": "right"},
     {"max_iter": 5, "auto_dt_halving": True},   # every step bisects
 ], ids=["static", "perfused", "perfused-right", "bisected"])
-def test_shared_band_keeps_no_stale_entry(monkeypatch, overrides):
-    # a step attempt's sweeps share one band and rhs: sweeps 2..k must
-    # equal, bit for bit, the same sweeps made on a fresh band
-    sweep = coupling._sweep
-    reused, last = [], [None]   # (dt, bitwise equal) of sweeps 2..k
+def test_sweep_band_is_block_diagonal(monkeypatch, overrides):
+    # every sweep assembles its three systems into one band of order 6N
+    # and checks it once: the entries that would couple two of its six
+    # blocks, and the two outside the matrix, are zero in every sweep
+    check, sweep = linalg.check_residual, coupling._sweep
+    couplings, steps = [], []
 
-    def spy(mesh, x, level, dt, scenario, params, systems):
-        new = sweep(mesh, x, level, dt, scenario, params, systems)
-        if systems is last[0]:
-            fresh = sweep(mesh, x, level, dt, scenario, params,
-                          coupling._sweep_systems(mesh.node_count))
-            reused.append((dt, new.tobytes() == fresh.tobytes()))
-        last[0] = systems
-        return new
+    def spy_check(band, x, b):
+        columns = np.arange(1, 6) * x.shape[1]
+        couplings.append(np.concatenate((
+            band.data[0, columns], band.data[2, columns - 1],
+            band.data[[0, 2], [0, -1]])))
+        return check(band, x, b)
 
-    monkeypatch.setattr(coupling, "_sweep", spy)
+    def spy_sweep(mesh, x, level, dt, *args):
+        steps.append(dt)
+        return sweep(mesh, x, level, dt, *args)
+
+    monkeypatch.setattr(linalg, "check_residual", spy_check)
+    monkeypatch.setattr(coupling, "_sweep", spy_sweep)
     scenario = short_scenario(**overrides)
     coupling.run(scenario, ModelParams())
-    assert len(reused) > 5 and all(equal for _, equal in reused)
-    if scenario.auto_dt_halving:   # sub-steps of dt / 2^k reuse theirs too
-        assert min(dt for dt, _ in reused) < scenario.dt
+    assert len(couplings) == len(steps) > 5
+    assert not np.concatenate(couplings).any()
+    if scenario.auto_dt_halving:   # sub-steps of dt / 2^k too
+        assert min(steps) < scenario.dt
 
 
 def test_residual_contract_is_checked_per_block_of_a_sweep(monkeypatch):
@@ -787,9 +793,11 @@ def test_residual_contract_is_checked_per_block_of_a_sweep(monkeypatch):
     n = mesh.node_count
     level = initial_state(mesh, cfg.params, scenario).level
     args = (mesh, level[:7], level, scenario.dt, scenario, cfg.params)
-    systems = coupling._sweep_systems(n)
-    x = coupling._sweep(*args, systems)[1:]
-    band, rhs, _ = systems
+    checked = []
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "check_residual", lambda *a: checked.append(a))
+        coupling._sweep(*args)
+    band, x, rhs = checked[0]
     rows = band.row_sums(np.abs(band.data)).reshape(6, n)
     block_bound = RESIDUAL_REL * (rows.max(axis=1) * np.abs(x).max(axis=1)
                                   + np.abs(rhs).max(axis=1))
@@ -821,6 +829,6 @@ def test_residual_contract_is_checked_per_block_of_a_sweep(monkeypatch):
 
         monkeypatch.setattr(linalg, "_gtsv", perturbed)
         with pytest.raises(SingularSystemError, match="exceeds contract"):
-            coupling._sweep(*args, coupling._sweep_systems(n))
+            coupling._sweep(*args)
         assert len(calls) == 3
         monkeypatch.setattr(linalg, "_gtsv", real)

@@ -10,6 +10,7 @@ from porogrowth.errors import NonphysicalStateError, SingularSystemError
 from porogrowth.linalg import RESIDUAL_REL
 from porogrowth.mesh import build_mesh
 from porogrowth.params import ModelParams
+from porogrowth.verify import checked_poroelastic
 
 from conftest import lagged
 
@@ -33,7 +34,7 @@ def assemble_uniform(mesh, t_b=0.0, v_b=0.0, dt=3600.0, phi_eta=0.025,
 def test_zero_data_gives_zero_solution():
     mesh = build_mesh(0.01, 41)
     system = assemble_uniform(mesh)
-    u, p, v = poroelastic.solve(mesh, *system)
+    u, p, v = checked_poroelastic(mesh, system)
     assert np.max(np.abs(u)) < 1e-18
     assert np.max(np.abs(p)) < 1e-14
     assert np.max(np.abs(v)) < 1e-16
@@ -48,7 +49,7 @@ def test_darcy_linear_pressure():
     v_b = PARAMS.V_b
     system = poroelastic.assemble(mesh, *lagged(phi, g, u_prev),
                                   math.inf, 0.0, v_b, PARAMS)
-    u, p, v = poroelastic.solve(mesh, *system)
+    u, p, v = checked_poroelastic(mesh, system)
     k = permeability(0.9, PARAMS)
     assert np.allclose(p, -(v_b / k) * mesh.nodes, rtol=1e-10)
     assert np.allclose(v, v_b, rtol=1e-10)
@@ -66,7 +67,7 @@ def test_traction_only_uniform_strain():
     t_b = PARAMS.T_b
     system = poroelastic.assemble(mesh, *lagged(phi, g, u_prev),
                                   math.inf, t_b, 0.0, PARAMS)
-    u, p, v = poroelastic.solve(mesh, *system)
+    u, p, v = checked_poroelastic(mesh, system)
     ux = t_b / (PARAMS.H_A * 0.1)
     assert np.allclose(u, ux * mesh.nodes, rtol=1e-10)
     assert np.max(np.abs(p)) < 1e-10 * t_b
@@ -82,7 +83,7 @@ def test_growth_prestress_displaces_free_end():
     g[0] = 1e-3
     system = poroelastic.assemble(mesh, *lagged(phi, g, u_prev),
                                   math.inf, 0.0, 0.0, PARAMS)
-    u, p, v = poroelastic.solve(mesh, *system)
+    u, p, v = checked_poroelastic(mesh, system)
     ux = 1e-3 * 0.025 / 0.1
     assert np.allclose(u, ux * mesh.nodes, rtol=1e-10)
     assert np.max(np.abs(p)) < 1e-12
@@ -94,10 +95,10 @@ def test_dirichlet_side_swap_mirrors_pressure():
     n = 41
     mesh = build_mesh(0.01, n)
     phi, g, u_prev = uniform_inputs(n)
-    _, p_left, _ = poroelastic.solve(mesh, *poroelastic.assemble(
+    _, p_left, _ = checked_poroelastic(mesh, poroelastic.assemble(
         mesh, *lagged(phi, g, u_prev), math.inf, 0.0, PARAMS.V_b,
         PARAMS, dirichlet_side="left"))
-    _, p_right, _ = poroelastic.solve(mesh, *poroelastic.assemble(
+    _, p_right, _ = checked_poroelastic(mesh, poroelastic.assemble(
         mesh, *lagged(phi, g, u_prev), math.inf, 0.0, PARAMS.V_b,
         PARAMS, dirichlet_side="right"))
     # v_b is the outward-normal flux at the flux-carrying end in both
@@ -113,7 +114,7 @@ def test_consolidation_step_couples_fields():
     phi, g, u_prev = uniform_inputs(n)
     system = poroelastic.assemble(mesh, *lagged(phi, g, u_prev),
                                   1.0, PARAMS.T_b, 0.0, PARAMS)
-    u, p, v = poroelastic.solve(mesh, *system)
+    u, p, v = checked_poroelastic(mesh, system)
     assert np.max(np.abs(p)) > 1e-4 * PARAMS.T_b
     # essential rows hold to solver roundoff
     assert abs(p[0]) < 1e-12 * np.max(np.abs(p))
@@ -145,7 +146,7 @@ def test_mms_quadratic_exact():
         system = poroelastic.assemble(
             mesh, *lagged(phi, g, u_prev), math.inf, t_b, v_b, PARAMS,
             forcing_u=f_u, forcing_p=f_p)
-        u, p, _ = poroelastic.solve(mesh, *system)
+        u, p, _ = checked_poroelastic(mesh, system)
         err = np.max(np.abs(u - a * x * (L - x))) + np.max(np.abs(p - b * x * (L - x)))
         errors.append(err)
     rates = [errors[i] / errors[i + 1] for i in range(2)]
@@ -261,7 +262,7 @@ def test_assemble_equals_elementwise_reference(side, dt, forced):
         mesh, *lagged(phi, g, u_prev), dt, PARAMS.T_b, PARAMS.V_b,
         PARAMS,
         forcing_u=forcing_u, forcing_p=forcing_p, dirichlet_side=side)
-    u, p, v = poroelastic.solve(mesh, *system)
+    u, p, v = checked_poroelastic(mesh, system)
     a, rhs_ref, k_ref = elementwise_reference(
         mesh, phi, g, u_prev, dt, PARAMS.T_b, PARAMS.V_b, side, forcing_u,
         forcing_p)
