@@ -32,24 +32,12 @@ from .mesh import element_means, nodal_means
 
 
 def bernoulli(t):
-    """B(t) = t / (exp(t) - 1), with B(0) = 1.
-
-    A truncated series of (exp(t)-1)/t over the whole array avoids
-    cancellation near zero; t / expm1(t) replaces it where |t| >= 1e-2.
-    """
+    """B(t) = t / (exp(t) - 1), with B(0) = 1, as one t / expm1(t) on
+    every entry: expm1 keeps B within 2 ulp near 0 too, and above
+    t ~ 709 it overflows to inf, so B falls to 0."""
     t = np.asarray(t, dtype=float)
-    # products, not t**k: powers above 2 go through the slow np.power
-    t2 = t * t
-    t4 = t2 * t2
-    with np.errstate(all="ignore"):   # the large |t| entries are replaced
-        # (exp(t)-1)/t = 1 + t/2 + t^2/6 + t^3/24 + t^4/120 + t^5/720 + O(t^6)
-        out = np.divide(1.0, 1.0 + t / 2.0 + t2 / 6.0 + t2 * t / 24.0
-                        + t4 / 120.0 + t4 * t / 720.0, out=np.empty_like(t))
-        large = np.abs(t) >= 1e-2
-        if large.any():
-            tl = t[large]
-            out[large] = tl / np.expm1(tl)
-    return out
+    with np.errstate(over="ignore"):
+        return np.divide(t, np.expm1(t), out=np.ones_like(t), where=t != 0.0)
 
 
 #: the column (1, -1) that turns t_e into the rows (t_e, -t_e), exactly
@@ -92,15 +80,13 @@ def edge_coefficients(nodal_diffusion, nodal_velocity):
 def sweep_edges(mesh, phi_fl, v_solid, v_darcy, params):
     """(weights, velocity) of a sweep's transports, stacked as (oxygen,
     species): edge_coefficients of the nutrient diffusivity and the fluid
-    velocity V / phi_fl + v_solid, and of D_eta and v_solid (the harmonic
-    mean of the constant D_eta taken once, as a scalar), weighed by one
-    edge_weights call."""
+    velocity V / phi_fl + v_solid, and the constant D_eta itself with the
+    element means of v_solid, weighed by one edge_weights call."""
     diffusion, velocity = np.empty((2, 2, mesh.n_elements))
     diffusion[0], velocity[0] = edge_coefficients(
         nutrient_diffusivity(phi_fl, params),
         nodal_means(v_darcy) / phi_fl + v_solid)
-    d = params.D_eta
-    diffusion[1], velocity[1] = 2.0 * d * d / (d + d), element_means(v_solid)
+    diffusion[1], velocity[1] = params.D_eta, element_means(v_solid)
     return edge_weights(mesh.h, diffusion, velocity), velocity
 
 

@@ -70,9 +70,9 @@ def cmd_simulate(args):
 
 
 def cmd_sweep(args):
+    if args.all_presets == bool(args.presets):
+        raise ConfigError("sweep needs either --all-presets or preset names")
     names = config_mod.PRESET_NAMES if args.all_presets else args.presets
-    if not names:
-        raise ConfigError("sweep needs --all-presets or preset names")
     for name in names:
         cfg = _apply_overrides(config_mod.preset(name), args)
         _run_one(cfg, os.path.join(args.out, name))

@@ -22,8 +22,8 @@ SHEAR_THRESHOLD_STRESS = 0.1
 #: smallest admissible fluid fraction inside solver coefficients
 EPS_PHI = 1e-6
 
-#: admissible diffusivities d: 2 d d in their harmonic edge mean
-#: 2 d d / (d + d) neither underflows below a normal float nor overflows
+#: admissible diffusivities d: 2 d d in the harmonic edge mean of D_c_fl
+#: stays normal and finite; D_eta, used as is, keeps the same bounds
 _D_MIN = math.sqrt(sys.float_info.min)
 _D_MAX = math.sqrt(sys.float_info.max / 2)
 

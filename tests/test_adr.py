@@ -1,9 +1,10 @@
+import decimal
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from porogrowth import adr, constitutive
@@ -32,58 +33,63 @@ def test_bernoulli_reflection_identity():
         assert adr.bernoulli(-t) == pytest.approx(adr.bernoulli(t) + t, rel=1e-14)
 
 
-def test_bernoulli_series_matches_direct_at_crossover():
-    # the series and direct branches agree where they meet
-    for t in (9.999e-3, 1.0001e-2, -9.999e-3, -1.0001e-2):
-        direct = t / np.expm1(t)
-        assert adr.bernoulli(t) == pytest.approx(direct, rel=1e-13)
+def decimal_bernoulli(t):
+    """B(t) to 40 digits from the exact binary value of t: 1 over the
+    series of (e^t - 1)/t below |t| = 1, t / (e^t - 1) from there."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        x = decimal.Decimal(t)
+        if abs(x) >= 1:
+            return x / (x.exp() - 1)
+        term = total = decimal.Decimal(1)
+        for k in range(2, 42):      # the terms t^(k-1) / k!
+            term = term * x / k
+            total += term
+        return 1 / total
 
 
-def two_branch_bernoulli(t):
-    """Reference: both branches on every entry, selected with np.where."""
-    t = np.asarray(t, dtype=float)
-    small = np.abs(t) < 1e-2
-    ts = np.where(small, t, 0.0)
-    series = (1.0 + ts / 2.0 + ts**2 / 6.0 + ts**3 / 24.0 + ts**4 / 120.0
-              + ts**5 / 720.0)
-    tb = np.where(small, 1.0, t)
-    with np.errstate(over="ignore"):
-        direct = np.where(small, 1.0, tb / np.expm1(tb))
-    return np.where(small, 1.0 / series, direct)
+def test_bernoulli_within_2_ulp_of_decimal_reference():
+    # one t / expm1(t) on every entry: expm1 has no cancellation near 0
+    wide = np.geomspace(1e-300, 700.0, 2000)
+    t = np.concatenate([wide, -wide, np.linspace(-0.05, 0.05, 2001)])
+    worst = 0
+    for ti, bi in zip(t.tolist(), adr.bernoulli(t).tolist()):
+        ref = decimal_bernoulli(ti)
+        ulps = abs(decimal.Decimal(bi) - ref) / decimal.Decimal(math.ulp(float(ref)))
+        worst = max(worst, ulps)
+    assert worst <= 2
 
 
-def test_bernoulli_bitwise_equals_two_branch_formula():
-    edges = []
-    for c in (1e-2, -1e-2):
-        below, above = np.nextafter(c, 0.0), np.nextafter(c, 2 * c)
-        edges += [below, c, above]
-    t = np.concatenate([
-        [0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300], edges,
-        np.linspace(-0.05, 0.05, 1001), np.geomspace(1e-9, 700.0, 500),
-        -np.geomspace(1e-9, 700.0, 500)])
+def test_bernoulli_exact_values_and_shapes():
+    for zero in (0.0, -0.0):
+        assert adr.bernoulli(zero).tobytes() == np.float64(1.0).tobytes()
+    assert adr.bernoulli(800.0) == 0.0          # expm1 overflows to inf
+    assert adr.bernoulli(-800.0) == 800.0       # expm1 is exactly -1
+    wide = np.geomspace(1e-300, 700.0, 500)
+    t = np.concatenate([[0.0, -0.0, 800.0, -800.0], wide, -wide,
+                        np.linspace(-0.05, 0.05, 1001)])
     got = adr.bernoulli(t)
-    assert got.view(np.uint64).tolist() == two_branch_bernoulli(t).view(np.uint64).tolist()
-    # stacked rows, as assemble_adr passes (t, -t)
-    assert np.array_equal(adr.bernoulli(np.stack([t, -t])),
-                          np.stack([got, adr.bernoulli(-t)]))
-    for scalar in (0.0, 1e-2, np.nextafter(1e-2, 0.0), -5e-3, 3.0, -800.0):
+    # stacked rows, as edge_weights passes (t, -t)
+    assert (adr.bernoulli(np.stack([t, -t])).tobytes()
+            == np.stack([got, adr.bernoulli(-t)]).tobytes())
+    for scalar in (0.0, 1e-2, -5e-3, 3.0, -800.0):
         value = adr.bernoulli(scalar)
-        assert value == float(two_branch_bernoulli(scalar))
-    # every |t| below the crossover: the series alone, no expm1 pass
-    below = np.nextafter(1e-2, 0.0)
-    small = np.concatenate([[0.0, -0.0, below, -below],
-                            np.linspace(-below, below, 1001)])
-    assert (adr.bernoulli(small).view(np.uint64).tolist()
-            == two_branch_bernoulli(small).view(np.uint64).tolist())
-    # the (t_ox, -t_ox, t_sp, -t_sp) rows of one sweep: oxygen crosses the
-    # crossover, the species stay below it
-    t_ox, t_sp = np.linspace(-0.05, 0.05, 401), np.linspace(-9e-3, 9e-3, 401)
-    rows = np.stack([t_ox, -t_ox, t_sp, -t_sp])
-    assert (adr.bernoulli(rows).view(np.uint64).tolist()
-            == two_branch_bernoulli(rows).view(np.uint64).tolist())
+        assert np.ndim(value) == 0
+        assert value == adr.bernoulli(np.array([scalar]))[0]
 
 
-@given(t=st.floats(min_value=-50.0, max_value=50.0))
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bernoulli_extreme_arguments_do_not_warn():
+    t = np.array([1e308, -1e308, 5e-324, -5e-324])
+    assert adr.bernoulli(t).tolist() == [0.0, 1e308, 1.0, 1.0]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(t=st.floats(min_value=-700.0, max_value=700.0))
+@example(t=700.0)
+@example(t=-700.0)
+@example(t=5e-324)
+@example(t=-5e-324)
 @settings(max_examples=200, deadline=None)
 def test_bernoulli_positive_and_decreasing(t):
     b = adr.bernoulli(t)

@@ -253,6 +253,17 @@ def test_sweep_explicit_presets(tmp_path):
         assert os.path.exists(os.path.join(out, name, "timeseries.csv"))
 
 
+def test_sweep_all_presets_with_names_is_config_error(tmp_path, capsys):
+    # names beside --all-presets are refused, not ignored: nothing is run
+    out = tmp_path / "sweep"
+    code = run_cli(["sweep", "--all-presets", "not-a-preset", "--out", str(out),
+                    "--t-end", "0"])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error:")
+    assert not out.exists()
+
+
 def test_sweep_without_presets_is_config_error(tmp_path):
     code = run_cli(["sweep", "--out", str(tmp_path)])
     assert code == cli.EXIT_CONFIG

@@ -638,9 +638,8 @@ def test_sweep_matches_standalone_adr_operator(frozen_params):
 
 def test_species_edge_data_of_a_sweep_bitwise(monkeypatch):
     # the species problem of every sweep carries the edge weights of the
-    # harmonic edge mean of the constant D_eta and of the element mean of
-    # the sweep's solid velocity (u_new - u_prev) / dt, and that velocity,
-    # bit for bit
+    # constant D_eta on every edge and of the element mean of the sweep's
+    # solid velocity (u_new - u_prev) / dt, and that velocity, bit for bit
     problems, sweeps = [], []
     build, sweep = adr.build_species_problem, coupling._sweep
 
@@ -659,8 +658,7 @@ def test_species_edge_data_of_a_sweep_bitwise(monkeypatch):
                                    t_end=2 * cfg.scenario.dt)
     coupling.run(scenario, cfg.params)
     assert len(problems) == len(sweeps) > 2
-    d = cfg.params.D_eta
-    diffusion = np.full(scenario.node_count - 1, 2.0 * d * d / (d + d))
+    diffusion = np.full(scenario.node_count - 1, cfg.params.D_eta)
     h = problems[0].mesh.h
     for problem, (u_prev, dt, new) in zip(problems, sweeps):
         velocity = element_means((new[0] - u_prev) / dt)
