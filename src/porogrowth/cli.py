@@ -28,7 +28,7 @@ def _load_config(args):
         cfg = config_mod.preset(args.preset)
     elif args.config:
         try:
-            with open(args.config, encoding="utf-8") as fh:
+            with open(args.config, encoding="utf-8-sig") as fh:
                 text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read {args.config}: {exc}") from exc

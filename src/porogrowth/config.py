@@ -65,6 +65,14 @@ _KEYS = {
        for f in fields(RunConfig) if f.name.startswith("emit_")},
 }
 
+# keys read by no computation -> what to set instead
+_REMOVED_KEYS = {
+    "mu_fl": "the fluid viscosity enters only through the permeability; "
+             "set K_ref instead",
+    "R_cell": "the ECM production reads the cell size only as a volume; "
+              "set V_cell instead",
+}
+
 _C_EXT_ALIASES = {"csat": "saturation", "cthr": "threshold",
                   "saturation": "saturation", "threshold": "threshold"}
 
@@ -104,10 +112,11 @@ def _parse_value(key, kind, raw, line_no):
 def parse_config(text):
     """Parse configuration text into a RunConfig.
 
-    Unknown keys, unparsable values and violated invariants raise
-    ConfigError naming the offending line and key.
+    Unknown or repeated keys, unparsable values and violated invariants
+    raise ConfigError naming the offending line and key.
     """
     overrides = {"params": {}, "scenario": {}, "emit": {}}
+    seen = {}   # key -> line that set it
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -119,12 +128,13 @@ def parse_config(text):
         raw = raw.strip()
         if not raw:
             raise ConfigError(f"line {line_no}: key {key!r} has no value")
-        if key == "mu_fl":
-            raise ConfigError(
-                f"line {line_no}: unknown key 'mu_fl': the fluid viscosity "
-                "enters only through the permeability; set K_ref instead")
         if key not in _KEYS:
-            raise ConfigError(f"line {line_no}: unknown key {key!r}")
+            hint = f": {_REMOVED_KEYS[key]}" if key in _REMOVED_KEYS else ""
+            raise ConfigError(f"line {line_no}: unknown key {key!r}{hint}")
+        if key in seen:
+            raise ConfigError(
+                f"line {line_no}: key {key!r} repeats line {seen[key]}")
+        seen[key] = line_no
         group, name, kind = _KEYS[key]
         overrides[group][name] = _parse_value(key, kind, raw, line_no)
     return RunConfig(params=ModelParams(**overrides["params"]),

@@ -28,6 +28,59 @@ _D_MIN = math.sqrt(sys.float_info.min)
 _D_MAX = math.sqrt(sys.float_info.max / 2)
 
 
+def _one_of(*choices):
+    return choices.__contains__, "must be " + " or ".join(choices)
+
+
+_NONNEGATIVE = (lambda v: v >= 0.0, "must be nonnegative")
+# K_ref = 0 drops the Darcy term from the continuity rows; the equal-order
+# (u, p) pair then gives a node-to-node oscillating p; mu, tau_m and
+# V_cell are divisors
+_POSITIVE = (lambda v: v > 0.0, "must be positive")
+
+#: field name of ModelParams or ScenarioConfig -> (test, words): the one
+#: rule that field's value must pass on its own
+FIELD_RULES = {
+    **dict.fromkeys(
+        ("c_0", "c_sat", "c_thr", "c_apo", "D_c_s", "R_n", "R_v", "R_q",
+         "K_half", "beta", "k_apo", "k_qui", "k_deg", "k_g1", "k_g2", "E",
+         "k_GAG", "K_sat", "t_end"), _NONNEGATIVE),
+    **dict.fromkeys(
+        ("K_ref", "mu", "tau_m", "V_cell", "length", "dt", "tol"), _POSITIVE),
+    **dict.fromkeys(("D_c_fl", "D_eta"), (
+        lambda v: _D_MIN <= v <= _D_MAX,
+        f"must be positive and in [{_D_MIN:.3g}, {_D_MAX:.3g}]")),
+    "K_eq": (lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),
+    "phi_ecm_max": (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
+    "culture_mode": _one_of("static", "perfused"),
+    "ic_profile": _one_of("IC1", "IC2"),
+    "growth_rate": (
+        lambda v: v in ("kg1", "kg2") if isinstance(v, str) else v >= 0.0,
+        "must be kg1, kg2 or a nonnegative rate"),
+    "c_ext_mode": _one_of("saturation", "threshold"),
+    "node_count": (lambda v: v >= 3, "must be at least 3 nodes"),
+    **dict.fromkeys(("max_iter", "output_stride"),
+                    (lambda v: v >= 1, "must be at least 1")),
+    "h_c_threshold": _one_of("thr", "apo"),
+    "growth_model": _one_of("G0", "G1"),
+    "darcy_dirichlet_side": _one_of("left", "right"),
+}
+
+
+def check_fields(obj, table):
+    """Raise ConfigError naming the first field of the dataclass obj whose
+    number is not finite (tau_m = inf excepted: it switches maturation
+    off) or whose value fails its rule in table."""
+    for f in fields(obj):
+        name, value = f.name, getattr(obj, f.name)
+        if not (isinstance(value, str) or math.isfinite(value)
+                or (name == "tau_m" and value == math.inf)):
+            raise ConfigError(f"{name} must be finite, got {value}")
+        test, words = table.get(name, (None, None))
+        if test is not None and not test(value):
+            raise ConfigError(f"{name} {words}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """All scalar model constants (CGS units)."""
@@ -64,52 +117,14 @@ class ModelParams:
     lam: float = 5.1937e3
     mu: float = 1.8248e3
     phi_ecm_max: float = 0.1
-    R_cell: float = 5.0e-4   # cm
     V_cell: float = 5.236e-10  # cm^3
     tau_m: float = 172800.0  # s
     K_ref: float = 1.67e-5   # cm^3 s g^-1
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            # an infinite maturation time switches that channel off
-            if not (math.isfinite(value)
-                    or (f.name == "tau_m" and value == math.inf)):
-                raise ConfigError(f"parameter {f.name} must be finite, got {value}")
-        nonneg = (
-            "c_0", "c_sat", "c_thr", "c_apo", "D_c_s", "R_n", "R_v",
-            "R_q", "K_half", "beta", "k_apo", "k_qui", "k_deg", "k_g1",
-            "k_g2", "E", "k_GAG", "K_sat",
-        )
-        for name in nonneg:
-            if getattr(self, name) < 0.0:
-                raise ConfigError(f"parameter {name} must be nonnegative")
-        # K_ref = 0 drops the Darcy term from the continuity rows; the
-        # equal-order (u, p) pair then gives a node-to-node oscillating p;
-        # mu, tau_m and V_cell are divisors (tau_m = inf is allowed)
-        for name in ("K_ref", "mu", "tau_m", "V_cell"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigError(f"parameter {name} must be positive")
-        for name in ("D_c_fl", "D_eta"):
-            if not _D_MIN <= getattr(self, name) <= _D_MAX:
-                raise ConfigError(f"parameter {name} must be positive and in "
-                                  f"[{_D_MIN:.3g}, {_D_MAX:.3g}], "
-                                  f"got {getattr(self, name)}")
+        check_fields(self, FIELD_RULES)
         if self.lam + 2.0 * self.mu <= 0.0:
             raise ConfigError("aggregate modulus lam + 2 mu must be positive")
-        if not 0.0 < self.K_eq <= 1.0:
-            raise ConfigError("K_eq must lie in (0, 1]")
-        if not 0.0 < self.phi_ecm_max < 1.0:
-            raise ConfigError("phi_ecm_max must lie in (0, 1)")
-        try:
-            sphere = (4.0 / 3.0) * math.pi * self.R_cell**3
-        except OverflowError:   # R_cell above ~5e102: no finite V_cell fits
-            sphere = math.inf
-        if abs(self.V_cell - sphere) / self.V_cell >= 1e-3:
-            raise ConfigError(
-                "V_cell inconsistent with R_cell: "
-                f"{self.V_cell} vs (4/3) pi R^3 = {sphere}"
-            )
 
     # derived moduli -------------------------------------------------
 

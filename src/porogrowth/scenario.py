@@ -1,9 +1,10 @@
 """Scenario definitions: boundary data, initial profiles, solver knobs."""
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .errors import ConfigError
+from .params import FIELD_RULES, check_fields
 
 #: initial-profile amplitudes (A_n, A_eta) for the two seeding densities
 IC_AMPLITUDES = {
@@ -12,16 +13,6 @@ IC_AMPLITUDES = {
 }
 
 SECONDS_PER_DAY = 86400.0
-
-#: allowed values of each enumerated ScenarioConfig field
-_CHOICES = {
-    "culture_mode": ("static", "perfused"),
-    "ic_profile": tuple(IC_AMPLITUDES),
-    "c_ext_mode": ("saturation", "threshold"),
-    "h_c_threshold": ("thr", "apo"),
-    "growth_model": ("G0", "G1"),
-    "darcy_dirichlet_side": ("left", "right"),
-}
 
 
 @dataclass(frozen=True)
@@ -54,37 +45,12 @@ class ScenarioConfig:
     auto_dt_halving: bool = False       # bisect dt on nonconvergence
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value}")
-        for name, allowed in _CHOICES.items():
-            if (value := getattr(self, name)) not in allowed:
-                raise ConfigError(f"unknown {name} {value!r}")
-        if isinstance(self.growth_rate, str):
-            if self.growth_rate not in ("kg1", "kg2"):
-                raise ConfigError(f"unknown growth_rate {self.growth_rate!r}")
-        elif self.growth_rate < 0.0:
-            raise ConfigError("explicit growth_rate must be nonnegative")
-        if self.length <= 0.0:
-            raise ConfigError(f"length must be positive, got {self.length}")
-        if self.node_count < 3:
-            raise ConfigError(f"need at least 3 nodes, got {self.node_count}")
-        if self.dt <= 0.0:
-            raise ConfigError("dt must be positive")
-        if self.t_end < 0.0:
-            raise ConfigError("t_end must be nonnegative")
+        check_fields(self, FIELD_RULES)
         n_steps = self.t_end / self.dt
         if not math.isfinite(n_steps):
             raise ConfigError(f"t_end / dt must be finite, got {n_steps}")
         if abs(n_steps - round(n_steps)) > 1e-9 * max(1.0, n_steps):
             raise ConfigError("t_end must be an integral number of dt steps")
-        if self.tol <= 0.0:
-            raise ConfigError("tol must be positive")
-        if self.max_iter < 1:
-            raise ConfigError("max_iter must be at least 1")
-        if self.output_stride < 1:
-            raise ConfigError("output_stride must be at least 1")
         a_n, a_eta = self.amplitudes()
         if a_n + 3.0 * a_eta >= 1.0:
             raise ConfigError(

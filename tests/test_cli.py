@@ -76,9 +76,11 @@ def test_infinite_t_end_is_config_error(tmp_path, capsys):
 ])
 def test_non_finite_config_value_is_config_error(tmp_path, capsys, line,
                                                  fragment):
+    # --t-end keeps the run short should the line pass; a T_end line of
+    # its own beside the one under test would repeat that key
     cfg_path = tmp_path / "nonfinite.cfg"
-    cfg_path.write_text(f"nodes = 5\nT_end = 3600\n{line}\n")
-    code = run_cli(["simulate", "--config", str(cfg_path),
+    cfg_path.write_text(f"nodes = 5\n{line}\n")
+    code = run_cli(["simulate", "--config", str(cfg_path), "--t-end", "3600",
                     "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_CONFIG
     assert fragment in capsys.readouterr().err
@@ -130,6 +132,29 @@ def test_retired_viscosity_key_names_permeability(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "unknown key 'mu_fl'" in err and "K_ref" in err
     assert not os.path.exists(tmp_path / "o")
+
+
+def test_retired_cell_radius_key_names_volume(tmp_path, capsys):
+    # R_cell was read only by a check that it agreed with V_cell
+    cfg_path = tmp_path / "radius.cfg"
+    cfg_path.write_text("nodes = 5\nT_end = 3600\nR_cell = 5e-4\n")
+    code = run_cli(["simulate", "--config", str(cfg_path),
+                    "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "unknown key 'R_cell'" in err and "V_cell" in err
+    assert not os.path.exists(tmp_path / "o")
+
+
+def test_config_file_with_byte_order_mark_runs(tmp_path):
+    # an editor's UTF-8 BOM is not part of the first key: nodes = 5 holds,
+    # so each field file keeps 2 snapshot blocks of 5 rows
+    cfg_path = tmp_path / "bom.cfg"
+    cfg_path.write_text("nodes = 5\nT_end = 3600\n", encoding="utf-8-sig")
+    out = tmp_path / "o"
+    code = run_cli(["simulate", "--config", str(cfg_path), "--out", str(out)])
+    assert code == cli.EXIT_OK
+    assert len((out / "field_p.csv").read_text().splitlines()) == 11
 
 
 def test_missing_config_file_is_config_error(tmp_path):

@@ -1,10 +1,12 @@
 import dataclasses
+import math
+import re
 
 import pytest
 
 from porogrowth import config
 from porogrowth.errors import ConfigError
-from porogrowth.params import ModelParams
+from porogrowth.params import _D_MAX, ModelParams
 from porogrowth.scenario import IC_AMPLITUDES, SECONDS_PER_DAY
 
 
@@ -93,13 +95,38 @@ def test_emit_flags():
     ("tau_m = 0", "tau_m must be positive"),
     ("V_cell = 0", "V_cell must be positive"),
     ("E = -20", "E must be nonnegative"),
-    ("R_cell = -5e-4\nV_cell = -5.236e-10", "V_cell must be positive"),
+    ("V_cell = -5.236e-10", "V_cell must be positive"),
     ("T_end = 1e300\ndt = 1e-10", "t_end / dt must be finite"),
-    ("R_cell = 1e300", "V_cell inconsistent with R_cell"),
+    ("R_cell = 1e300", "unknown key 'R_cell': .* set V_cell"),
+    ("dt = 3600\ndt = 7200", "line 2: key 'dt' repeats line 1"),
 ])
 def test_bad_input_raises_config_error(text, fragment):
     with pytest.raises(ConfigError, match=fragment):
         config.parse_config(text)
+
+
+# each single-field rule at its edge: (key, boundary value it accepts,
+# nearest value outside it, words of the rejection)
+@pytest.mark.parametrize("key,inside,outside,fragment", [
+    ("K_eq", 1.0, 0.0, "K_eq must lie in (0, 1]"),
+    ("phi_ecm_max", math.nextafter(1.0, 0.0), 1.0,
+     "phi_ecm_max must lie in (0, 1)"),
+    ("E", 0.0, -5e-324, "E must be nonnegative"),
+    ("tau_m", math.inf, 0.0, "tau_m must be positive"),
+    ("D_eta", _D_MAX, math.nextafter(_D_MAX, math.inf),
+     "D_eta must be positive and in"),
+    ("nodes", 3, 2, "at least 3 nodes"),
+    ("T_end", 0.0, -3600.0, "t_end must be nonnegative"),
+    ("max_iter", 1, 0, "max_iter must be at least 1"),
+    ("stride", 1, 0, "output_stride must be at least 1"),
+])
+def test_rule_accepts_its_boundary_and_rejects_beyond(key, inside, outside,
+                                                      fragment):
+    group, name, _ = config._KEYS[key]
+    cfg = config.parse_config(f"{key} = {inside!r}")
+    assert getattr(getattr(cfg, group), name) == inside
+    with pytest.raises(ConfigError, match=re.escape(fragment)):
+        config.parse_config(f"{key} = {outside!r}")
 
 
 def test_error_names_offending_line():
@@ -108,8 +135,7 @@ def test_error_names_offending_line():
 
 
 # a non-default value of each scenario and emit key: (text, field value);
-# each parameter key takes its default scaled by 1 + 1e-4, which keeps
-# V_cell and R_cell consistent
+# each parameter key takes its default scaled by 1 + 1e-4
 NON_DEFAULT = {
     "culture_mode": ("perfused", "perfused"),
     "ic_profile": ("IC2", "IC2"),

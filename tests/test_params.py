@@ -28,17 +28,6 @@ def test_partition_ratio():
     assert p.k_partition == pytest.approx(0.075)
 
 
-def test_cell_volume_consistent_with_radius():
-    p = ModelParams()
-    sphere = (4.0 / 3.0) * math.pi * p.R_cell**3
-    assert p.V_cell == pytest.approx(sphere, rel=1e-3)
-
-
-def test_inconsistent_cell_volume_rejected():
-    with pytest.raises(ConfigError):
-        ModelParams(V_cell=1e-9)
-
-
 @pytest.mark.parametrize("field,value", [
     ("c_0", -1e-6),
     ("K_half", -1.0),
@@ -61,12 +50,10 @@ def test_inconsistent_cell_volume_rejected():
     # ... and 2 D D overflows
     ("D_eta", 1e300),
     ("D_c_fl", 1e300),
-    # divisors: 1 / tau_m in the kinetics, 1 / V_cell in the R_cell check
+    # divisors: 1 / tau_m in the kinetics, 1 / V_cell in the ECM production
     ("tau_m", 0.0),
     ("V_cell", 0.0),
     ("E", -20.0),
-    # (4/3) pi R_cell^3 overflows
-    ("R_cell", 1e300),
 ])
 def test_invalid_parameters_rejected(field, value):
     with pytest.raises(ConfigError):
