@@ -32,35 +32,23 @@ class RunConfig:
     emit_diagnostics: bool = True
 
 
-# config key -> ScenarioConfig field (identity unless renamed)
+# ScenarioConfig field -> its config key, where the two names differ
 _SCENARIO_KEYS = {
-    "culture_mode": "culture_mode",
-    "ic_profile": "ic_profile",
-    "k_g": "growth_rate",
-    "c_ext": "c_ext_mode",
-    "L": "length",
-    "nodes": "node_count",
-    "T_end": "t_end",
-    "dt": "dt",
-    "tol": "tol",
-    "max_iter": "max_iter",
-    "stride": "output_stride",
-    "h_r_convention": "h_r_inverted",
-    "h_c_threshold": "h_c_threshold",
-    "growth_model": "growth_model",
-    "g_initial": "g_initial",
-    "boundary_flux_convention": "darcy_dirichlet_side",
-    "auto_dt_halving": "auto_dt_halving",
+    "growth_rate": "k_g",
+    "c_ext_mode": "c_ext",
+    "length": "L",
+    "node_count": "nodes",
+    "t_end": "T_end",
+    "output_stride": "stride",
+    "darcy_dirichlet_side": "boundary_flux_convention",
 }
-
-_SCENARIO_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
 
 # config key -> (group, field, field type): the value lands in field of
 # RunConfig.params, RunConfig.scenario or, for group "emit", RunConfig
 _KEYS = {
     **{name: ("params", name, float) for name in PARAM_NAMES},
-    **{key: ("scenario", name, _SCENARIO_TYPES[name])
-       for key, name in _SCENARIO_KEYS.items()},
+    **{_SCENARIO_KEYS.get(f.name, f.name): ("scenario", f.name, f.type)
+       for f in fields(ScenarioConfig)},
     **{f.name: ("emit", f.name, f.type)
        for f in fields(RunConfig) if f.name.startswith("emit_")},
 }
@@ -73,40 +61,30 @@ _REMOVED_KEYS = {
               "set V_cell instead",
 }
 
-_C_EXT_ALIASES = {"csat": "saturation", "cthr": "threshold",
-                  "saturation": "saturation", "threshold": "threshold"}
+# short spelling of c_ext, as in the preset names -> its c_ext_mode
+_C_EXT_ALIASES = {"csat": "saturation", "cthr": "threshold"}
+
+_BOOLEANS = {"true": True, "yes": True, "1": True, "on": True,
+             "false": False, "no": False, "0": False, "off": False}
+
+_WANTS = {bool: "a boolean", int: "an integer", float: "a number"}
 
 
 def _parse_value(key, kind, raw, line_no):
-    """raw as a value of the field type kind: str, int, float or bool."""
-    if key == "c_ext":
-        if raw not in _C_EXT_ALIASES:
-            raise ConfigError(
-                f"line {line_no}: c_ext must be csat or cthr, got {raw!r}")
-        return _C_EXT_ALIASES[raw]
-    if key == "h_r_convention":
-        if raw not in ("normal", "inverted"):
-            raise ConfigError(
-                f"line {line_no}: h_r_convention must be normal or inverted")
-        return raw == "inverted"
-    if kind is str or (key == "k_g" and raw in ("kg1", "kg2")):
+    """raw as a value of the field type kind: str, bool, int, float, or
+    str | float (a number if raw reads as one, otherwise the name).
+    Which values a field accepts is params.FIELD_RULES's to decide."""
+    if kind is str:
         return raw
-    if kind is bool:
-        if raw.lower() in ("true", "yes", "1", "on"):
-            return True
-        if raw.lower() in ("false", "no", "0", "off"):
-            return False
-        raise ConfigError(
-            f"line {line_no}: key {key!r} wants a boolean, got {raw!r}")
     try:
+        if kind is bool:
+            return _BOOLEANS[raw.lower()]
         return int(raw) if kind is int else float(raw)
-    except ValueError:
-        if key == "k_g":
-            message = f"k_g must be kg1, kg2 or a rate, got {raw!r}"
-        else:
-            wants = "an integer" if kind is int else "a number"
-            message = f"key {key!r} wants {wants}, got {raw!r}"
-        raise ConfigError(f"line {line_no}: {message}") from None
+    except (KeyError, ValueError):
+        if kind not in _WANTS:   # str | float: the name
+            return raw
+        raise ConfigError(f"line {line_no}: key {key!r} wants "
+                          f"{_WANTS[kind]}, got {raw!r}") from None
 
 
 def parse_config(text):
@@ -136,7 +114,10 @@ def parse_config(text):
                 f"line {line_no}: key {key!r} repeats line {seen[key]}")
         seen[key] = line_no
         group, name, kind = _KEYS[key]
-        overrides[group][name] = _parse_value(key, kind, raw, line_no)
+        value = _parse_value(key, kind, raw, line_no)
+        if name == "c_ext_mode":
+            value = _C_EXT_ALIASES.get(value, value)
+        overrides[group][name] = value
     return RunConfig(params=ModelParams(**overrides["params"]),
                      scenario=ScenarioConfig(**overrides["scenario"]),
                      **overrides["emit"])
@@ -149,9 +130,5 @@ def preset(name):
             f"unknown preset {name!r}; valid names match "
             "(static|perfused)-(ic1|ic2)-(kg1|kg2)-(csat|cthr)")
     mode, ic, kg, cext = name.split("-")
-    return RunConfig(scenario=ScenarioConfig(
-        culture_mode=mode,
-        ic_profile=ic.upper(),
-        growth_rate=kg,
-        c_ext_mode=_C_EXT_ALIASES[cext],
-    ))
+    return parse_config(f"culture_mode = {mode}\nic_profile = {ic.upper()}\n"
+                        f"k_g = {kg}\nc_ext = {cext}")

@@ -150,7 +150,7 @@ class _Accelerator:
 def _kinetics(mesh, u, c, phi, phi_s, phi_fl, g_n, scenario, params):
     """(sigma, source) of the species, gated by the r and oxygen switches."""
     r = indicator_r(mesh, u, phi_s, phi[0], g_n)
-    h_r = switch_Hr(r, params.r_bar, inverted=scenario.h_r_inverted)
+    h_r = switch_Hr(r, params.r_bar, inverted=scenario.h_r_convention == "inverted")
     h_c = switch_Hc(c, scenario.c_threshold(params))
     return kinetics_fields(
         phi, phi_fl, c, h_r, h_c, scenario.k_g(params), params)

@@ -57,10 +57,12 @@ FIELD_RULES = {
     "growth_rate": (
         lambda v: v in ("kg1", "kg2") if isinstance(v, str) else v >= 0.0,
         "must be kg1, kg2 or a nonnegative rate"),
-    "c_ext_mode": _one_of("saturation", "threshold"),
+    "c_ext_mode": (("saturation", "threshold").__contains__,
+                   "must be saturation or threshold (c_ext = csat or cthr)"),
     "node_count": (lambda v: v >= 3, "must be at least 3 nodes"),
     **dict.fromkeys(("max_iter", "output_stride"),
                     (lambda v: v >= 1, "must be at least 1")),
+    "h_r_convention": _one_of("normal", "inverted"),
     "h_c_threshold": _one_of("thr", "apo"),
     "growth_model": _one_of("G0", "G1"),
     "darcy_dirichlet_side": _one_of("left", "right"),
@@ -125,6 +127,10 @@ class ModelParams:
         check_fields(self, FIELD_RULES)
         if self.lam + 2.0 * self.mu <= 0.0:
             raise ConfigError("aggregate modulus lam + 2 mu must be positive")
+        c_max = max(self.c_0, self.c_sat, self.c_thr)
+        if not math.isfinite(c_max * self.E * self.k_GAG / self.V_cell):
+            raise ConfigError("V_cell must keep c E k_GAG / V_cell finite "
+                              f"at c = {c_max!r}, got {self.V_cell!r}")
 
     # derived moduli -------------------------------------------------
 

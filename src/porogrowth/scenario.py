@@ -37,7 +37,7 @@ class ScenarioConfig:
     max_iter: int = 100
     output_stride: int = 1
     # closure-convention knobs
-    h_r_inverted: bool = False          # invert the anisotropy switch
+    h_r_convention: str = "normal"      # normal | inverted anisotropy switch
     h_c_threshold: str = "thr"          # thr | apo
     growth_model: str = "G0"            # G0 (constant g) | G1 (surrogate)
     g_initial: float = 0.0              # constant g held by model G0

@@ -49,7 +49,7 @@ def test_scenario_keys():
     assert s.dt == 1800.0
     assert s.t_end == 86400.0
     assert s.output_stride == 4
-    assert s.h_r_inverted is True
+    assert s.h_r_convention == "inverted"
     assert s.darcy_dirichlet_side == "right"
     assert s.auto_dt_halving is True
 
@@ -98,6 +98,11 @@ def test_emit_flags():
     ("V_cell = -5.236e-10", "V_cell must be positive"),
     ("T_end = 1e300\ndt = 1e-10", "t_end / dt must be finite"),
     ("R_cell = 1e300", "unknown key 'R_cell': .* set V_cell"),
+    ("V_cell = 5e-324", "V_cell must keep c E k_GAG / V_cell finite"),
+    ("k_g = kg3", "growth_rate must be kg1, kg2 or a nonnegative rate"),
+    ("k_g = -1e-6", "growth_rate must be kg1, kg2 or a nonnegative rate"),
+    ("c_ext = Csat", "c_ext_mode must be saturation or threshold"),
+    ("h_r_convention = sideways", "h_r_convention must be normal or inverted"),
     ("dt = 3600\ndt = 7200", "line 2: key 'dt' repeats line 1"),
 ])
 def test_bad_input_raises_config_error(text, fragment):
@@ -129,6 +134,29 @@ def test_rule_accepts_its_boundary_and_rejects_beyond(key, inside, outside,
         config.parse_config(f"{key} = {outside!r}")
 
 
+# each accepted spelling of a named, numeric or boolean value: (key, text,
+# the field value it sets)
+@pytest.mark.parametrize("key,text,value", [
+    ("c_ext", "csat", "saturation"),
+    ("c_ext", "saturation", "saturation"),
+    ("c_ext", "cthr", "threshold"),
+    ("c_ext", "threshold", "threshold"),
+    ("k_g", "kg1", "kg1"),
+    ("k_g", "kg2", "kg2"),
+    ("k_g", "2.5e-6", 2.5e-6),
+    ("k_g", "0", 0.0),
+    ("h_r_convention", "normal", "normal"),
+    ("h_r_convention", "inverted", "inverted"),
+    *[("auto_dt_halving", text, True) for text in ("TRUE", "YES", "1", "ON")],
+    *[("emit_fields", text, False) for text in ("FALSE", "NO", "0", "OFF")],
+])
+def test_every_spelling_sets_its_value(key, text, value):
+    group, name, _ = config._KEYS[key]
+    cfg = config.parse_config(f"{key} = {text}")
+    got = getattr(cfg if group == "emit" else getattr(cfg, group), name)
+    assert got == value and type(got) is type(value)
+
+
 def test_error_names_offending_line():
     with pytest.raises(ConfigError, match="line 3"):
         config.parse_config("dt = 3600\n# fine\nwhat = 1\n")
@@ -148,7 +176,7 @@ NON_DEFAULT = {
     "tol": ("1e-9", 1e-9),
     "max_iter": ("7", 7),
     "stride": ("4", 4),
-    "h_r_convention": ("inverted", True),
+    "h_r_convention": ("inverted", "inverted"),
     "h_c_threshold": ("apo", "apo"),
     "growth_model": ("G1", "G1"),
     "g_initial": ("0.25", 0.25),
@@ -192,6 +220,10 @@ def test_preset_names_complete():
         s = config.preset(name).scenario
         assert (s.culture_mode, s.ic_profile, s.growth_rate, s.c_ext_mode) == (
             mode, ic.upper(), kg, c_ext[cext])
+        # a preset is the config file of its four keys
+        assert config.preset(name) == config.parse_config(
+            f"culture_mode = {mode}\nic_profile = {ic.upper()}\n"
+            f"k_g = {kg}\nc_ext = {cext}")
 
 
 def test_preset_construction():

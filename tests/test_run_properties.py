@@ -18,7 +18,7 @@ from porogrowth.state import NEG_TOL
 SCALED = ("c_0", "c_sat", "c_thr", "c_apo", "D_c_s", "D_c_fl", "V_b", "T_b",
           "R_n", "R_v", "R_q", "K_half", "beta", "k_apo", "k_qui", "k_deg",
           "k_g1", "k_g2", "E", "k_GAG", "K_sat", "D_eta", "lam", "mu",
-          "tau_m", "K_ref")
+          "tau_m", "K_ref", "V_cell")
 
 
 @st.composite
@@ -45,7 +45,7 @@ def scenarios(draw):
         dt=dt,
         t_end=3 * dt,
         max_iter=draw(st.sampled_from([5, 30, 100])),
-        h_r_inverted=draw(st.booleans()),
+        h_r_convention=draw(st.sampled_from(["normal", "inverted"])),
         h_c_threshold=draw(st.sampled_from(["thr", "apo"])),
         growth_model=draw(st.sampled_from(["G0", "G1"])),
         g_initial=draw(st.floats(-1e-2, 1e-2)),
