@@ -1,8 +1,8 @@
 """Command line interface: simulate, sweep, verify.
 
 Exit codes: 0 success, 1 numerical failure, 2 configuration error.
-The POROGROWTH_OUT environment variable overrides the default output
-directory.
+The POROGROWTH_OUT environment variable, when set and not empty,
+overrides the default output directory.
 """
 
 import argparse
@@ -17,10 +17,6 @@ from .errors import ConfigError, PorogrowthError
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
 EXIT_CONFIG = 2
-
-
-def _default_out():
-    return os.environ.get("POROGROWTH_OUT", "porogrowth-out")
 
 
 def _load_config(args):
@@ -99,7 +95,8 @@ def build_parser():
 
     # run options shared by simulate and sweep; dests are ScenarioConfig fields
     run_opts = argparse.ArgumentParser(add_help=False)
-    run_opts.add_argument("--out", default=_default_out(), help="output directory")
+    run_opts.add_argument("--out", help="output directory",
+                          default=os.environ.get("POROGROWTH_OUT") or "porogrowth-out")
     run_opts.add_argument("--nodes", dest="node_count", metavar="NODES", type=int,
                           help="override node count")
     run_opts.add_argument("--dt", type=float, help="override time step (s)")

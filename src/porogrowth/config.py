@@ -53,12 +53,14 @@ _KEYS = {
        for f in fields(RunConfig) if f.name.startswith("emit_")},
 }
 
-# keys read by no computation -> what to set instead
+# keys read by no computation -> what to do instead
 _REMOVED_KEYS = {
     "mu_fl": "the fluid viscosity enters only through the permeability; "
              "set K_ref instead",
     "R_cell": "the ECM production reads the cell size only as a volume; "
               "set V_cell instead",
+    "auto_dt_halving": "every step that does not converge is bisected; "
+                       "delete the line",
 }
 
 # short spelling of c_ext, as in the preset names -> its c_ext_mode

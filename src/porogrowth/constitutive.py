@@ -98,11 +98,14 @@ def oxygen_sink(phi_n, phi_v, phi_q, c, params):
 
 # --- growth distortions ----------------------------------------------
 
-def growth_distortion_step(g, phi, net_rate, dt):
+def growth_distortion_step(g, phi, sigma, source, dt):
     """Advance the growth distortions by one step of model G1.
 
-    G1 is a volumetric-growth surrogate: dg/dt = net_rate / 3 wherever
-    the constituent is present (phi > EPS_PHI), forward Euler in time.
-    (Model G0 holds g at its configured constants and never calls this.)
+    G1 is a volumetric-growth surrogate: dg/dt = (source - sigma phi) /
+    (3 phi), of the kinetics_fields pair, wherever the constituent is
+    present (phi > EPS_PHI), forward Euler in time. (Model G0 holds g at
+    its configured constants and never calls this.)
     """
-    return g + np.where(phi > EPS_PHI, net_rate * dt / 3.0, 0.0)
+    present = phi > EPS_PHI
+    net_rate = (source - sigma * phi) / np.where(present, phi, 1.0)
+    return g + np.where(present, net_rate * dt / 3.0, 0.0)

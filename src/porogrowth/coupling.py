@@ -247,19 +247,17 @@ def fixed_point_step(state_n, mesh, dt, scenario, params, start=None):
         phi = new[3:]
         sigma, source = _kinetics(mesh, new[0], new[2], phi,
                                   *solid_and_fluid(phi), g[0], scenario, params)
-        safe_phi = np.where(phi > EPS_PHI, phi, 1.0)
-        g = growth_distortion_step(
-            g, phi, (source - sigma * phi) / safe_phi, dt)
+        g = growth_distortion_step(g, phi, sigma, source, dt)
 
     return MixtureState(np.concatenate((new, g))), report
 
 
 def _advance(state, mesh, dt, scenario, params, start):
     """One step of length dt from the start iterate; on nonconvergence,
-    with auto_dt_halving, depth k = 1..4 retries it as 2^k sub-steps of
-    dt / 2^k, each from its own previous level (the history of the
-    nominal steps does not match their spacing). Its report, returned or
-    raised after depth 4, holds the residual of every sweep of every attempt."""
+    depth k = 1..4 retries it as 2^k sub-steps of dt / 2^k, each from its
+    own previous level (the history of the nominal steps does not match
+    their spacing). Its report, returned or raised after depth 4 with the
+    last attempt's message, holds the residual of every sweep of every attempt."""
     report = FixedPointReport()
     for depth in range(5):
         current = state
@@ -270,12 +268,11 @@ def _advance(state, mesh, dt, scenario, params, start):
                 report.residuals += attempt.residuals
             return current, report
         except NonConvergenceError as exc:
-            if not scenario.auto_dt_halving:
-                raise
             report.residuals += exc.report.residuals
+            last = str(exc)
         start = None
     raise NonConvergenceError(
-        "fixed point failed after 4 time-step bisections", report)
+        f"fixed point failed after 4 time-step bisections; last: {last}", report)
 
 
 def _record(trajectory, t, state, mesh, params, snapshot):

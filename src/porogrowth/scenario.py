@@ -42,7 +42,6 @@ class ScenarioConfig:
     growth_model: str = "G0"            # G0 (constant g) | G1 (surrogate)
     g_initial: float = 0.0              # constant g held by model G0
     darcy_dirichlet_side: str = "left"  # left: p(0)=0, V_b at L; right: swap
-    auto_dt_halving: bool = False       # bisect dt on nonconvergence
 
     def __post_init__(self):
         check_fields(self, FIELD_RULES)

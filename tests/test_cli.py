@@ -176,8 +176,9 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
 
 
 def test_failed_run_writes_its_recorded_steps(tmp_path, capsys):
-    # tol = 1e-16 cannot be met in three sweeps: the run fails at step 1,
-    # after recording only the initial level, and that level is written
+    # tol = 1e-16 cannot be met in three sweeps, nor after 4 bisections:
+    # the run fails at step 1, after recording only the initial level,
+    # and that level is written; the error names the last attempt
     cfg_path = tmp_path / "starved.cfg"
     cfg_path.write_text("nodes = 21\ntol = 1e-16\nmax_iter = 3\n")
     out = tmp_path / "o"
@@ -189,7 +190,10 @@ def test_failed_run_writes_its_recorded_steps(tmp_path, capsys):
     assert code == cli.EXIT_NUMERICAL
     err = capsys.readouterr().err.splitlines()
     assert err[0] == f"wrote the initial level and 0 accepted steps to {out}"
-    assert err[1].startswith("numerical failure: fixed point did not converge")
+    assert len(err) == 2
+    assert err[1].startswith(
+        "numerical failure: fixed point failed after 4 time-step bisections; "
+        "last: fixed point did not converge in 3 sweeps (last residual ")
     rows = (out / "timeseries.csv").read_text().splitlines()[1:]
     assert [float(row.split(",")[0]) * 86400.0 for row in rows] == recorded
 
@@ -267,6 +271,15 @@ def test_out_env_var_default(tmp_path, monkeypatch):
                     "--t-end", "3600", "--nodes", "21"])
     assert code == cli.EXIT_OK
     assert os.path.exists(os.path.join(out, "timeseries.csv"))
+
+
+def test_empty_out_env_var_means_the_default(tmp_path, monkeypatch):
+    monkeypatch.setenv("POROGROWTH_OUT", "")
+    monkeypatch.chdir(tmp_path)
+    code = run_cli(["simulate", "--preset", "static-ic1-kg1-csat",
+                    "--t-end", "3600", "--nodes", "21"])
+    assert code == cli.EXIT_OK
+    assert (tmp_path / "porogrowth-out" / "timeseries.csv").exists()
 
 
 def test_sweep_explicit_presets(tmp_path):

@@ -37,7 +37,6 @@ def test_scenario_keys():
     stride = 4
     h_r_convention = inverted
     boundary_flux_convention = right
-    auto_dt_halving = true
     """
     cfg = config.parse_config(text)
     s = cfg.scenario
@@ -51,7 +50,6 @@ def test_scenario_keys():
     assert s.output_stride == 4
     assert s.h_r_convention == "inverted"
     assert s.darcy_dirichlet_side == "right"
-    assert s.auto_dt_halving is True
 
 
 def test_explicit_growth_rate():
@@ -80,7 +78,7 @@ def test_emit_flags():
     ("nodes = ten", "integer"),
     ("dt = fast", "number"),
     ("c_ext = blue", "c_ext"),
-    ("auto_dt_halving = maybe", "boolean"),
+    ("emit_fields = maybe", "boolean"),
     ("dt = -5", "dt must be positive"),
     ("mu = -1", "mu must be positive"),
     ("nodes = 2", "at least 3 nodes"),
@@ -98,6 +96,8 @@ def test_emit_flags():
     ("V_cell = -5.236e-10", "V_cell must be positive"),
     ("T_end = 1e300\ndt = 1e-10", "t_end / dt must be finite"),
     ("R_cell = 1e300", "unknown key 'R_cell': .* set V_cell"),
+    ("auto_dt_halving = true",
+     "unknown key 'auto_dt_halving': every step .* is bisected"),
     ("V_cell = 5e-324", "V_cell must keep c E k_GAG / V_cell finite"),
     ("k_g = kg3", "growth_rate must be kg1, kg2 or a nonnegative rate"),
     ("k_g = -1e-6", "growth_rate must be kg1, kg2 or a nonnegative rate"),
@@ -147,7 +147,7 @@ def test_rule_accepts_its_boundary_and_rejects_beyond(key, inside, outside,
     ("k_g", "0", 0.0),
     ("h_r_convention", "normal", "normal"),
     ("h_r_convention", "inverted", "inverted"),
-    *[("auto_dt_halving", text, True) for text in ("TRUE", "YES", "1", "ON")],
+    *[("emit_timeseries", text, True) for text in ("TRUE", "YES", "1", "ON")],
     *[("emit_fields", text, False) for text in ("FALSE", "NO", "0", "OFF")],
 ])
 def test_every_spelling_sets_its_value(key, text, value):
@@ -181,7 +181,6 @@ NON_DEFAULT = {
     "growth_model": ("G1", "G1"),
     "g_initial": ("0.25", 0.25),
     "boundary_flux_convention": ("right", "right"),
-    "auto_dt_halving": ("yes", True),
     "emit_timeseries": ("false", False),
     "emit_fields": ("off", False),
     "emit_xi_map": ("no", False),

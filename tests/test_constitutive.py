@@ -284,7 +284,11 @@ def test_oxygen_sink_never_positive(c, phi_n):
 def test_growth_model_g1_forward_euler():
     g = np.zeros(3)
     phi = np.array([0.1, 0.0, 0.1])
-    out = con.growth_distortion_step(g, phi, 3e-6, 100.0)
+    sigma = np.full(3, 1e-6)
+    # net rate (source - sigma phi) / phi = 3e-6 where phi = 0.1; the
+    # absent constituent's source is masked, not divided by phi = 0
+    source = np.array([4e-7, 5e-7, 4e-7])
+    out = con.growth_distortion_step(g, phi, sigma, source, 100.0)
     assert out[0] == pytest.approx(1e-4)
     assert out[1] == 0.0  # absent constituent never grows
     assert out[2] == pytest.approx(1e-4)

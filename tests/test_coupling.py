@@ -188,37 +188,33 @@ def test_auto_dt_halving_retries_with_substeps(monkeypatch):
         return sweep(*args)
 
     monkeypatch.setattr(coupling, "_sweep", counting)
-    # a static step that needs more than 5 sweeps fails without halving,
-    # with the nominal attempt's own report, and completes through
-    # bisection with it, reporting every sweep of every attempt
+    # a static step that needs more than 5 sweeps completes through
+    # bisection: its report holds every sweep of every attempt, the
+    # nominal attempt's 5 unconverged residuals first
     static = short_scenario(t_end=3600.0, max_iter=5)
-    with pytest.raises(NonConvergenceError,
-                       match="did not converge in 5 sweeps") as info:
-        coupling.run(static, params)
-    assert len(info.value.report.residuals) == static.max_iter
-    sweeps.clear()
-    trajectory = coupling.run(
-        dataclasses.replace(static, auto_dt_halving=True), params)
+    trajectory = coupling.run(static, params)
     assert trajectory.series_times == [0.0, 3600.0]
     report = trajectory.diagnostics[0]
+    assert min(report.residuals[:static.max_iter]) >= static.tol
     assert report.residuals[-1] < static.tol
     assert report.iterations == len(sweeps) > static.max_iter
     # a perfused step with max_iter = 4 fails at every bisection depth and
     # raises only once the 4-bisection budget is spent, with the report
-    # of all its sweeps
+    # of all its sweeps and the last attempt's message
     perfused = short_scenario(culture_mode="perfused", t_end=3600.0,
-                              max_iter=4, auto_dt_halving=True)
+                              max_iter=4)
     sweeps.clear()
     with pytest.raises(NonConvergenceError,
-                       match="fixed point failed after 4 time-step bisections"
+                       match="fixed point failed after 4 time-step bisections; "
+                             "last: fixed point did not converge in 4 sweeps"
                        ) as info:
         coupling.run(perfused, params)
     assert len(info.value.report.residuals) == len(sweeps) > perfused.max_iter
 
 
 def test_bisected_step_reports_all_30_sweeps(monkeypatch):
-    # the one-hour max_iter = 5 static step with halving (the workflow's
-    # bisection config): the nominal attempt and the first dt/2 sub-step
+    # the one-hour max_iter = 5 static step (the workflow's bisection
+    # config): the nominal attempt and the first dt/2 sub-step
     # fail after 5 sweeps each, the four dt/4 sub-steps pass; the step's
     # report holds all 30 residuals in the order they were made
     attempts = []
@@ -234,7 +230,7 @@ def test_bisected_step_reports_all_30_sweeps(monkeypatch):
         return result
 
     monkeypatch.setattr(coupling, "fixed_point_step", spy)
-    cfg = config.parse_config("max_iter = 5\nT_end = 3600\nauto_dt_halving = true\n")
+    cfg = config.parse_config("max_iter = 5\nT_end = 3600\n")
     trajectory = coupling.run(cfg.scenario, cfg.params)
     assert [dt for dt, _ in attempts] == [3600.0, 1800.0] + [900.0] * 4
     report, = trajectory.diagnostics
@@ -256,7 +252,7 @@ def test_nonphysical_state_in_bisection_propagates_at_once(monkeypatch):
         raise NonphysicalStateError("injected failure")
 
     monkeypatch.setattr(coupling, "fixed_point_step", failing)
-    scenario = short_scenario(t_end=3600.0, auto_dt_halving=True)
+    scenario = short_scenario(t_end=3600.0)
     with pytest.raises(NonphysicalStateError, match="injected failure"):
         coupling.run(scenario, ModelParams())
     assert calls == [3600.0, 1800.0]
@@ -279,7 +275,7 @@ def test_only_the_nominal_attempt_starts_from_the_prediction(monkeypatch):
 
     monkeypatch.setattr(coupling, "_predict", spy_predict)
     monkeypatch.setattr(coupling, "fixed_point_step", spy_step)
-    scenario = short_scenario(t_end=3600.0, max_iter=5, auto_dt_halving=True)
+    scenario = short_scenario(t_end=3600.0, max_iter=5)
     coupling.run(scenario, ModelParams())
     assert len(predicted) == 1 and len(attempts) > 1
     assert attempts[0][0] == 3600.0 and attempts[0][1] is predicted[0]
@@ -545,7 +541,7 @@ def test_bisection_substeps_start_from_own_level(monkeypatch):
     # the five steps bisects; the nominal attempts still use the
     # prediction from the nominal levels
     starts = record_starts(monkeypatch)
-    scenario = short_scenario(max_iter=5, auto_dt_halving=True)
+    scenario = short_scenario(max_iter=5)
     trajectory = coupling.run(scenario, ModelParams())
     assert len(trajectory.diagnostics) == 5
     nominal = [s for s in starts if s[2] == scenario.dt]
@@ -715,7 +711,7 @@ def test_non_finite_residual_fails_fast(monkeypatch):
         return np.full_like(x, np.nan)
 
     monkeypatch.setattr(coupling, "_sweep", nan_sweep)
-    scenario = short_scenario(auto_dt_halving=True)
+    scenario = short_scenario()
     with pytest.raises(NonphysicalStateError) as info:
         coupling.run(scenario, ModelParams())
     assert not isinstance(info.value, NonConvergenceError)
@@ -750,7 +746,7 @@ def test_static_mechanics_rows_never_limit_a_sweep(monkeypatch):
     {},
     {"culture_mode": "perfused"},
     {"culture_mode": "perfused", "darcy_dirichlet_side": "right"},
-    {"max_iter": 5, "auto_dt_halving": True},   # every step bisects
+    {"max_iter": 5},   # every step bisects
 ], ids=["static", "perfused", "perfused-right", "bisected"])
 def test_sweep_band_is_block_diagonal(monkeypatch, overrides):
     # every sweep assembles its three systems into one band of order 6N
@@ -776,7 +772,7 @@ def test_sweep_band_is_block_diagonal(monkeypatch, overrides):
     coupling.run(scenario, ModelParams())
     assert len(couplings) == len(steps) > 5
     assert not np.concatenate(couplings).any()
-    if scenario.auto_dt_halving:   # sub-steps of dt / 2^k too
+    if "max_iter" in overrides:   # sub-steps of dt / 2^k too
         assert min(steps) < scenario.dt
 
 

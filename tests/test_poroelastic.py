@@ -8,9 +8,9 @@ from porogrowth import poroelastic
 from porogrowth.constitutive import permeability
 from porogrowth.errors import NonphysicalStateError, SingularSystemError
 from porogrowth.linalg import RESIDUAL_REL
-from porogrowth.mesh import build_mesh
+from porogrowth.mesh import build_mesh, element_means
 from porogrowth.params import ModelParams
-from porogrowth.verify import checked_poroelastic
+from porogrowth.verify import checked_poroelastic, saddle_point_system
 
 from conftest import lagged
 
@@ -197,52 +197,6 @@ def test_zero_skeleton_stiffness_raises():
                 dt, 0.0, 0.0, params)
 
 
-def elementwise_reference(mesh, phi, g, u_prev, dt, t_b, v_b, side,
-                          forcing_u, forcing_p):
-    """Dense system assembled one element at a time, entry by entry,
-    with the per-element permeability."""
-    n, h = mesh.node_count, mesh.h
-    phi_fl = 1.0 - phi.sum(axis=0)
-    phi_s = 1.0 - phi_fl
-    a_e = PARAMS.H_A * (0.5 * (phi_s[:-1] + phi_s[1:]))
-    k_e = permeability(0.5 * (phi_fl[:-1] + phi_fl[1:]), PARAMS)
-    growth = (PARAMS.H_A * g[0] * phi[0]
-              + PARAMS.H_B * (g[1] * phi[1] + g[2] * phi[2] + g[3] * phi[3]))
-    g_e = 0.5 * (growth[:-1] + growth[1:])
-    inv_dt = 1.0 / dt
-    a = np.zeros((2 * n, 2 * n))
-    rhs = np.zeros(2 * n)
-    for e in range(n - 1):
-        iu, ip, ju, jp = 2 * e, 2 * e + 1, 2 * e + 2, 2 * e + 3
-        local = {
-            (iu, iu): a_e[e] / h, (iu, ju): -a_e[e] / h,
-            (ju, ju): a_e[e] / h, (ju, iu): -a_e[e] / h,
-            (iu, ip): 0.5, (iu, jp): 0.5, (ju, ip): -0.5, (ju, jp): -0.5,
-            (ip, ip): k_e[e] / h, (ip, jp): -k_e[e] / h,
-            (jp, jp): k_e[e] / h, (jp, ip): -k_e[e] / h,
-            (ip, iu): -0.5 * inv_dt, (ip, ju): 0.5 * inv_dt,
-            (jp, iu): -0.5 * inv_dt, (jp, ju): 0.5 * inv_dt,
-        }
-        for (row, col), value in local.items():
-            a[row, col] += value
-        rhs[iu] -= g_e[e]
-        rhs[ju] += g_e[e]
-        du = 0.5 * inv_dt * (u_prev[e + 1] - u_prev[e])
-        rhs[ip] += du
-        rhs[jp] += du
-    rhs[2 * n - 2] += t_b
-    rhs[2 * n - 1 if side == "left" else 1] -= v_b
-    if forcing_u is not None:
-        rhs[0::2] -= mesh.lumped_masses * forcing_u
-    if forcing_p is not None:
-        rhs[1::2] += mesh.lumped_masses * forcing_p
-    for row in (0, 1 if side == "left" else 2 * n - 1):
-        a[row] = 0.0
-        a[row, row] = 1.0
-        rhs[row] = 0.0
-    return a, rhs, k_e
-
-
 @pytest.mark.parametrize("forced", [False, True])
 @pytest.mark.parametrize("dt", [3600.0, math.inf])
 @pytest.mark.parametrize("side", ["left", "right"])
@@ -263,9 +217,10 @@ def test_assemble_equals_elementwise_reference(side, dt, forced):
         PARAMS,
         forcing_u=forcing_u, forcing_p=forcing_p, dirichlet_side=side)
     u, p, v = checked_poroelastic(mesh, system)
-    a, rhs_ref, k_ref = elementwise_reference(
-        mesh, phi, g, u_prev, dt, PARAMS.T_b, PARAMS.V_b, side, forcing_u,
-        forcing_p)
+    a, rhs_ref = saddle_point_system(
+        mesh, phi, g, u_prev, dt, PARAMS.T_b, PARAMS.V_b, PARAMS, side,
+        forcing_u, forcing_p)
+    k_ref = permeability(element_means(1.0 - phi.sum(axis=0)), PARAMS)
     x = np.empty(2 * n)
     x[0::2], x[1::2] = u, p
     residual = np.max(np.abs(a @ x - rhs_ref))

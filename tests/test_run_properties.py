@@ -50,7 +50,6 @@ def scenarios(draw):
         growth_model=draw(st.sampled_from(["G0", "G1"])),
         g_initial=draw(st.floats(-1e-2, 1e-2)),
         darcy_dirichlet_side=draw(st.sampled_from(["left", "right"])),
-        auto_dt_halving=draw(st.booleans()),
     )
 
 
