@@ -164,7 +164,7 @@ def build_oxygen_problem(mesh, phi_lagged, c_lagged, weights, velocity,
                         c_lagged, params)
     return AdrProblem(
         mesh=mesh, weights=weights, velocity=velocity, reaction=-q_hat,
-        source=np.zeros(mesh.node_count), bc_right=scenario.c_ext(params))
+        source=np.zeros(mesh.node_count), bc_right=scenario.c_interface(params))
 
 
 def build_species_problem(mesh, sigma, source, weights, velocity):

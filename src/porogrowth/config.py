@@ -33,15 +33,7 @@ class RunConfig:
 
 
 # ScenarioConfig field -> its config key, where the two names differ
-_SCENARIO_KEYS = {
-    "growth_rate": "k_g",
-    "c_ext_mode": "c_ext",
-    "length": "L",
-    "node_count": "nodes",
-    "t_end": "T_end",
-    "output_stride": "stride",
-    "darcy_dirichlet_side": "boundary_flux_convention",
-}
+_SCENARIO_KEYS = {"length": "L", "node_count": "nodes", "t_end": "T_end"}
 
 # config key -> (group, field, field type): the value lands in field of
 # RunConfig.params, RunConfig.scenario or, for group "emit", RunConfig
@@ -63,9 +55,6 @@ _REMOVED_KEYS = {
                        "delete the line",
 }
 
-# short spelling of c_ext, as in the preset names -> its c_ext_mode
-_C_EXT_ALIASES = {"csat": "saturation", "cthr": "threshold"}
-
 _BOOLEANS = {"true": True, "yes": True, "1": True, "on": True,
              "false": False, "no": False, "0": False, "off": False}
 
@@ -73,8 +62,7 @@ _WANTS = {bool: "a boolean", int: "an integer", float: "a number"}
 
 
 def _parse_value(key, kind, raw, line_no):
-    """raw as a value of the field type kind: str, bool, int, float, or
-    str | float (a number if raw reads as one, otherwise the name).
+    """raw as a value of the field type kind: str, bool, int or float.
     Which values a field accepts is params.FIELD_RULES's to decide."""
     if kind is str:
         return raw
@@ -83,8 +71,6 @@ def _parse_value(key, kind, raw, line_no):
             return _BOOLEANS[raw.lower()]
         return int(raw) if kind is int else float(raw)
     except (KeyError, ValueError):
-        if kind not in _WANTS:   # str | float: the name
-            return raw
         raise ConfigError(f"line {line_no}: key {key!r} wants "
                           f"{_WANTS[kind]}, got {raw!r}") from None
 
@@ -116,10 +102,7 @@ def parse_config(text):
                 f"line {line_no}: key {key!r} repeats line {seen[key]}")
         seen[key] = line_no
         group, name, kind = _KEYS[key]
-        value = _parse_value(key, kind, raw, line_no)
-        if name == "c_ext_mode":
-            value = _C_EXT_ALIASES.get(value, value)
-        overrides[group][name] = value
+        overrides[group][name] = _parse_value(key, kind, raw, line_no)
     return RunConfig(params=ModelParams(**overrides["params"]),
                      scenario=ScenarioConfig(**overrides["scenario"]),
                      **overrides["emit"])

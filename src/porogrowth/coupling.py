@@ -153,7 +153,7 @@ def _kinetics(mesh, u, c, phi, phi_s, phi_fl, g_n, scenario, params):
     h_r = switch_Hr(r, params.r_bar, inverted=scenario.h_r_convention == "inverted")
     h_c = switch_Hc(c, scenario.c_threshold(params))
     return kinetics_fields(
-        phi, phi_fl, c, h_r, h_c, scenario.k_g(params), params)
+        phi, phi_fl, c, h_r, h_c, scenario.growth_rate(params), params)
 
 
 def _sweep_systems(n):
@@ -188,7 +188,7 @@ def _sweep(mesh, x, level, dt, scenario, params):
     system = poroelastic.assemble(
         mesh, phi_m, phi_fl, g, previous[0], dt,
         *scenario.boundary_data(params), params,
-        dirichlet_side=scenario.darcy_dirichlet_side, out=pressure)
+        dirichlet_side=scenario.boundary_flux_convention, out=pressure)
     new[0], new[1], v_new = poroelastic.solve(mesh, *system)
 
     # step 2: oxygen with the fresh displacement and Darcy flux
@@ -257,7 +257,8 @@ def _advance(state, mesh, dt, scenario, params, start):
     depth k = 1..4 retries it as 2^k sub-steps of dt / 2^k, each from its
     own previous level (the history of the nominal steps does not match
     their spacing). Its report, returned or raised after depth 4 with the
-    last attempt's message, holds the residual of every sweep of every attempt."""
+    last attempt's message and the sweep count of all attempts, holds the
+    residual of every sweep of every attempt."""
     report = FixedPointReport()
     for depth in range(5):
         current = state
@@ -272,7 +273,8 @@ def _advance(state, mesh, dt, scenario, params, start):
             last = str(exc)
         start = None
     raise NonConvergenceError(
-        f"fixed point failed after 4 time-step bisections; last: {last}", report)
+        f"fixed point failed after 4 time-step bisections "
+        f"({report.iterations} sweeps); last: {last}", report)
 
 
 def _record(trajectory, t, state, mesh, params, snapshot):
@@ -296,7 +298,7 @@ def _record(trajectory, t, state, mesh, params, snapshot):
 def run(scenario, params):
     """Full simulation over [0, t_end]; returns a Trajectory.
 
-    Snapshots, each with its xi map, are kept every output_stride steps
+    Snapshots, each with its xi map, are kept every stride steps
     (plus the first and last); the mid-node series and the fixed-point
     report are recorded at every step. Each step's fixed point starts
     from a backward-difference extrapolation of the last HISTORY levels
@@ -321,5 +323,5 @@ def run(scenario, params):
         depth = _push(table, depth, state.level[:7])
         trajectory.diagnostics.append(report)
         _record(trajectory, step * scenario.dt, state, mesh, params,
-                step % scenario.output_stride == 0 or step == scenario.n_steps)
+                step % scenario.stride == 0 or step == scenario.n_steps)
     return trajectory

@@ -108,9 +108,11 @@ def check_residual(matrix, x, b):
     k blocks of size m, and each block is held to the bound of its own
     |A|, |x| and |b| (a bound never above the one of the whole system).
     |A| and Ax take one slice per diagonal. Raises SingularSystemError
-    when any block fails the contract; an all-zero block never reaches
-    this check, because solve_banded, which every caller runs first,
-    already raises on it.
+    unless every block's residual and scale are finite and the residual
+    is within its bound (a NaN residual compares false, and an infinite
+    scale makes any bound hold); an all-zero block never reaches this
+    check, because solve_banded, which every caller runs first, already
+    raises on it.
     """
     blocks = (-1, b.shape[-1])
     band = matrix.data
@@ -119,6 +121,7 @@ def check_residual(matrix, x, b):
     residual = np.abs(matrix.row_sums(band * x) - b).reshape(blocks).max(axis=1)
     scale = (a_norm * np.abs(x).reshape(blocks).max(axis=1)
              + np.abs(b).reshape(blocks).max(axis=1))
-    if (residual > RESIDUAL_REL * np.maximum(scale, _TINY)).any():
+    if not (np.isfinite(scale).all()
+            and (residual <= RESIDUAL_REL * np.maximum(scale, _TINY)).all()):
         raise SingularSystemError(
             f"solve residual {residual} exceeds contract for scale {scale}")

@@ -35,7 +35,8 @@ def _one_of(*choices):
 _NONNEGATIVE = (lambda v: v >= 0.0, "must be nonnegative")
 # K_ref = 0 drops the Darcy term from the continuity rows; the equal-order
 # (u, p) pair then gives a node-to-node oscillating p; mu, tau_m and
-# V_cell are divisors
+# V_cell are divisors, and so are the half-saturation constants K_half
+# and K_sat of c / (K + c) at c = 0
 _POSITIVE = (lambda v: v > 0.0, "must be positive")
 
 #: field name of ModelParams or ScenarioConfig -> (test, words): the one
@@ -43,10 +44,11 @@ _POSITIVE = (lambda v: v > 0.0, "must be positive")
 FIELD_RULES = {
     **dict.fromkeys(
         ("c_0", "c_sat", "c_thr", "c_apo", "D_c_s", "R_n", "R_v", "R_q",
-         "K_half", "beta", "k_apo", "k_qui", "k_deg", "k_g1", "k_g2", "E",
-         "k_GAG", "K_sat", "t_end"), _NONNEGATIVE),
+         "beta", "k_apo", "k_qui", "k_deg", "k_g1", "k_g2", "E", "k_GAG",
+         "t_end"), _NONNEGATIVE),
     **dict.fromkeys(
-        ("K_ref", "mu", "tau_m", "V_cell", "length", "dt", "tol"), _POSITIVE),
+        ("K_half", "K_sat", "K_ref", "mu", "tau_m", "V_cell", "length", "dt",
+         "tol"), _POSITIVE),
     **dict.fromkeys(("D_c_fl", "D_eta"), (
         lambda v: _D_MIN <= v <= _D_MAX,
         f"must be positive and in [{_D_MIN:.3g}, {_D_MAX:.3g}]")),
@@ -54,18 +56,16 @@ FIELD_RULES = {
     "phi_ecm_max": (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
     "culture_mode": _one_of("static", "perfused"),
     "ic_profile": _one_of("IC1", "IC2"),
-    "growth_rate": (
-        lambda v: v in ("kg1", "kg2") if isinstance(v, str) else v >= 0.0,
-        "must be kg1, kg2 or a nonnegative rate"),
-    "c_ext_mode": (("saturation", "threshold").__contains__,
-                   "must be saturation or threshold (c_ext = csat or cthr)"),
+    "k_g": (("kg1", "kg2").__contains__,
+            "must be kg1 or kg2 (set the rate itself as k_g1 or k_g2)"),
+    "c_ext": _one_of("csat", "cthr"),
     "node_count": (lambda v: v >= 3, "must be at least 3 nodes"),
-    **dict.fromkeys(("max_iter", "output_stride"),
+    **dict.fromkeys(("max_iter", "stride"),
                     (lambda v: v >= 1, "must be at least 1")),
     "h_r_convention": _one_of("normal", "inverted"),
     "h_c_threshold": _one_of("thr", "apo"),
     "growth_model": _one_of("G0", "G1"),
-    "darcy_dirichlet_side": _one_of("left", "right"),
+    "boundary_flux_convention": _one_of("left", "right"),
 }
 
 

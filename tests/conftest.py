@@ -9,13 +9,13 @@ from porogrowth.params import ModelParams
 def frozen_kinetics_params(**overrides):
     """Parameters with every reaction channel switched off.
 
-    tau_m = inf stops maturation; all transition, death and synthesis
-    rates are zero; the oxygen sink is removed. Transport (diffusion,
-    advection, poroelasticity) is untouched.
+    tau_m = inf stops maturation; all growth, transition, death and
+    synthesis rates are zero; the oxygen sink is removed. Transport
+    (diffusion, advection, poroelasticity) is untouched.
     """
     base = dict(
-        tau_m=math.inf, beta=0.0, k_qui=0.0, k_apo=0.0, k_deg=0.0,
-        k_GAG=0.0, R_n=0.0, R_v=0.0, R_q=0.0,
+        tau_m=math.inf, k_g1=0.0, k_g2=0.0, beta=0.0, k_qui=0.0, k_apo=0.0,
+        k_deg=0.0, k_GAG=0.0, R_n=0.0, R_v=0.0, R_q=0.0,
     )
     base.update(overrides)
     return dataclasses.replace(ModelParams(), **base)

@@ -330,7 +330,7 @@ def test_interpolate_flux_to_nodes():
 def test_build_oxygen_problem():
     n = 21
     mesh = build_mesh(0.01, n)
-    scenario = ScenarioConfig(c_ext_mode="saturation")
+    scenario = ScenarioConfig(c_ext="csat")
     phi = np.full((4, n), 0.01)
     c = np.full(n, PARAMS.c_0)
     v_darcy = np.full(n - 1, 2e-4)

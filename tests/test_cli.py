@@ -178,7 +178,8 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
 def test_failed_run_writes_its_recorded_steps(tmp_path, capsys):
     # tol = 1e-16 cannot be met in three sweeps, nor after 4 bisections:
     # the run fails at step 1, after recording only the initial level,
-    # and that level is written; the error names the last attempt
+    # and that level is written; the error names the sweeps of all five
+    # attempts, 3 each, and the last attempt
     cfg_path = tmp_path / "starved.cfg"
     cfg_path.write_text("nodes = 21\ntol = 1e-16\nmax_iter = 3\n")
     out = tmp_path / "o"
@@ -186,14 +187,16 @@ def test_failed_run_writes_its_recorded_steps(tmp_path, capsys):
     with pytest.raises(NonConvergenceError) as exc_info:
         coupling.run(cfg.scenario, cfg.params)
     recorded = exc_info.value.partial_trajectory.series_times
+    assert exc_info.value.report.iterations == 15
     code = run_cli(["simulate", "--config", str(cfg_path), "--out", str(out)])
     assert code == cli.EXIT_NUMERICAL
     err = capsys.readouterr().err.splitlines()
     assert err[0] == f"wrote the initial level and 0 accepted steps to {out}"
     assert len(err) == 2
     assert err[1].startswith(
-        "numerical failure: fixed point failed after 4 time-step bisections; "
-        "last: fixed point did not converge in 3 sweeps (last residual ")
+        "numerical failure: fixed point failed after 4 time-step bisections "
+        "(15 sweeps); last: fixed point did not converge in 3 sweeps "
+        "(last residual ")
     rows = (out / "timeseries.csv").read_text().splitlines()[1:]
     assert [float(row.split(",")[0]) * 86400.0 for row in rows] == recorded
 

@@ -15,8 +15,8 @@ def test_empty_input_is_runnable_default():
     assert cfg.params == ModelParams()
     assert cfg.scenario.culture_mode == "static"
     assert cfg.scenario.ic_profile == "IC1"
-    assert cfg.scenario.growth_rate == "kg1"
-    assert cfg.scenario.c_ext_mode == "saturation"
+    assert cfg.scenario.k_g == "kg1"
+    assert cfg.scenario.c_ext == "csat"
     assert cfg.emit_timeseries and cfg.emit_fields
 
 
@@ -42,19 +42,14 @@ def test_scenario_keys():
     s = cfg.scenario
     assert s.culture_mode == "perfused"
     assert s.ic_profile == "IC2"
-    assert s.growth_rate == "kg2"
-    assert s.c_ext_mode == "threshold"
+    assert s.k_g == "kg2"
+    assert s.c_ext == "cthr"
     assert s.node_count == 51
     assert s.dt == 1800.0
     assert s.t_end == 86400.0
-    assert s.output_stride == 4
+    assert s.stride == 4
     assert s.h_r_convention == "inverted"
-    assert s.darcy_dirichlet_side == "right"
-
-
-def test_explicit_growth_rate():
-    cfg = config.parse_config("k_g = 2.5e-6")
-    assert cfg.scenario.growth_rate == 2.5e-6
+    assert s.boundary_flux_convention == "right"
 
 
 def test_parameter_override():
@@ -87,7 +82,7 @@ def test_emit_flags():
     ("L = -1", "length must be positive"),
     ("L = nan", "length must be finite"),
     ("g_initial = nan", "g_initial must be finite"),
-    ("k_g = nan", "growth_rate must be finite"),
+    ("k_g = nan", "k_g must be kg1 or kg2"),
     ("dt = inf", "dt must be finite"),
     ("K_half = -inf", "K_half must be finite"),
     ("tau_m = 0", "tau_m must be positive"),
@@ -99,9 +94,18 @@ def test_emit_flags():
     ("auto_dt_halving = true",
      "unknown key 'auto_dt_halving': every step .* is bisected"),
     ("V_cell = 5e-324", "V_cell must keep c E k_GAG / V_cell finite"),
-    ("k_g = kg3", "growth_rate must be kg1, kg2 or a nonnegative rate"),
-    ("k_g = -1e-6", "growth_rate must be kg1, kg2 or a nonnegative rate"),
-    ("c_ext = Csat", "c_ext_mode must be saturation or threshold"),
+    ("k_g = kg3", "k_g must be kg1 or kg2"),
+    ("k_g = -1e-6", "k_g must be kg1 or kg2"),
+    ("k_g = 2.5e-6", r"k_g must be kg1 or kg2 \(set the rate itself as k_g1 "
+                     r"or k_g2\), got '2.5e-6'"),
+    ("k_g = 0", "k_g must be kg1 or kg2"),
+    ("c_ext = Csat", "c_ext must be csat or cthr"),
+    ("c_ext = saturation", "c_ext must be csat or cthr, got 'saturation'"),
+    ("c_ext = threshold", "c_ext must be csat or cthr, got 'threshold'"),
+    ("K_half = 0\nc_0 = 0", "K_half must be positive"),
+    ("K_sat = 0", "K_sat must be positive"),
+    ("boundary_flux_convention = up",
+     "boundary_flux_convention must be left or right"),
     ("h_r_convention = sideways", "h_r_convention must be normal or inverted"),
     ("dt = 3600\ndt = 7200", "line 2: key 'dt' repeats line 1"),
 ])
@@ -123,7 +127,9 @@ def test_bad_input_raises_config_error(text, fragment):
     ("nodes", 3, 2, "at least 3 nodes"),
     ("T_end", 0.0, -3600.0, "t_end must be nonnegative"),
     ("max_iter", 1, 0, "max_iter must be at least 1"),
-    ("stride", 1, 0, "output_stride must be at least 1"),
+    ("stride", 1, 0, "stride must be at least 1"),
+    ("K_half", 5e-324, 0.0, "K_half must be positive"),
+    ("K_sat", 5e-324, 0.0, "K_sat must be positive"),
 ])
 def test_rule_accepts_its_boundary_and_rejects_beyond(key, inside, outside,
                                                       fragment):
@@ -134,17 +140,13 @@ def test_rule_accepts_its_boundary_and_rejects_beyond(key, inside, outside,
         config.parse_config(f"{key} = {outside!r}")
 
 
-# each accepted spelling of a named, numeric or boolean value: (key, text,
+# each accepted spelling of a named or boolean value: (key, text,
 # the field value it sets)
 @pytest.mark.parametrize("key,text,value", [
-    ("c_ext", "csat", "saturation"),
-    ("c_ext", "saturation", "saturation"),
-    ("c_ext", "cthr", "threshold"),
-    ("c_ext", "threshold", "threshold"),
+    ("c_ext", "csat", "csat"),
+    ("c_ext", "cthr", "cthr"),
     ("k_g", "kg1", "kg1"),
     ("k_g", "kg2", "kg2"),
-    ("k_g", "2.5e-6", 2.5e-6),
-    ("k_g", "0", 0.0),
     ("h_r_convention", "normal", "normal"),
     ("h_r_convention", "inverted", "inverted"),
     *[("emit_timeseries", text, True) for text in ("TRUE", "YES", "1", "ON")],
@@ -167,8 +169,8 @@ def test_error_names_offending_line():
 NON_DEFAULT = {
     "culture_mode": ("perfused", "perfused"),
     "ic_profile": ("IC2", "IC2"),
-    "k_g": ("3e-6", 3e-6),
-    "c_ext": ("cthr", "threshold"),
+    "k_g": ("kg2", "kg2"),
+    "c_ext": ("cthr", "cthr"),
     "L": ("0.02", 0.02),
     "nodes": ("51", 51),
     "T_end": ("7200", 7200.0),
@@ -209,16 +211,15 @@ def test_every_key_sets_its_field(key):
 
 def test_preset_names_complete():
     assert len(set(config.PRESET_NAMES)) == 16
-    c_ext = {"csat": "saturation", "cthr": "threshold"}
     for name in config.PRESET_NAMES:
         mode, ic, kg, cext = name.split("-")
         assert mode in ("static", "perfused")
         assert ic.upper() in IC_AMPLITUDES
         assert kg in ("kg1", "kg2")
-        assert cext in c_ext
+        assert cext in ("csat", "cthr")
         s = config.preset(name).scenario
-        assert (s.culture_mode, s.ic_profile, s.growth_rate, s.c_ext_mode) == (
-            mode, ic.upper(), kg, c_ext[cext])
+        assert (s.culture_mode, s.ic_profile, s.k_g, s.c_ext) == (
+            mode, ic.upper(), kg, cext)
         # a preset is the config file of its four keys
         assert config.preset(name) == config.parse_config(
             f"culture_mode = {mode}\nic_profile = {ic.upper()}\n"
@@ -229,11 +230,11 @@ def test_preset_construction():
     cfg = config.preset("perfused-ic2-kg2-cthr")
     assert cfg.scenario.culture_mode == "perfused"
     assert cfg.scenario.ic_profile == "IC2"
-    assert cfg.scenario.growth_rate == "kg2"
-    assert cfg.scenario.c_ext_mode == "threshold"
+    assert cfg.scenario.k_g == "kg2"
+    assert cfg.scenario.c_ext == "cthr"
     cfg = config.preset("static-ic1-kg1-csat")
     assert cfg.scenario.culture_mode == "static"
-    assert cfg.scenario.c_ext_mode == "saturation"
+    assert cfg.scenario.c_ext == "csat"
     # default horizon is the 30-day culture window
     assert cfg.scenario.t_end == 30 * SECONDS_PER_DAY
 

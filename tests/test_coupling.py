@@ -29,7 +29,7 @@ def test_zero_data_fixed_point_converges_in_two_sweeps(frozen_params):
     # initial level: sweep 1 reproduces the transport-only update, sweep
     # 2 changes nothing, so the iteration stops at m = 2 with residual 0
     params = dataclasses.replace(frozen_params, c_sat=frozen_params.c_0)
-    scenario = short_scenario(growth_rate=0.0, c_ext_mode="saturation")
+    scenario = short_scenario(c_ext="csat")
     mesh = build_mesh(scenario.length, scenario.node_count)
     state0 = initial_state(mesh, params, scenario)
     state1, report = coupling.fixed_point_step(
@@ -48,7 +48,7 @@ def test_zero_data_fixed_point_converges_in_two_sweeps(frozen_params):
 
 
 def test_frozen_kinetics_static_run_conserves_mass(frozen_params):
-    scenario = short_scenario(growth_rate=0.0)
+    scenario = short_scenario()
     trajectory = coupling.run(scenario, frozen_params)
     mesh = trajectory.mesh
     m = mesh.lumped_masses
@@ -90,7 +90,7 @@ def test_smallest_admitted_mesh_runs(mode):
 
 
 def test_output_stride_thins_snapshots():
-    scenario = short_scenario(output_stride=2)
+    scenario = short_scenario(stride=2)
     trajectory = coupling.run(scenario, ModelParams())
     # steps 2, 4 and the forced final step 5
     assert trajectory.times == [0.0, 2 * 3600.0, 4 * 3600.0, 5 * 3600.0]
@@ -99,7 +99,7 @@ def test_output_stride_thins_snapshots():
 
 
 def test_xi_maps_are_the_snapshots_maps():
-    scenario = short_scenario(culture_mode="perfused", output_stride=2)
+    scenario = short_scenario(culture_mode="perfused", stride=2)
     params = ModelParams()
     trajectory = coupling.run(scenario, params)
     assert len(trajectory.xi_maps) == len(trajectory.states) == 4
@@ -205,8 +205,9 @@ def test_auto_dt_halving_retries_with_substeps(monkeypatch):
                               max_iter=4)
     sweeps.clear()
     with pytest.raises(NonConvergenceError,
-                       match="fixed point failed after 4 time-step bisections; "
-                             "last: fixed point did not converge in 4 sweeps"
+                       match=r"fixed point failed after 4 time-step bisections "
+                             r"\(\d+ sweeps\); last: fixed point did not "
+                             "converge in 4 sweeps"
                        ) as info:
         coupling.run(perfused, params)
     assert len(info.value.report.residuals) == len(sweeps) > perfused.max_iter
@@ -614,7 +615,7 @@ def test_sweep_matches_standalone_adr_operator(frozen_params):
     # with zero velocity the species update inside the coupling loop is
     # exactly the standalone pure-diffusion ADR solve
     params = dataclasses.replace(frozen_params, c_sat=frozen_params.c_0)
-    scenario = short_scenario(growth_rate=0.0)
+    scenario = short_scenario()
     mesh = build_mesh(scenario.length, scenario.node_count)
     state0 = initial_state(mesh, params, scenario)
     state1, _ = coupling.fixed_point_step(
@@ -745,7 +746,7 @@ def test_static_mechanics_rows_never_limit_a_sweep(monkeypatch):
 @pytest.mark.parametrize("overrides", [
     {},
     {"culture_mode": "perfused"},
-    {"culture_mode": "perfused", "darcy_dirichlet_side": "right"},
+    {"culture_mode": "perfused", "boundary_flux_convention": "right"},
     {"max_iter": 5},   # every step bisects
 ], ids=["static", "perfused", "perfused-right", "bisected"])
 def test_sweep_band_is_block_diagonal(monkeypatch, overrides):

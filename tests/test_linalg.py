@@ -134,6 +134,22 @@ def test_residual_contract_is_checked_per_block(monkeypatch):
         check_residual(packed, x, b)
 
 
+# inf * 0 in A x is an invalid value: the contract, not the warning, decides
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("x_at_inf", [1.0, 0.0],
+                         ids=["inf-residual", "nan-residual"])
+def test_residual_contract_fails_closed_on_non_finite_entries(x_at_inf):
+    # an infinite diagonal entry makes the scale infinite, so every bound
+    # holds, and with x = 0 at its row the residual is inf * 0 = NaN,
+    # which compares false: neither may pass the contract
+    identity = tridiagonal(np.zeros(4), np.ones(5), np.zeros(4))
+    identity.data[1, 2] = np.inf
+    x = np.ones((1, 5))
+    x[0, 2] = x_at_inf
+    with pytest.raises(SingularSystemError):
+        check_residual(identity, x, np.ones((1, 5)))
+
+
 def test_zero_block_raises():
     # gtsv meets a zero pivot on the first row of an all-zero block,
     # wherever the block sits in the band, so no caller's check_residual

@@ -143,7 +143,7 @@ def strided_run():
     # replaced by one distinct map per snapshot, so a block taken from
     # the wrong snapshot shows
     cfg = config.RunConfig(scenario=ScenarioConfig(
-        t_end=5 * 3600.0, dt=3600.0, node_count=21, output_stride=2,
+        t_end=5 * 3600.0, dt=3600.0, node_count=21, stride=2,
         culture_mode="perfused"))
     trajectory = coupling.run(cfg.scenario, cfg.params)
     nodes = np.arange(trajectory.mesh.node_count)

@@ -38,9 +38,8 @@ def scenarios(draw):
     return ScenarioConfig(
         culture_mode=draw(st.sampled_from(["static", "perfused"])),
         ic_profile=draw(st.sampled_from(["IC1", "IC2"])),
-        growth_rate=draw(st.sampled_from(["kg1", "kg2"])
-                         | st.floats(0.0, 1e-4)),
-        c_ext_mode=draw(st.sampled_from(["saturation", "threshold"])),
+        k_g=draw(st.sampled_from(["kg1", "kg2"])),
+        c_ext=draw(st.sampled_from(["csat", "cthr"])),
         node_count=draw(st.sampled_from([5, 11, 41])),
         dt=dt,
         t_end=3 * dt,
@@ -49,7 +48,7 @@ def scenarios(draw):
         h_c_threshold=draw(st.sampled_from(["thr", "apo"])),
         growth_model=draw(st.sampled_from(["G0", "G1"])),
         g_initial=draw(st.floats(-1e-2, 1e-2)),
-        darcy_dirichlet_side=draw(st.sampled_from(["left", "right"])),
+        boundary_flux_convention=draw(st.sampled_from(["left", "right"])),
     )
 
 
