@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .constitutive import nutrient_diffusivity, oxygen_sink
-from .linalg import BandedMatrix, solve_banded
+from .linalg import BandedMatrix, diagonals, solve_banded
 from .mesh import element_means, nodal_means
 
 
@@ -109,10 +109,9 @@ def assemble_adr(problem, dt, previous_field, out=None):
     v_e = problem.velocity
     b_plus, b_minus = problem.weights   # multiplying w_{i+1} and w_i
 
-    matrix, rhs = out or (BandedMatrix(n=prev.size), np.zeros(prev.shape))
+    matrix, rhs = out or (BandedMatrix(np.zeros((3, prev.size))), np.zeros(prev.shape))
     # views of the (3, k, N) band; entries never written are the seams
-    band = matrix.data.reshape((3,) + rows + (n,))
-    upper, diag, lower = band[0, ..., 1:], band[1], band[2, ..., :-1]
+    upper, diag, lower = diagonals(matrix.data.reshape((3,) + rows + (n,)))
 
     # flux divergence: row i gains J_{i,i+1} - J_{i-1,i}
     diag[..., :-1] += b_minus
@@ -153,18 +152,18 @@ def solve_adr(problem, dt, previous_field, out=None):
 # --- problem builders used by the coupling loop ----------------------
 
 def build_oxygen_problem(mesh, phi_lagged, c_lagged, weights, velocity,
-                         scenario, params):
+                         c_interface, params):
     """Oxygen transport problem of one fixed-point sweep.
 
     phi_lagged is the stacked (4, N) species array at iterate m, weights
     and velocity the oxygen row of sweep_edges. Zero diffusive flux at
-    the scaffold wall, Dirichlet c_ext at the interface.
+    the scaffold wall, Dirichlet c_interface at the interface.
     """
     q_hat = oxygen_sink(phi_lagged[0], phi_lagged[1], phi_lagged[2],
                         c_lagged, params)
     return AdrProblem(
         mesh=mesh, weights=weights, velocity=velocity, reaction=-q_hat,
-        source=np.zeros(mesh.node_count), bc_right=scenario.c_interface(params))
+        source=np.zeros(mesh.node_count), bc_right=c_interface)
 
 
 def build_species_problem(mesh, sigma, source, weights, velocity):

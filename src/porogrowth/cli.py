@@ -69,8 +69,11 @@ def cmd_sweep(args):
     if args.all_presets == bool(args.presets):
         raise ConfigError("sweep needs either --all-presets or preset names")
     names = config_mod.PRESET_NAMES if args.all_presets else args.presets
-    for name in names:
-        cfg = _apply_overrides(config_mod.preset(name), args)
+    # every name and override is checked before the first run writes
+    configs = {name: _apply_overrides(config_mod.preset(name), args) for name in names}
+    if len(configs) < len(names):
+        raise ConfigError("sweep names a preset more than once")
+    for name, cfg in configs.items():
         _run_one(cfg, os.path.join(args.out, name))
     return EXIT_OK
 

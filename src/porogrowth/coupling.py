@@ -15,7 +15,6 @@ accepted step, after convergence.
 """
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,16 +39,12 @@ from .state import (
 )
 
 
-@dataclass
-class FixedPointReport:
+class FixedPointReport(list):
     """Residual of each sweep of one time step's fixed-point iteration."""
 
-    residuals: list = field(default_factory=list)
-
-    @property
-    def iterations(self):
-        """Number of sweeps made."""
-        return len(self.residuals)
+    #: the number of sweeps made, kept only because perfbench/tracing.py
+    #: counts the sweeps of each step through it
+    iterations = property(len)
 
 
 #: extrapolation cap of the secant acceleration (safeguard)
@@ -162,13 +157,12 @@ def _sweep_systems(n):
     (p, c, phi_n, phi_v, phi_q, phi_ecm), and the (matrix, rhs) views of
     the pressure, oxygen and species systems. No assembly writes the
     seams between views, so they stay zero."""
-    band = linalg.BandedMatrix(n=6 * n)
+    data = np.zeros((3, 6 * n))
     rhs = np.zeros((6, n))
-    data = band.data
-    views = ((linalg.BandedMatrix(n, data[:, :n]), rhs[0]),
-             (linalg.BandedMatrix(n, data[:, n:2 * n]), rhs[1]),
-             (linalg.BandedMatrix(4 * n, data[:, 2 * n:]), rhs[2:]))
-    return band, rhs, views
+    views = ((linalg.BandedMatrix(data[:, :n]), rhs[0]),
+             (linalg.BandedMatrix(data[:, n:2 * n]), rhs[1]),
+             (linalg.BandedMatrix(data[:, 2 * n:]), rhs[2:]))
+    return linalg.BandedMatrix(data), rhs, views
 
 
 def _sweep(mesh, x, level, dt, scenario, params):
@@ -195,7 +189,8 @@ def _sweep(mesh, x, level, dt, scenario, params):
     weights, velocity = adr.sweep_edges(
         mesh, phi_fl, (new[0] - previous[0]) / dt, v_new, params)
     oxygen = adr.build_oxygen_problem(
-        mesh, phi_m, x[2], weights[0], velocity[0], scenario, params)
+        mesh, phi_m, x[2], weights[0], velocity[0],
+        scenario.c_interface(params), params)
     new[2] = adr.solve_adr(oxygen, dt, previous[2], out=oxygen_system)
 
     # step 3: populations, gated by the freshest stress and oxygen
@@ -228,11 +223,11 @@ def fixed_point_step(state_n, mesh, dt, scenario, params, start=None):
     for _ in range(scenario.max_iter):
         new = _sweep(mesh, x, level, dt, scenario, params)
         residual = float(_change(new - x, x))
-        report.residuals.append(residual)
+        report.append(residual)
         if not math.isfinite(residual):
             raise NonphysicalStateError(
                 f"non-finite fixed-point residual {residual} "
-                f"in sweep {report.iterations}")
+                f"in sweep {len(report)}")
         if residual < scenario.tol:
             break
         x = accelerator.push(x, new)
@@ -266,15 +261,15 @@ def _advance(state, mesh, dt, scenario, params, start):
             for _ in range(2**depth):
                 current, attempt = fixed_point_step(
                     current, mesh, dt / 2**depth, scenario, params, start=start)
-                report.residuals += attempt.residuals
+                report += attempt
             return current, report
         except NonConvergenceError as exc:
-            report.residuals += exc.report.residuals
+            report += exc.report
             last = str(exc)
         start = None
     raise NonConvergenceError(
         f"fixed point failed after 4 time-step bisections "
-        f"({report.iterations} sweeps); last: {last}", report)
+        f"({len(report)} sweeps); last: {last}", report)
 
 
 def _record(trajectory, t, state, mesh, params, snapshot):

@@ -12,7 +12,7 @@ band and checks it once, after its last solve.
 
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib.machinery import PathFinder
 from importlib.util import find_spec, module_from_spec
 
@@ -44,37 +44,39 @@ def _load_gtsv(linalg_dir):
 _gtsv = _load_gtsv(os.path.join(find_spec("scipy").submodule_search_locations[0], "linalg"))
 
 
+def diagonals(values):
+    """(upper, main, lower) views of a band-shaped (3, ..., n) array.
+
+    LAPACK band storage of a tridiagonal matrix (kl = ku = 1):
+    values[1 + i - j, j] holds A[i, j]; values[0, 0] and values[2, -1]
+    lie outside the matrix and are never read. Viewed as (3, k, m), a
+    band of order k m is k blocks, whose outside entries are its seams.
+    """
+    return values[0, ..., 1:], values[1], values[2, ..., :-1]
+
+
+def row_sums(values):
+    """Sum a band-shaped (3, n) array along the rows of A: of |data| the
+    absolute row sums, of data * x the product A x."""
+    upper, main, lower = diagonals(values)
+    rows = main.copy()
+    rows[:-1] += upper
+    rows[1:] += lower
+    return rows
+
+
 @dataclass
 class BandedMatrix:
-    """Tridiagonal matrix of order n in LAPACK band storage (kl = ku = 1).
+    """Tridiagonal matrix whose (3, n) data is its band storage (see
+    diagonals); n >= 2, as gtsv rejects n = 1. The order n stays only
+    because perfbench/tracing.py counts the unknowns of a solve by it."""
 
-    data[1 + i - j, j] holds A[i, j]: data[0, 1:] is the upper, data[1]
-    the main and data[2, :-1] the lower diagonal; data[0, 0] and
-    data[2, -1] lie outside the matrix and are never read. n >= 2 (gtsv
-    rejects the empty off-diagonals of n = 1); data is zeros if not given.
-    """
-
-    n: int
-    data: np.ndarray = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.data is None:
-            self.data = np.zeros((3, self.n))
+    data: np.ndarray
+    n = property(lambda self: self.data.shape[1])
 
     def to_dense(self):
-        return (np.diag(self.data[0, 1:], 1) + np.diag(self.data[1])
-                + np.diag(self.data[2, :-1], -1))
-
-    def row_sums(self, values):
-        """Sum a band-shaped array along the rows of A, one sum per row.
-
-        values[1 + i - j, j] belongs to row i, as in data; row_sums of
-        |data| gives the absolute row sums, of data * x the product A x.
-        """
-        rows = values[1].copy()
-        rows[:-1] += values[0, 1:]
-        rows[1:] += values[2, :-1]
-        return rows
+        upper, main, lower = diagonals(self.data)
+        return np.diag(upper, 1) + np.diag(main) + np.diag(lower, -1)
 
 
 def solve_banded(matrix, b):
@@ -90,8 +92,8 @@ def solve_banded(matrix, b):
     (numerically) singular systems and on a non-finite solution.
     """
     b = np.asarray(b, dtype=float)
-    band = matrix.data
-    *_, x, info = _gtsv(band[2, :-1], band[1], band[0, 1:], b.ravel())
+    upper, main, lower = diagonals(matrix.data)
+    *_, x, info = _gtsv(lower, main, upper, b.ravel())
     if info != 0:
         raise SingularSystemError(f"LAPACK banded solve failed, info = {info}")
     if not np.isfinite(x).all():
@@ -116,9 +118,9 @@ def check_residual(matrix, x, b):
     """
     blocks = (-1, b.shape[-1])
     band = matrix.data
-    a_norm = matrix.row_sums(np.abs(band)).reshape(blocks).max(axis=1)
+    a_norm = row_sums(np.abs(band)).reshape(blocks).max(axis=1)
     x, b = x.ravel(), b.ravel()
-    residual = np.abs(matrix.row_sums(band * x) - b).reshape(blocks).max(axis=1)
+    residual = np.abs(row_sums(band * x) - b).reshape(blocks).max(axis=1)
     scale = (a_norm * np.abs(x).reshape(blocks).max(axis=1)
              + np.abs(b).reshape(blocks).max(axis=1))
     if not (np.isfinite(scale).all()

@@ -83,7 +83,7 @@ def emit_outputs(trajectory, config, out_dir):
                 zip(trajectory.series_times[1:], trajectory.diagnostics), 1):
             lines.append(
                 f"{step},{float(t / SECONDS_PER_DAY)!r},"
-                f"{d.iterations},{float(d.residuals[-1])!r}")
+                f"{len(d)},{float(d[-1])!r}")
         path = os.path.join(out_dir, "diagnostics.csv")
         _write(path, [lines])
         written.append(path)

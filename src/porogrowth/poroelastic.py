@@ -30,7 +30,7 @@ import numpy as np
 
 from .constitutive import permeability
 from .errors import NonphysicalStateError, SingularSystemError
-from .linalg import BandedMatrix, solve_banded
+from .linalg import BandedMatrix, diagonals, solve_banded
 from .mesh import element_means
 from .params import EPS_PHI
 
@@ -67,8 +67,8 @@ def assemble(mesh, phi_lagged, phi_fl, g_lagged, u_prev, dt, t_b, v_b, params,
     w_e = h / a_e
     inv_dt = 1.0 / dt
 
-    matrix, rhs = out or (BandedMatrix(n=n), np.zeros(n))
-    upper, diag, lower = matrix.data[0, 1:], matrix.data[1], matrix.data[2, :-1]
+    matrix, rhs = out or (BandedMatrix(np.zeros((3, n))), np.zeros(n))
+    upper, diag, lower = diagonals(matrix.data)
     # element e couples nodes e and e+1, i.e. the slices [:-1] and [1:]
     coupling = 0.25 * inv_dt * w_e
     k_h = k_e / h

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import adr, poroelastic
 from .constitutive import permeability
-from .linalg import BandedMatrix, check_residual, solve_banded
+from .linalg import BandedMatrix, check_residual, diagonals, solve_banded
 from .mesh import build_mesh, element_means
 from .params import ModelParams
 
@@ -135,9 +135,9 @@ def suite_linalg():
                  f"max relative mismatch {worst:.3e}")
 
     n = 200
-    banded = BandedMatrix(n=n, data=rng.uniform(-1.0, 1.0, size=(3, n)))
-    banded.data[1] = (np.abs(banded.to_dense()).sum(axis=1)
-                      + rng.uniform(1.0, 2.0, size=n))   # dominant
+    banded = BandedMatrix(rng.uniform(-1.0, 1.0, size=(3, n)))
+    diagonals(banded.data)[1][:] = (np.abs(banded.to_dense()).sum(axis=1)
+                                    + rng.uniform(1.0, 2.0, size=n))   # dominant
     b = rng.uniform(-1.0, 1.0, size=n)
     x = checked_solve(banded, b)
     x_ref = dense_gaussian_elimination(banded.to_dense(), b)

@@ -299,7 +299,7 @@ def test_oxygen_budget_with_consumption_and_advection():
         mesh, 1.0 - phi.sum(axis=0), v_solid, np.full(n - 1, 1e-4), PARAMS)
     oxygen = adr.build_oxygen_problem(
         mesh, phi, c_prev, weights[0], velocity[0],
-        ScenarioConfig(culture_mode="perfused"), PARAMS)
+        ScenarioConfig(culture_mode="perfused").c_interface(PARAMS), PARAMS)
     assert oxygen.reaction.min() > 0.0 and oxygen.bc_right is not None
     v_e = oxygen.velocity
     assert v_e.min() < 0.0 < v_e.max()
@@ -337,7 +337,7 @@ def test_build_oxygen_problem():
     weights, velocity = (oxygen for oxygen, _ in adr.sweep_edges(
         mesh, 1.0 - phi.sum(axis=0), np.zeros(n), v_darcy, PARAMS))
     problem = adr.build_oxygen_problem(mesh, phi, c, weights, velocity,
-                                       scenario, PARAMS)
+                                       scenario.c_interface(PARAMS), PARAMS)
     assert problem.weights is weights and problem.velocity is velocity
     assert problem.bc_left is None
     assert problem.bc_right == PARAMS.c_sat

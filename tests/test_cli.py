@@ -305,6 +305,21 @@ def test_sweep_all_presets_with_names_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("names", [
+    ["static-ic1-kg1-csat", "bogus"],
+    ["static-ic1-kg1-csat", "static-ic1-kg1-csat"],
+], ids=["unknown-name", "repeated-name"])
+def test_sweep_checks_every_name_before_its_first_run(tmp_path, capsys, names):
+    # a bad name after a good one, or a name given twice, is refused
+    # before the first preset runs: no preset directory is written
+    out = tmp_path / "sweep"
+    code = run_cli(["sweep", *names, "--out", str(out), "--t-end", "7200"])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error:")
+    assert not out.exists()
+
+
 def test_sweep_without_presets_is_config_error(tmp_path):
     code = run_cli(["sweep", "--out", str(tmp_path)])
     assert code == cli.EXIT_CONFIG

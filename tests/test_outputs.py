@@ -132,7 +132,7 @@ def reference_csvs(trajectory, cfg):
         for step, d in enumerate(trajectory.diagnostics, start=1):
             t = step * cfg.scenario.dt
             lines.append(f"{step},{fmt(t / SECONDS_PER_DAY)},"
-                         f"{d.iterations},{fmt(d.residuals[-1])}")
+                         f"{d.iterations},{fmt(d[-1])}")
         files["diagnostics.csv"] = lines
     return {name: "\n".join(lines) + "\n" for name, lines in files.items()}
 
