@@ -22,27 +22,21 @@ PRESET_NAMES = tuple(
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parsed configuration: parameters, scenario and emission flags."""
+    """Parsed configuration: model parameters and scenario."""
 
     params: ModelParams = ModelParams()
     scenario: ScenarioConfig = ScenarioConfig()
-    emit_timeseries: bool = True
-    emit_fields: bool = True
-    emit_xi_map: bool = True
-    emit_diagnostics: bool = True
 
 
 # ScenarioConfig field -> its config key, where the two names differ
 _SCENARIO_KEYS = {"length": "L", "node_count": "nodes", "t_end": "T_end"}
 
 # config key -> (group, field, field type): the value lands in field of
-# RunConfig.params, RunConfig.scenario or, for group "emit", RunConfig
+# RunConfig.params or RunConfig.scenario
 _KEYS = {
     **{name: ("params", name, float) for name in PARAM_NAMES},
     **{_SCENARIO_KEYS.get(f.name, f.name): ("scenario", f.name, f.type)
        for f in fields(ScenarioConfig)},
-    **{f.name: ("emit", f.name, f.type)
-       for f in fields(RunConfig) if f.name.startswith("emit_")},
 }
 
 # keys read by no computation -> what to do instead
@@ -53,24 +47,22 @@ _REMOVED_KEYS = {
               "set V_cell instead",
     "auto_dt_halving": "every step that does not converge is bisected; "
                        "delete the line",
+    **dict.fromkeys(
+        ("emit_timeseries", "emit_fields", "emit_xi_map", "emit_diagnostics"),
+        "every run writes all six CSV files; delete the line"),
 }
 
-_BOOLEANS = {"true": True, "yes": True, "1": True, "on": True,
-             "false": False, "no": False, "0": False, "off": False}
-
-_WANTS = {bool: "a boolean", int: "an integer", float: "a number"}
+_WANTS = {int: "an integer", float: "a number"}
 
 
 def _parse_value(key, kind, raw, line_no):
-    """raw as a value of the field type kind: str, bool, int or float.
+    """raw as a value of the field type kind: str, int or float.
     Which values a field accepts is params.FIELD_RULES's to decide."""
     if kind is str:
         return raw
     try:
-        if kind is bool:
-            return _BOOLEANS[raw.lower()]
         return int(raw) if kind is int else float(raw)
-    except (KeyError, ValueError):
+    except ValueError:
         raise ConfigError(f"line {line_no}: key {key!r} wants "
                           f"{_WANTS[kind]}, got {raw!r}") from None
 
@@ -81,7 +73,7 @@ def parse_config(text):
     Unknown or repeated keys, unparsable values and violated invariants
     raise ConfigError naming the offending line and key.
     """
-    overrides = {"params": {}, "scenario": {}, "emit": {}}
+    overrides = {"params": {}, "scenario": {}}
     seen = {}   # key -> line that set it
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -104,8 +96,7 @@ def parse_config(text):
         group, name, kind = _KEYS[key]
         overrides[group][name] = _parse_value(key, kind, raw, line_no)
     return RunConfig(params=ModelParams(**overrides["params"]),
-                     scenario=ScenarioConfig(**overrides["scenario"]),
-                     **overrides["emit"])
+                     scenario=ScenarioConfig(**overrides["scenario"]))
 
 
 def preset(name):

@@ -182,7 +182,8 @@ def _sweep(mesh, x, level, dt, scenario, params):
     system = poroelastic.assemble(
         mesh, phi_m, phi_fl, g, previous[0], dt,
         *scenario.boundary_data(params), params,
-        dirichlet_side=scenario.boundary_flux_convention, out=pressure)
+        boundary_flux_convention=scenario.boundary_flux_convention,
+        out=pressure)
     new[0], new[1], v_new = poroelastic.solve(mesh, *system)
 
     # step 2: oxygen with the fresh displacement and Darcy flux

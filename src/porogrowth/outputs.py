@@ -1,8 +1,9 @@
 """CSV emission: mid-node time series, field maps, diagnostics.
 
 All floating values are written with repr (shortest round-trip form) so
-repeated runs of the same configuration are byte-identical. Field maps
-are written one snapshot block at a time, so memory does not grow with T_end.
+repeated runs of the same configuration are byte-identical. The
+Trajectory holds every snapshot in memory; emission writes the field maps
+one snapshot block at a time, so only its own buffer is bounded by a block.
 """
 
 import os
@@ -56,36 +57,30 @@ def _field_blocks(trajectory, name, x_cm):
 
 
 def emit_outputs(trajectory, config, out_dir):
-    """Write the configured CSV files into out_dir; returns their paths."""
-    names = [n for n in FIELD_NAMES
-             if (config.emit_xi_map if n == "xi" else config.emit_fields)]
-    make_output_dir(out_dir)
-    written = []
+    """Write the six CSV files into out_dir; returns their paths in order:
+    timeseries.csv, field_p/c/xi/u.csv, diagnostics.csv.
 
-    if config.emit_timeseries:
-        series = trajectory.mid_series
-        columns = [_floats(np.divide(trajectory.series_times, SECONDS_PER_DAY))]
-        columns += [map(str, series[key]) if key == "xi" else _floats(series[key])
-                    for key in SERIES_KEYS]
-        path = os.path.join(out_dir, "timeseries.csv")
-        _write(path, [[TIMESERIES_HEADER, *map(",".join, zip(*columns))]])
-        written.append(path)
+    config is not read: every run writes all six files. The parameter
+    stays because perfbench/run.py and perfbench/record_reference.py
+    pass it positionally."""
+    make_output_dir(out_dir)
+    series = trajectory.mid_series
+    columns = [_floats(np.divide(trajectory.series_times, SECONDS_PER_DAY))]
+    columns += [map(str, series[key]) if key == "xi" else _floats(series[key])
+                for key in SERIES_KEYS]
+    written = [os.path.join(out_dir, "timeseries.csv")]
+    _write(written[-1], [[TIMESERIES_HEADER, *map(",".join, zip(*columns))]])
 
     x_cm = list(_floats(trajectory.mesh.nodes))
-    for name in names:
-        path = os.path.join(out_dir, f"field_{name}.csv")
-        _write(path, _field_blocks(trajectory, name, x_cm))
-        written.append(path)
+    for name in FIELD_NAMES:
+        written.append(os.path.join(out_dir, f"field_{name}.csv"))
+        _write(written[-1], _field_blocks(trajectory, name, x_cm))
 
-    if config.emit_diagnostics:
-        lines = ["step,t_days,fp_iters,fp_residual"]
-        for step, (t, d) in enumerate(
-                zip(trajectory.series_times[1:], trajectory.diagnostics), 1):
-            lines.append(
-                f"{step},{float(t / SECONDS_PER_DAY)!r},"
-                f"{len(d)},{float(d[-1])!r}")
-        path = os.path.join(out_dir, "diagnostics.csv")
-        _write(path, [lines])
-        written.append(path)
-
+    lines = ["step,t_days,fp_iters,fp_residual"]
+    for step, (t, d) in enumerate(
+            zip(trajectory.series_times[1:], trajectory.diagnostics), 1):
+        lines.append(
+            f"{step},{float(t / SECONDS_PER_DAY)!r},{len(d)},{float(d[-1])!r}")
+    written.append(os.path.join(out_dir, "diagnostics.csv"))
+    _write(written[-1], [lines])
     return written

@@ -36,14 +36,15 @@ from .params import EPS_PHI
 
 
 def assemble(mesh, phi_lagged, phi_fl, g_lagged, u_prev, dt, t_b, v_b, params,
-             forcing_u=None, forcing_p=None, dirichlet_side="left", out=None):
+             forcing_u=None, forcing_p=None, boundary_flux_convention="left",
+             out=None):
     """Assemble one sweep's condensed pressure system.
 
     phi_lagged is the stacked (4, N) species array, phi_fl its fluid
     fraction, g_lagged the (4, N) growth distortions, u_prev the last
     level's displacement. dt = math.inf drops the strain-rate coupling
-    (steady mode). dirichlet_side picks which end carries p = 0; the Darcy
-    velocity datum v_b applies at the opposite end. out is a zeroed
+    (steady mode). boundary_flux_convention picks which end carries p = 0;
+    the Darcy velocity datum v_b applies at the other end. out is a zeroed
     (matrix, rhs) pair to assemble into (fresh when None).
     Returns (matrix, rhs, k_e, w_e, load): the pressure BandedMatrix and
     rhs, and per element the permeability, the compliance h / a_e and
@@ -82,7 +83,7 @@ def assemble(mesh, phi_lagged, phi_fl, g_lagged, u_prev, dt, t_b, v_b, params,
         rhs += mesh.lumped_masses * np.asarray(forcing_p, dtype=float)
 
     # Darcy datum at the flux end; unit row with zero data at p = 0
-    if dirichlet_side == "left":
+    if boundary_flux_convention == "left":
         rhs[-1] -= v_b
         diag[0], upper[0], rhs[0] = 1.0, 0.0, 0.0
     else:

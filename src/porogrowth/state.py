@@ -92,7 +92,11 @@ def indicator_r(mesh, u, phi_s, phi_n, g_n):
 
 def sample_xi_field(state, params, mesh):
     """Binary isotropy map of one state: xi = 1 - H_r(r), 1 where the
-    state is isotropic (r from indicator_r, H_r from switch_Hr)."""
+    state is isotropic (r from indicator_r, H_r from switch_Hr).
+
+    H_r here is always the normal switch, whatever h_r_convention says:
+    coupling._kinetics passes inverted= to switch_Hr and this does not,
+    so under "inverted" xi is not the switch the kinetics applied."""
     phi_s, _ = solid_and_fluid(state.level[3:7])
     r = indicator_r(mesh, state.u, phi_s, state.phi_n, state.g_n)
     return 1 - switch_Hr(r, params.r_bar)

@@ -70,7 +70,8 @@ def dense_gaussian_elimination(a, b):
 
 
 def saddle_point_system(mesh, phi, g, u_prev, dt, t_b, v_b, params,
-                        side="left", forcing_u=None, forcing_p=None):
+                        boundary_flux_convention="left", forcing_u=None,
+                        forcing_p=None):
     """The full 2N poroelastic system before its condensation to p,
     dense and assembled one element at a time: dof 2i is u_i, 2i+1 p_i.
     Returns (matrix, rhs)."""
@@ -93,12 +94,13 @@ def saddle_point_system(mesh, phi, g, u_prev, dt, t_b, v_b, params,
         du = c * (u_prev[e + 1] - u_prev[e])
         rhs[dofs] += [-g_e[e], du, g_e[e], du]
     rhs[2 * n - 2] += t_b
-    rhs[2 * n - 1 if side == "left" else 1] -= v_b
+    left = boundary_flux_convention == "left"
+    rhs[2 * n - 1 if left else 1] -= v_b
     if forcing_u is not None:
         rhs[0::2] -= mesh.lumped_masses * forcing_u
     if forcing_p is not None:
         rhs[1::2] += mesh.lumped_masses * forcing_p
-    for row in (0, 1 if side == "left" else 2 * n - 1):
+    for row in (0, 1 if left else 2 * n - 1):
         a[row] = rhs[row] = 0.0
         a[row, row] = 1.0
     return a, rhs
@@ -115,7 +117,7 @@ def suite_linalg():
     mesh = build_mesh(0.01, 21)
     n = mesh.node_count
     worst = 0.0
-    for side, dt, forced in itertools.product(
+    for convention, dt, forced in itertools.product(
             ("left", "right"), (3600.0, math.inf), (False, True)):
         phi = rng.uniform(0.005, 0.05, size=(4, n))
         g = rng.uniform(-1e-3, 1e-3, size=(4, n))
@@ -124,9 +126,10 @@ def suite_linalg():
         data = (mesh, phi, g, u_prev, dt, params.T_b, params.V_b, params)
         u, p, _ = checked_poroelastic(mesh, poroelastic.assemble(
             mesh, phi, 1.0 - phi.sum(axis=0), *data[2:],
-            forcing_u=f_u, forcing_p=f_p, dirichlet_side=side))
+            forcing_u=f_u, forcing_p=f_p,
+            boundary_flux_convention=convention))
         x_ref = dense_gaussian_elimination(
-            *saddle_point_system(*data, side, f_u, f_p))
+            *saddle_point_system(*data, convention, f_u, f_p))
         for field, ref in ((u, x_ref[0::2]), (p, x_ref[1::2])):
             worst = max(worst, float(np.max(np.abs(field - ref))
                                      / np.max(np.abs(ref))))

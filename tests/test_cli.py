@@ -24,12 +24,13 @@ def test_simulate_preset(tmp_path, capsys):
 
 def test_simulate_config_file(tmp_path):
     cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text("nodes = 21\nT_end = 3600\nemit_fields = false\n")
+    cfg_path.write_text("nodes = 21\nT_end = 3600\n")
     out = str(tmp_path / "run")
     code = run_cli(["simulate", "--config", str(cfg_path), "--out", out])
     assert code == cli.EXIT_OK
-    assert os.path.exists(os.path.join(out, "timeseries.csv"))
-    assert not os.path.exists(os.path.join(out, "field_p.csv"))
+    assert sorted(os.listdir(out)) == [
+        "diagnostics.csv", "field_c.csv", "field_p.csv", "field_u.csv",
+        "field_xi.csv", "timeseries.csv"]
 
 
 def test_unknown_preset_is_config_error(tmp_path, capsys):
@@ -143,6 +144,19 @@ def test_retired_cell_radius_key_names_volume(tmp_path, capsys):
     assert code == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert "unknown key 'R_cell'" in err and "V_cell" in err
+    assert not os.path.exists(tmp_path / "o")
+
+
+def test_retired_output_toggle_is_config_error(tmp_path, capsys):
+    # every run writes all six CSV files, so emit_fields is no longer a key
+    cfg_path = tmp_path / "toggle.cfg"
+    cfg_path.write_text("nodes = 5\nT_end = 3600\nemit_fields = false\n")
+    code = run_cli(["simulate", "--config", str(cfg_path),
+                    "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        "configuration error: line 3: unknown key 'emit_fields': every run "
+        "writes all six CSV files; delete the line"]
     assert not os.path.exists(tmp_path / "o")
 
 

@@ -17,7 +17,6 @@ def test_empty_input_is_runnable_default():
     assert cfg.scenario.ic_profile == "IC1"
     assert cfg.scenario.k_g == "kg1"
     assert cfg.scenario.c_ext == "csat"
-    assert cfg.emit_timeseries and cfg.emit_fields
 
 
 def test_comments_and_blank_lines_ignored():
@@ -58,13 +57,6 @@ def test_parameter_override():
     assert cfg.params.K_ref == 2e-5
 
 
-def test_emit_flags():
-    cfg = config.parse_config("emit_fields = false\nemit_xi_map = off")
-    assert cfg.emit_fields is False
-    assert cfg.emit_xi_map is False
-    assert cfg.emit_timeseries is True
-
-
 @pytest.mark.parametrize("text,fragment", [
     ("bogus_key = 1", "unknown key"),
     ("k_g0 = 5.8e-6", "unknown key"),
@@ -73,7 +65,6 @@ def test_emit_flags():
     ("nodes = ten", "integer"),
     ("dt = fast", "number"),
     ("c_ext = blue", "c_ext"),
-    ("emit_fields = maybe", "boolean"),
     ("dt = -5", "dt must be positive"),
     ("mu = -1", "mu must be positive"),
     ("nodes = 2", "at least 3 nodes"),
@@ -93,6 +84,9 @@ def test_emit_flags():
     ("R_cell = 1e300", "unknown key 'R_cell': .* set V_cell"),
     ("auto_dt_halving = true",
      "unknown key 'auto_dt_halving': every step .* is bisected"),
+    *[(f"{key} = false", f"unknown key '{key}': every run writes all six CSV")
+      for key in ("emit_timeseries", "emit_fields", "emit_xi_map",
+                  "emit_diagnostics")],
     ("V_cell = 5e-324", "V_cell must keep c E k_GAG / V_cell finite"),
     ("k_g = kg3", "k_g must be kg1 or kg2"),
     ("k_g = -1e-6", "k_g must be kg1 or kg2"),
@@ -140,8 +134,8 @@ def test_rule_accepts_its_boundary_and_rejects_beyond(key, inside, outside,
         config.parse_config(f"{key} = {outside!r}")
 
 
-# each accepted spelling of a named or boolean value: (key, text,
-# the field value it sets)
+# each accepted spelling of a named value: (key, text, the field value
+# it sets)
 @pytest.mark.parametrize("key,text,value", [
     ("c_ext", "csat", "csat"),
     ("c_ext", "cthr", "cthr"),
@@ -149,13 +143,11 @@ def test_rule_accepts_its_boundary_and_rejects_beyond(key, inside, outside,
     ("k_g", "kg2", "kg2"),
     ("h_r_convention", "normal", "normal"),
     ("h_r_convention", "inverted", "inverted"),
-    *[("emit_timeseries", text, True) for text in ("TRUE", "YES", "1", "ON")],
-    *[("emit_fields", text, False) for text in ("FALSE", "NO", "0", "OFF")],
 ])
 def test_every_spelling_sets_its_value(key, text, value):
     group, name, _ = config._KEYS[key]
     cfg = config.parse_config(f"{key} = {text}")
-    got = getattr(cfg if group == "emit" else getattr(cfg, group), name)
+    got = getattr(getattr(cfg, group), name)
     assert got == value and type(got) is type(value)
 
 
@@ -164,7 +156,7 @@ def test_error_names_offending_line():
         config.parse_config("dt = 3600\n# fine\nwhat = 1\n")
 
 
-# a non-default value of each scenario and emit key: (text, field value);
+# a non-default value of each scenario key: (text, field value);
 # each parameter key takes its default scaled by 1 + 1e-4
 NON_DEFAULT = {
     "culture_mode": ("perfused", "perfused"),
@@ -183,10 +175,6 @@ NON_DEFAULT = {
     "growth_model": ("G1", "G1"),
     "g_initial": ("0.25", 0.25),
     "boundary_flux_convention": ("right", "right"),
-    "emit_timeseries": ("false", False),
-    "emit_fields": ("off", False),
-    "emit_xi_map": ("no", False),
-    "emit_diagnostics": ("0", False),
 }
 
 
@@ -200,11 +188,8 @@ def test_every_key_sets_its_field(key):
     else:
         text, value = NON_DEFAULT[key]
     cfg = config.parse_config(f"{key} = {text}")
-    if group == "emit":
-        want = dataclasses.replace(default, **{name: value})
-    else:
-        part = dataclasses.replace(getattr(default, group), **{name: value})
-        want = dataclasses.replace(default, **{group: part})
+    part = dataclasses.replace(getattr(default, group), **{name: value})
+    want = dataclasses.replace(default, **{group: part})
     assert want != default
     assert cfg == want
 

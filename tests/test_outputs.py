@@ -1,6 +1,5 @@
 import builtins
 import dataclasses
-import itertools
 import os
 import tracemalloc
 
@@ -28,12 +27,10 @@ def read(path):
 def test_emits_expected_files(short_run, tmp_path):
     cfg, trajectory = short_run
     written = outputs.emit_outputs(trajectory, cfg, str(tmp_path))
-    names = sorted(os.path.basename(p) for p in written)
-    assert names == sorted([
+    assert written == [str(tmp_path / name) for name in (
         "timeseries.csv", "field_p.csv", "field_c.csv", "field_xi.csv",
-        "field_u.csv", "diagnostics.csv"])
-    for p in written:
-        assert os.path.exists(p)
+        "field_u.csv", "diagnostics.csv")]
+    assert sorted(os.listdir(tmp_path)) == sorted(map(os.path.basename, written))
 
 
 def test_timeseries_layout(short_run, tmp_path):
@@ -81,14 +78,6 @@ def test_diagnostics_layout(short_run, tmp_path):
     assert float(residual) < cfg.scenario.tol
 
 
-def test_emit_flags_suppress_files(short_run, tmp_path):
-    cfg, trajectory = short_run
-    quiet = dataclasses.replace(cfg, emit_fields=False, emit_diagnostics=False)
-    written = outputs.emit_outputs(trajectory, quiet, str(tmp_path))
-    names = sorted(os.path.basename(p) for p in written)
-    assert names == ["field_xi.csv", "timeseries.csv"]
-
-
 def test_byte_identical_reruns(short_run, tmp_path):
     cfg, trajectory = short_run
     out1 = tmp_path / "a"
@@ -105,18 +94,15 @@ def reference_csvs(trajectory, cfg):
         return repr(float(v))
 
     files = {}
-    if cfg.emit_timeseries:
-        lines = [outputs.TIMESERIES_HEADER]
-        for i, t in enumerate(trajectory.series_times):
-            row = [fmt(t / SECONDS_PER_DAY)]
-            row += [fmt(trajectory.mid_series[key][i]) for key in
-                    ("phi_n", "phi_v", "phi_q", "phi_ecm", "phi_fl", "c", "p")]
-            row.append(str(trajectory.mid_series["xi"][i]))
-            lines.append(",".join(row))
-        files["timeseries.csv"] = lines
+    lines = [outputs.TIMESERIES_HEADER]
+    for i, t in enumerate(trajectory.series_times):
+        row = [fmt(t / SECONDS_PER_DAY)]
+        row += [fmt(trajectory.mid_series[key][i]) for key in
+                ("phi_n", "phi_v", "phi_q", "phi_ecm", "phi_fl", "c", "p")]
+        row.append(str(trajectory.mid_series["xi"][i]))
+        lines.append(",".join(row))
+    files["timeseries.csv"] = lines
     for name in ("p", "c", "xi", "u"):
-        if not (cfg.emit_xi_map if name == "xi" else cfg.emit_fields):
-            continue
         lines = ["t_days,x_cm,value"]
         for t, state, xi in zip(trajectory.times, trajectory.states,
                                 trajectory.xi_maps, strict=True):
@@ -127,13 +113,12 @@ def reference_csvs(trajectory, cfg):
             for x, value in zip(trajectory.mesh.nodes, values):
                 lines.append(f"{fmt(t / SECONDS_PER_DAY)},{fmt(x)},{value}")
         files[f"field_{name}.csv"] = lines
-    if cfg.emit_diagnostics:
-        lines = ["step,t_days,fp_iters,fp_residual"]
-        for step, d in enumerate(trajectory.diagnostics, start=1):
-            t = step * cfg.scenario.dt
-            lines.append(f"{step},{fmt(t / SECONDS_PER_DAY)},"
-                         f"{d.iterations},{fmt(d[-1])}")
-        files["diagnostics.csv"] = lines
+    lines = ["step,t_days,fp_iters,fp_residual"]
+    for step, d in enumerate(trajectory.diagnostics, start=1):
+        t = step * cfg.scenario.dt
+        lines.append(f"{step},{fmt(t / SECONDS_PER_DAY)},"
+                     f"{d.iterations},{fmt(d[-1])}")
+    files["diagnostics.csv"] = lines
     return {name: "\n".join(lines) + "\n" for name, lines in files.items()}
 
 
@@ -152,25 +137,20 @@ def strided_run():
     return cfg, dataclasses.replace(trajectory, xi_maps=xi_maps)
 
 
-@pytest.mark.parametrize("flags", itertools.product((False, True), repeat=4))
-def test_every_emit_combination_matches_reference(strided_run, tmp_path, flags):
+def test_strided_files_match_reference(strided_run, tmp_path):
     cfg, trajectory = strided_run
     assert [round(t / 3600.0) for t in trajectory.times] == [0, 2, 4, 5]
-    cfg = dataclasses.replace(cfg, **dict(zip(
-        ("emit_timeseries", "emit_fields", "emit_xi_map", "emit_diagnostics"),
-        flags)))
     written = outputs.emit_outputs(trajectory, cfg, str(tmp_path))
     expected = reference_csvs(trajectory, cfg)
     assert sorted(os.path.basename(p) for p in written) == sorted(expected)
     for name, text in expected.items():
         assert read(tmp_path / name) == text
-    if cfg.emit_xi_map:
-        # each field_xi block is the xi map of its snapshot
-        n = trajectory.mesh.node_count
-        rows = read(tmp_path / "field_xi.csv").splitlines()[1:]
-        for k, xi in enumerate(trajectory.xi_maps):
-            block = [int(r.split(",")[2]) for r in rows[k * n:(k + 1) * n]]
-            assert block == xi.tolist()
+    # each field_xi block is the xi map of its snapshot
+    n = trajectory.mesh.node_count
+    rows = read(tmp_path / "field_xi.csv").splitlines()[1:]
+    for k, xi in enumerate(trajectory.xi_maps):
+        block = [int(r.split(",")[2]) for r in rows[k * n:(k + 1) * n]]
+        assert block == xi.tolist()
 
 
 def test_failed_write_inside_a_file_is_typed(short_run, tmp_path, monkeypatch):

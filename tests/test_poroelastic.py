@@ -97,10 +97,10 @@ def test_dirichlet_side_swap_mirrors_pressure():
     phi, g, u_prev = uniform_inputs(n)
     _, p_left, _ = checked_poroelastic(mesh, poroelastic.assemble(
         mesh, *lagged(phi, g, u_prev), math.inf, 0.0, PARAMS.V_b,
-        PARAMS, dirichlet_side="left"))
+        PARAMS, boundary_flux_convention="left"))
     _, p_right, _ = checked_poroelastic(mesh, poroelastic.assemble(
         mesh, *lagged(phi, g, u_prev), math.inf, 0.0, PARAMS.V_b,
-        PARAMS, dirichlet_side="right"))
+        PARAMS, boundary_flux_convention="right"))
     # v_b is the outward-normal flux at the flux-carrying end in both
     # orientations, so the pressure profile simply reflects
     assert np.allclose(p_left, p_right[::-1], atol=1e-10 * np.max(np.abs(p_left)))
@@ -169,7 +169,7 @@ def test_bandwidth_and_bc_record():
     mesh = build_mesh(0.01, 11)
     for side, p_row in (("left", 0), ("right", 10)):
         matrix, rhs, *_ = assemble_uniform(mesh, t_b=1.0, v_b=2.0,
-                                           dirichlet_side=side)
+                                           boundary_flux_convention=side)
         # one tridiagonal pressure band of size N
         assert matrix.n == 11 and matrix.data.shape == (3, 11)
         dense = matrix.to_dense()
@@ -215,7 +215,8 @@ def test_assemble_equals_elementwise_reference(side, dt, forced):
     system = poroelastic.assemble(
         mesh, *lagged(phi, g, u_prev), dt, PARAMS.T_b, PARAMS.V_b,
         PARAMS,
-        forcing_u=forcing_u, forcing_p=forcing_p, dirichlet_side=side)
+        forcing_u=forcing_u, forcing_p=forcing_p,
+        boundary_flux_convention=side)
     u, p, v = checked_poroelastic(mesh, system)
     a, rhs_ref = saddle_point_system(
         mesh, phi, g, u_prev, dt, PARAMS.T_b, PARAMS.V_b, PARAMS, side,
