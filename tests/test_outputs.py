@@ -78,6 +78,19 @@ def test_diagnostics_layout(short_run, tmp_path):
     assert float(residual) < cfg.scenario.tol
 
 
+def test_emit_flags_suppress_files(short_run, tmp_path):
+    """The emit_* toggles are retired: RunConfig has no such field, and
+    emit_outputs writes every file whatever config it is handed."""
+    cfg, trajectory = short_run
+    with pytest.raises(TypeError, match="emit_fields"):
+        dataclasses.replace(cfg, emit_fields=False, emit_diagnostics=False)
+    written = outputs.emit_outputs(trajectory, None, str(tmp_path))
+    names = sorted(os.path.basename(p) for p in written)
+    assert names == sorted([
+        "timeseries.csv", "field_p.csv", "field_c.csv", "field_xi.csv",
+        "field_u.csv", "diagnostics.csv"])
+
+
 def test_byte_identical_reruns(short_run, tmp_path):
     cfg, trajectory = short_run
     out1 = tmp_path / "a"
